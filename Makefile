@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-compare microbench report figures quicktest chaos channel-check cache-stats cache-audit store-check lint clean
+.PHONY: install test bench bench-compare microbench report figures quicktest chaos channel-check cache-stats cache-audit store-check lint bless clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -12,6 +12,11 @@ test:
 
 quicktest:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
+
+# Rewrite the committed report digests (tests/golden/) after a
+# deliberate output change; prints the experiments whose report moved.
+bless:
+	PYTHONPATH=src $(PYTHON) -m tests.golden.reports
 
 # Fault-injection verification: the chaos-marked tests (crash
 # consistency at every shard boundary, chaotic sweeps) plus the CLI

@@ -5,8 +5,9 @@ simulated link -- cell arrivals, retransmission timers, control
 messages -- by ``(time, seq)``, where ``seq`` is a monotonic insertion
 counter.  The tie-break matters: two events scheduled for the same
 tick pop in the order they were scheduled, on every run, at every
-worker count.  Python's ``heapq`` never compares payloads because the
-``(time, seq)`` prefix is always unique.
+worker count.  The heap holds ``(time, seq, event)`` tuples, so every
+comparison is a C-level tuple compare that settles on the unique
+``(time, seq)`` prefix and never reaches the event or its payload.
 
 Time is a simulated float tick counter owned by the consumer; nothing
 here (or anywhere in :mod:`repro.channel`) reads a wall clock --
@@ -44,16 +45,17 @@ class EventQueue:
             raise ValueError("event time must be >= 0, got %r" % (time,))
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, Event(float(time), seq, kind, payload))
+        time = float(time)
+        heapq.heappush(self._heap, (time, seq, Event(time, seq, kind, payload)))
         return seq
 
     def pop(self):
         """The earliest event (FIFO within a tick)."""
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def peek_time(self):
         """The next event's time, or None when empty."""
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def __len__(self):
         return len(self._heap)

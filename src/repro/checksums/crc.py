@@ -15,6 +15,32 @@ and XORs -- no byte is ever re-read.  :class:`ZeroFeedOperator`
 materialises ``Z^n`` as byte-sliced XOR lookup tables so the fold
 vectorizes over millions of splices.
 
+Two kernels do the byte-serial work:
+
+* :meth:`CRCEngine.process` (under ``compute``, ``field`` and
+  ``verify``) runs in C through a feed chosen once per spec.  CRC-32
+  polynomial ``0x04C11DB7`` goes to :func:`zlib.crc32`; the reflected
+  spec directly, the MSB-first AAL5 spec through the bit-reversal
+  identity
+
+      ``f(r, X) = rev32(zlib.crc32(rev8(X), rev32(r) ^ M) ^ M)``
+
+  where ``rev8`` reverses the bits of every byte, ``rev32`` those of
+  the register and ``M = 0xFFFFFFFF`` undoes zlib's pre- and
+  post-complement.  The non-reflected CRC-16 ``0x1021`` goes to
+  :func:`binascii.crc_hqx`.  Every other spec folds :meth:`step` over
+  the bytes, the loop the conformance tests hold the C feeds to.
+* :meth:`CRCEngine.process_cells` computes per-cell images by
+  slicing-by-``L``: with per-offset tables ``T_k = Z^k(table)``, the
+  image of an ``L``-byte cell ``d_0..d_{L-1}`` from register ``r`` is
+
+      ``Z^L(r) XOR T_{L-1}[d_0] XOR ... XOR T_0[d_{L-1}]``
+
+  one gather-and-XOR per column over every row at once.  The tables
+  are grown one ``Z^1`` step at a time in a per-polynomial cache whose
+  first eight rows are also the slicing-by-8 tables of
+  :meth:`CRCEngine.compute_many`.
+
 The specific CRCs the paper relies on are provided as specs:
 
 * :data:`CRC32_AAL5` -- the AAL5 CPCS CRC-32 (the non-reflected,
@@ -27,7 +53,9 @@ The specific CRCs the paper relies on are provided as specs:
 
 from __future__ import annotations
 
+import binascii
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +143,7 @@ class CRCEngine:
         self.bits: int = spec.width
         self._table = self._build_table()
         self._table_np = np.asarray(self._table, dtype=np.uint32)
+        self._feed = _c_feed(spec)
         self._zero_ops = {}
         self._residues = {}
         self._frame_residue = None
@@ -157,8 +186,16 @@ class CRCEngine:
         return ((reg << 8) & self.mask) ^ self._table[((reg >> shift) ^ byte) & 0xFF]
 
     def process(self, reg, data):
-        """Feed ``data`` into register ``reg`` and return the new register."""
-        for byte in bytes(data):
+        """Feed ``data`` into register ``reg`` and return the new register.
+
+        Runs in C when the spec has a stdlib feed (see the module
+        docstring); otherwise folds :meth:`step` over the bytes.
+        """
+        reg = int(reg)
+        data = bytes(data)
+        if self._feed is not None:
+            return self._feed(data, reg)
+        for byte in data:
             reg = self.step(reg, byte)
         return reg
 
@@ -282,24 +319,20 @@ class CRCEngine:
 
         ``cells`` is a ``(..., L)`` uint8 array; each chunk is processed
         starting from register ``init`` (default 0, producing the ``c_X``
-        images that :class:`ZeroFeedOperator` composes).  Returns a
-        ``(...,)`` uint32 array of register values.
+        images that :class:`ZeroFeedOperator` composes), a scalar or an
+        array of one register per chunk.  Returns a ``(...,)`` uint32
+        array of register values.  Slicing-by-``L``: column ``j`` enters
+        through the per-offset table ``T_{L-1-j}``.
         """
         cells = np.asarray(cells, dtype=np.uint8)
-        reg = np.empty(cells.shape[:-1], dtype=np.uint32)
-        reg[...] = init
-        table = self._table_np
-        if self.spec.refin:
-            for j in range(cells.shape[-1]):
-                reg = (reg >> np.uint32(8)) ^ table[
-                    (reg ^ cells[..., j]) & np.uint32(0xFF)
-                ]
-        else:
-            shift = np.uint32(self.spec.width - 8)
-            mask = np.uint32(self.mask)
-            for j in range(cells.shape[-1]):
-                idx = ((reg >> shift) ^ cells[..., j]) & np.uint32(0xFF)
-                reg = ((reg << np.uint32(8)) & mask) ^ table[idx]
+        length = cells.shape[-1]
+        tables = _offset_tables(self, length)
+        reg = np.zeros(cells.shape[:-1], dtype=np.uint32)
+        for j in range(length):
+            reg ^= tables[length - 1 - j][cells[..., j]]
+        init = np.asarray(init, dtype=np.uint32)
+        if init.any():
+            reg ^= self.zero_feed(length).apply_vec(init)
         return reg
 
     def zero_feed(self, nbytes):
@@ -314,21 +347,21 @@ class CRCEngine:
         """Feed each ``(..., L)`` row of ``blocks`` into its register.
 
         The hot kernel behind :meth:`compute_many`: eight data bytes
-        enter the register per iteration via the per-polynomial sliced
-        tables (``S_j = Z^j(table)``), so the Python-level loop runs
-        ``L // 8`` times instead of ``L``.  By GF(2) linearity, feeding
-        bytes ``d0..d7`` from register ``r`` is
+        enter the register per iteration via the first eight
+        per-offset tables (``T_k = Z^k(table)``), so the Python-level
+        loop runs ``L // 8`` times instead of ``L``.  By GF(2)
+        linearity, feeding bytes ``d0..d7`` from register ``r`` is
 
-            ``Z^8(r) XOR S_7[d0] XOR S_6[d1] XOR ... XOR S_0[d7]``
+            ``Z^8(r) XOR T_7[d0] XOR T_6[d1] XOR ... XOR T_0[d7]``
 
-        which is exactly what the body evaluates.  The byte tail falls
-        back to the one-byte-per-step vectorized loop.
+        which is exactly what the body evaluates.  The byte tail goes
+        through :meth:`process_cells`.
         """
         blocks = np.asarray(blocks, dtype=np.uint8)
         length = blocks.shape[-1]
         head = length - length % 8
         if head:
-            sliced = _slice_tables(self)
+            sliced = _offset_tables(self, 8)
             z8 = self.zero_feed(8)
             for base in range(0, head, 8):
                 acc = sliced[7][blocks[..., base]]
@@ -470,10 +503,38 @@ def _bake_tables(matrix, width):
     return tables
 
 
-#: Byte-reversal lookup used by the vectorized finalize for specs with
-#: ``refout != refin`` (none of the paper's specs, but the engine stays
-#: generic).
-_REV8 = np.array([reflect_bits(b, 8) for b in range(256)], dtype=np.uint32)
+#: ``bytes.translate`` table reversing the bits of every byte.
+_REV8_BYTES = bytes(reflect_bits(b, 8) for b in range(256))
+
+#: The same byte reversal as a lookup array, used by the vectorized
+#: finalize for specs with ``refout != refin`` (none of the paper's
+#: specs, but the engine stays generic).
+_REV8 = np.frombuffer(_REV8_BYTES, dtype=np.uint8).astype(np.uint32)
+
+
+def _rev32(value):
+    """Reverse the 32 bits of ``value``."""
+    flipped = value.to_bytes(4, "big").translate(_REV8_BYTES)
+    return int.from_bytes(flipped, "little")
+
+
+def _zlib_feed(data, reg):
+    """The reflected CRC-32 register fed by zlib (pre/post-complemented)."""
+    return zlib.crc32(data, reg ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+def _zlib_msb_first_feed(data, reg):
+    """The MSB-first CRC-32 register via zlib and bit reversal."""
+    return _rev32(_zlib_feed(data.translate(_REV8_BYTES), _rev32(reg)))
+
+
+def _c_feed(spec):
+    """The stdlib feed ``feed(data, reg)`` for ``spec``, or None."""
+    if spec.width == 32 and spec.poly == 0x04C11DB7:
+        return _zlib_feed if spec.refin else _zlib_msb_first_feed
+    if spec.width == 16 and spec.poly == 0x1021 and not spec.refin:
+        return binascii.crc_hqx
+    return None
 
 
 def _reflect_many(values, width):
@@ -488,21 +549,21 @@ def _reflect_many(values, width):
     return full >> np.uint32(32 - width)
 
 
-#: Slicing-by-8 table cache, keyed per polynomial -- the tables depend
-#: only on ``(width, poly, refin)``, so every engine instance (and every
-#: worker process) reuses one baked set per spec.
-_SLICE_TABLES: dict = {}
+#: Per-offset table cache, keyed per polynomial -- ``T_k = Z^k(table)``
+#: depends only on ``(width, poly, refin)``, so every engine instance
+#: (and every worker process) grows one list per spec.
+_OFFSET_TABLES: dict = {}
 
 
-def _slice_tables(engine):
-    """The 8 sliced tables ``S_j = Z^j(table)`` for ``engine``'s spec."""
+def _offset_tables(engine, count):
+    """At least ``count`` per-offset tables ``T_k = Z^k(table)``."""
     key = (engine.spec.width, engine.spec.poly, engine.spec.refin)
-    if key not in _SLICE_TABLES:
-        tables = [engine._table_np]
-        for j in range(1, 8):
-            tables.append(engine.zero_feed(j).apply_vec(engine._table_np))
-        _SLICE_TABLES[key] = tables
-    return _SLICE_TABLES[key]
+    tables = _OFFSET_TABLES.setdefault(key, [engine._table_np])
+    if len(tables) < count:
+        z1 = engine.zero_feed(1)
+        while len(tables) < count:
+            tables.append(z1.apply_vec(tables[-1]))
+    return tables
 
 
 def crc_combine(engine, crc_first, crc_second, second_len):

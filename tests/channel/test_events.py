@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.channel.events import EventQueue
+from repro.channel.events import Event, EventQueue
 
 
 class TestOrdering:
@@ -27,6 +27,23 @@ class TestOrdering:
         q.push(1.0, "y", object())
         assert q.pop().kind == "x"
         assert q.pop().kind == "y"
+
+    def test_heap_never_compares_events(self, monkeypatch):
+        # The heap orders (time, seq, event) tuples; the unique
+        # (time, seq) prefix settles every comparison in C.
+        def refuse(self, other):
+            raise AssertionError("Event.__lt__ called")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        q = EventQueue()
+        schedule = [(3.0, "c"), (1.0, "a"), (3.0, "d"), (0.5, "z"),
+                    (1.0, "b"), (2.0, "m"), (0.5, "y")]
+        seqs = {kind: q.push(time, kind) for time, kind in schedule}
+        popped = [q.pop() for _ in range(len(schedule))]
+        assert [(e.time, e.seq) for e in popped] == sorted(
+            (time, seqs[kind]) for time, kind in schedule
+        )
+        assert [e.kind for e in popped] == ["z", "y", "a", "b", "m", "c", "d"]
 
     def test_peek_and_len(self):
         q = EventQueue()

@@ -18,6 +18,8 @@ from repro.checksums.crc import (
     crc_combine,
     reflect_bits,
 )
+from repro.checksums.registry import available_algorithms, get_algorithm
+from repro.protocols.atm import HEC_SPEC
 
 CHECK_INPUT = b"123456789"
 
@@ -30,6 +32,27 @@ KNOWN_CHECKS = [
 ]
 
 STD_CRC32 = CRCSpec("crc32", 32, 0x04C11DB7, 0xFFFFFFFF, True, True, 0xFFFFFFFF)
+
+#: CRC-16/KERMIT: the 0x1021 polynomial reflected, which binascii's
+#: non-reflected ``crc_hqx`` cannot feed.
+KERMIT = CRCSpec("crc16-kermit", 16, 0x1021, 0x0000, True, True, 0x0000)
+
+#: Every registered CRC, the ATM HEC, and the two specs above.
+CONFORMANCE_SPECS = [
+    get_algorithm(name).spec
+    for name in available_algorithms()
+    if isinstance(get_algorithm(name), CRCEngine)
+] + [HEC_SPEC, STD_CRC32, KERMIT]
+
+_ENGINES = {spec: CRCEngine(spec) for spec in CONFORMANCE_SPECS}
+
+
+def step_fold(engine, reg, data):
+    """The byte-at-a-time oracle: ``step`` folded over ``data``."""
+    reg = int(reg)
+    for byte in bytes(data):
+        reg = engine.step(reg, byte)
+    return reg
 
 
 class TestReflect:
@@ -58,9 +81,11 @@ class TestKnownValues:
         assert CRCEngine(spec).compute(CHECK_INPUT) == expected
 
     def test_matches_zlib(self):
+        # compute on this spec *is* zlib, so hold the byte loop to it.
         engine = CRCEngine(STD_CRC32)
         for data in (b"", b"a", CHECK_INPUT, bytes(100), b"x" * 1000):
-            assert engine.compute(data) == zlib.crc32(data)
+            reg = step_fold(engine, engine.register_init, data)
+            assert engine.finalize(reg) == zlib.crc32(data)
 
     def test_verify(self):
         engine = CRCEngine(CRC16_CCITT)
@@ -112,6 +137,65 @@ class TestVectorized:
         for i in range(4):
             assert int(regs[i]) == engine.process(
                 engine.register_init, cells[i].tobytes()
+            )
+
+
+class TestKernelConformance:
+    """Both C-speed kernels against the ``step`` fold, on every spec."""
+
+    def test_stdlib_feeds(self):
+        fed = {spec.name for spec in CONFORMANCE_SPECS
+               if _ENGINES[spec]._feed is not None}
+        assert fed == {"crc32-aal5", "crc32", "crc16-ccitt"}
+
+    @given(
+        spec=st.sampled_from(CONFORMANCE_SPECS),
+        reg=st.integers(0, 2**32 - 1),
+        reg_type=st.sampled_from([int, np.uint32, np.int64, np.uint64]),
+        data=st.binary(max_size=300),
+        data_type=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_process_matches_step_fold(self, spec, reg, reg_type, data,
+                                       data_type):
+        engine = _ENGINES[spec]
+        reg = reg_type(reg & engine.mask)
+        expected = step_fold(engine, reg, data)
+        assert engine.process(reg, data_type(data)) == expected
+        assert engine.process(reg, b"") == int(reg)
+
+    @given(
+        spec=st.sampled_from(CONFORMANCE_SPECS),
+        length=st.sampled_from([0, 1, 4, 44, 48]),
+        lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+        strided=st.booleans(),
+        init_kind=st.sampled_from(["zero", "scalar", "per-row"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_process_cells_matches_step_fold(self, spec, length, lead,
+                                             strided, init_kind, seed):
+        engine = _ENGINES[spec]
+        rng = np.random.default_rng(seed)
+        if strided:
+            # every other byte of a wider buffer: a non-contiguous view
+            cells = rng.integers(0, 256, size=lead + (2 * length,),
+                                 dtype=np.uint8)[..., ::2]
+        else:
+            cells = rng.integers(0, 256, size=lead + (length,), dtype=np.uint8)
+        if init_kind == "zero":
+            init = 0
+        elif init_kind == "scalar":
+            init = int(rng.integers(0, engine.mask, endpoint=True))
+        else:
+            init = rng.integers(0, engine.mask, size=lead, endpoint=True,
+                                dtype=np.uint64).astype(np.uint32)
+        images = engine.process_cells(cells, init=init)
+        assert images.shape == lead and images.dtype == np.uint32
+        inits = np.broadcast_to(np.asarray(init, dtype=np.uint32), lead)
+        for index in np.ndindex(*lead):
+            assert int(images[index]) == step_fold(
+                engine, inits[index], cells[index].tobytes()
             )
 
 
