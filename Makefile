@@ -13,9 +13,11 @@ test:
 quicktest:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
 
-# Rewrite the committed report digests (tests/golden/) after a
-# deliberate output change; prints the experiments whose report moved.
+# Rewrite the committed corpus and report digests (tests/golden/) after
+# a deliberate output change; prints the profiles, generator kinds and
+# experiments whose digest moved.
 bless:
+	PYTHONPATH=src $(PYTHON) -m tests.golden.corpus
 	PYTHONPATH=src $(PYTHON) -m tests.golden.reports
 
 # Fault-injection verification: the chaos-marked tests (crash

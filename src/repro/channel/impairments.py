@@ -14,6 +14,11 @@ The Gilbert and Gilbert-Elliott chains are the burst models Koopman's
 checksum work and the Jepsen corruption study argue real links need:
 errors cluster, and detection behaviour under clustered errors is the
 measurement the independent-loss model cannot produce.
+
+Processes that draw only uniforms take them from :func:`_uniforms`,
+which draws ``_UNIFORM_BLOCK`` at a time: ``Generator.random(k)`` yields
+the same doubles as ``k`` scalar ``random()`` calls, so every decision
+is what per-cell calls would give.
 """
 
 from __future__ import annotations
@@ -31,6 +36,14 @@ __all__ = [
     "GilbertElliottBitErrors",
 ]
 
+_UNIFORM_BLOCK = 256
+
+
+def _uniforms(rng):
+    """``rng.random()``, one ``next()`` at a time, drawn in blocks."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
 
 class GilbertChain:
     """A two-state (good/bad) Markov chain, stepped once per cell.
@@ -42,14 +55,14 @@ class GilbertChain:
     """
 
     def __init__(self, rng, p_enter_bad, p_exit_bad):
-        self._rng = rng
+        self._uniforms = _uniforms(rng)
         self.p_enter_bad = float(p_enter_bad)
         self.p_exit_bad = float(p_exit_bad)
         self.bad = False
 
     def step(self):
         current = self.bad
-        roll = self._rng.random()
+        roll = next(self._uniforms)
         if self.bad:
             if roll < self.p_exit_bad:
                 self.bad = False
@@ -69,7 +82,7 @@ class CellLoss:
 
     def __init__(self, plan):
         self.loss_rate = plan.loss_rate
-        self._rng = np.random.default_rng(plan.derive("loss"))
+        self._uniforms = _uniforms(np.random.default_rng(plan.derive("loss")))
         self._burst = None
         if plan.burst_loss is not None:
             self._burst = GilbertChain(
@@ -81,7 +94,7 @@ class CellLoss:
         """Is the current cell lost?  (Steps both processes.)"""
         burst_lost = self._burst.step() if self._burst is not None else False
         independent_lost = (
-            self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
+            self.loss_rate > 0.0 and next(self._uniforms) < self.loss_rate
         )
         return burst_lost or independent_lost
 
@@ -171,18 +184,18 @@ class DelayProcess:
         self.jitter = plan.jitter
         self.reorder_rate = plan.reorder_rate
         self.reorder_span = plan.reorder_span
-        self._jitter_rng = np.random.default_rng(plan.derive("jitter"))
-        self._reorder_rng = np.random.default_rng(plan.derive("reorder"))
+        self._jitter_draws = _uniforms(np.random.default_rng(plan.derive("jitter")))
+        self._reorder_draws = _uniforms(np.random.default_rng(plan.derive("reorder")))
 
     def arrival(self, depart):
         """``(arrival_time, reordered?)`` for a cell leaving at ``depart``."""
         arrival = depart + self.latency
         if self.jitter > 0.0:
-            arrival += self._jitter_rng.random() * self.jitter
+            arrival += next(self._jitter_draws) * self.jitter
         reordered = False
         if self.reorder_rate > 0.0:
-            if self._reorder_rng.random() < self.reorder_rate:
-                arrival += self._reorder_rng.random() * self.reorder_span
+            if next(self._reorder_draws) < self.reorder_rate:
+                arrival += next(self._reorder_draws) * self.reorder_span
                 reordered = True
         return arrival, reordered
 
@@ -193,8 +206,8 @@ class DuplicateProcess:
     def __init__(self, plan):
         self.rate = plan.duplicate_rate
         self.lag = plan.duplicate_lag
-        self._rng = np.random.default_rng(plan.derive("duplicate"))
+        self._uniforms = _uniforms(np.random.default_rng(plan.derive("duplicate")))
 
     def duplicated(self):
         """Does the current delivered cell get a second copy?"""
-        return self.rate > 0.0 and self._rng.random() < self.rate
+        return self.rate > 0.0 and next(self._uniforms) < self.rate

@@ -4,9 +4,21 @@ Each generator is a function ``(rng, size) -> bytes`` taking a NumPy
 ``Generator`` and a byte count.  The families deliberately reproduce the
 data properties the paper identifies as driving checksum behaviour --
 see the module docstring of :mod:`repro.corpus`.
+
+:func:`english_text` (which :func:`wordproc` also calls) makes one or
+two draws per character, so it does not call ``rng.random()`` and
+``rng.integers(n)`` per draw: it replays the generator's PCG64 stream
+from bulk ``random_raw`` blocks (:class:`_PCG64Replay`), decoding each
+draw exactly as NumPy does, and rewinds the generator on return.  Its
+bytes, and the generator state it leaves for the next file, are
+identical to per-draw calls.  It accepts only PCG64-backed generators
+(what ``default_rng`` returns) and raises ``TypeError`` for any other.
+Every other generator draws through NumPy directly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +49,15 @@ delivered to the application as if nothing had happened on the wire.
 
 _MARKOV_ORDER = 2
 _MARKOV_MODEL = None
+_MARKOV_ROWS = None
+
+_TWO32 = 1 << 32
+_MASK32 = _TWO32 - 1
+_REPLAY_BLOCK = 1024
+#: ``rng.random() < 0.002`` on a raw output ``raw``: ``random()`` is
+#: ``(raw >> 11) * 2**-53``, so the test is ``raw >> 11 < 0.002 * 2**53``,
+#: i.e. ``raw < _REPEAT_RAW``.
+_REPEAT_RAW = math.ceil(0.002 * 2**53) << 11
 
 
 def _markov_model():
@@ -50,6 +71,113 @@ def _markov_model():
             model.setdefault(state, []).append(text[i + _MARKOV_ORDER])
         _MARKOV_MODEL = {state: "".join(chars) for state, chars in model.items()}
     return _MARKOV_MODEL
+
+
+def _markov_rows():
+    """``(names, rows)``: the model as a transition table over state ids.
+
+    Ids ``0 .. len(model) - 1`` are the model's states in ``list(model)``
+    order, which the start and restart draws index.  A successor that
+    is not a key of the model (it only ends the seed passage) gets a
+    later id and an empty row.  ``rows[id]`` is ``(n, chars,
+    successors, threshold)``: the ``n`` possible next characters, the
+    id each one leads to, and Lemire's rejection threshold ``(2**32 -
+    n) % n`` for ``integers(n)``.
+    """
+    global _MARKOV_ROWS
+    if _MARKOV_ROWS is None:
+        model = _markov_model()
+        names = list(model)
+        ids = {name: i for i, name in enumerate(names)}
+        rows = []
+        for name in names:  # grows as dead-end successors get ids
+            chars = model.get(name, "")
+            successors = []
+            for char in chars:
+                successor = name[1:] + char
+                if successor not in ids:
+                    ids[successor] = len(names)
+                    names.append(successor)
+                successors.append(ids[successor])
+            n = len(chars)
+            threshold = (_TWO32 - n) % n if n else 0
+            rows.append((n, chars, tuple(successors), threshold))
+        _MARKOV_ROWS = (names, rows)
+    return _MARKOV_ROWS
+
+
+class _PCG64Replay:
+    """The draws of a PCG64 ``Generator``, replayed from bulk raw words.
+
+    Raw 64-bit outputs come from ``random_raw`` in blocks of at most
+    ``_REPLAY_BLOCK`` words and are decoded exactly as NumPy decodes
+    them: ``random()`` is ``(raw >> 11) * 2**-53``, and ``integers(n)``
+    takes 32-bit words -- the high half buffered by the previous 32-bit
+    draw, else the low half of a fresh raw whose high half is then
+    buffered -- through Lemire's rejection.  The generator runs ahead by
+    up to a block meanwhile; :meth:`rewind` puts it exactly where
+    per-draw calls would have left it.  :func:`english_text` inlines the
+    common case of :meth:`raw` and :meth:`integers` on the public slots:
+    a method call per draw made its loop about 30% slower.
+    """
+
+    # raws[pos:] are the block's unread outputs; has32 and half mirror
+    # PCG64's has_uint32 and uinteger (the buffered high half).
+    __slots__ = ("raws", "pos", "has32", "half", "_bg", "_saved", "_spent")
+
+    def __init__(self, rng):
+        bg = rng.bit_generator
+        if type(bg) is not np.random.PCG64:
+            raise TypeError(
+                "english_text replays a PCG64 stream; got a %s-backed generator"
+                % type(bg).__name__
+            )
+        self._bg = bg
+        self._saved = bg.state
+        self.has32 = self._saved["has_uint32"]
+        self.half = self._saved["uinteger"]
+        self.raws = []
+        self.pos = 0
+        self._spent = 0
+
+    def refill(self):
+        """Replace the exhausted block with the next one."""
+        self._spent += len(self.raws)
+        self.raws = self._bg.random_raw(_REPLAY_BLOCK).tolist()
+        self.pos = 0
+
+    def raw(self):
+        """The next raw 64-bit output; ``random()`` is ``(raw >> 11) * 2**-53``."""
+        if self.pos == len(self.raws):
+            self.refill()
+        self.pos += 1
+        return self.raws[self.pos - 1]
+
+    def integers(self, n):
+        """``Generator.integers(n)``, for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        threshold = (_TWO32 - n) % n
+        while True:
+            if self.has32:
+                self.has32 = 0
+                word = self.half
+            else:
+                raw = self.raw()
+                self.has32, self.half = 1, raw >> 32
+                word = raw & _MASK32
+            m = word * n
+            if m & _MASK32 >= threshold:
+                return m >> 32
+
+    def rewind(self):
+        """Leave the generator where per-draw calls would have left it."""
+        bg = self._bg
+        bg.state = self._saved
+        bg.advance(self._spent + self.pos)  # advance() clears the buffered half
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = self.has32, self.half
+        bg.state = state
 
 
 _BOILERPLATE = (
@@ -68,34 +196,60 @@ def english_text(rng, size):
     headers do on real filesystems) and occasionally repeat an earlier
     sentence verbatim, reproducing the block-level self-similarity the
     paper's locality analysis depends on.
+
+    Draws go through a :class:`_PCG64Replay` of ``rng`` (PCG64 only);
+    bytes and the final state of ``rng`` equal those of calling
+    ``rng.random()`` and ``rng.integers(n)`` once per draw.
     """
-    model = _markov_model()
-    states = list(model)
+    names, rows = _markov_rows()
+    n_states = len(_markov_model())
+    replay = _PCG64Replay(rng)
+    integers = replay.integers
     out = [_BOILERPLATE]
     produced = len(_BOILERPLATE)
     sentences = []
-    current = []
-    state = states[rng.integers(len(states))]
-    current.append(state)
+    state = integers(n_states)
+    current = [names[state]]
     produced += _MARKOV_ORDER
     while produced < size:
-        if sentences and rng.random() < 0.002:
-            repeat = sentences[int(rng.integers(len(sentences)))]
-            out.append("".join(current))
-            current = []
-            out.append(repeat)
-            produced += len(repeat)
-            continue
-        choices = model.get(state)
-        if not choices:
-            state = states[rng.integers(len(states))]
+        if sentences:
+            # rng.random() < 0.002, on the raw word.
+            if replay.pos == len(replay.raws):
+                replay.refill()
+            raw = replay.raws[replay.pos]
+            replay.pos += 1
+            if raw < _REPEAT_RAW:
+                repeat = sentences[integers(len(sentences))]
+                out.append("".join(current))
+                current = []
+                out.append(repeat)
+                produced += len(repeat)
+                continue
+        n, chars, successors, threshold = rows[state]
+        if not n:
+            state = integers(n_states)
             current.append(" ")
             produced += 1
             continue
-        char = choices[rng.integers(len(choices))]
+        if n == 1:
+            k = 0
+        else:
+            # integers(n): its first word inline, any rejection redrawn there.
+            if replay.has32:
+                replay.has32 = 0
+                m = replay.half * n
+            else:
+                if replay.pos == len(replay.raws):
+                    replay.refill()
+                raw = replay.raws[replay.pos]
+                replay.pos += 1
+                replay.has32, replay.half = 1, raw >> 32
+                m = (raw & _MASK32) * n
+            k = m >> 32 if m & _MASK32 >= threshold else integers(n)
+        char = chars[k]
         current.append(char)
         produced += 1
-        state = state[1:] + char
+        state = successors[k]
         if char == "." and len(current) > 40:
             sentence = "".join(current)
             if len(sentences) < 32:
@@ -103,6 +257,7 @@ def english_text(rng, size):
             out.append(sentence)
             current = []
     out.append("".join(current))
+    replay.rewind()
     return "".join(out).encode("ascii")[:size]
 
 

@@ -125,3 +125,35 @@ class TestStreamIndependence:
         assert [a.lost() for _ in range(2_000)] == [
             b.lost() for _ in range(2_000)
         ]
+
+
+def _scalar_gilbert(rng, p_enter_bad, p_exit_bad, steps):
+    """The state each of ``steps`` cells sees, one ``random()`` call each."""
+    bad, states = False, []
+    for _ in range(steps):
+        states.append(bad)
+        roll = rng.random()
+        bad = roll >= p_exit_bad if bad else roll < p_enter_bad
+    return states
+
+
+class TestBlockDraws:
+    """Uniforms drawn in blocks equal per-cell ``random()`` calls."""
+
+    STEPS = 10_000
+
+    def test_gilbert_chain_matches_scalar_calls(self):
+        chain = GilbertChain(np.random.default_rng(9), 0.05, 0.25)
+        expected = _scalar_gilbert(np.random.default_rng(9), 0.05, 0.25,
+                                   self.STEPS)
+        assert [chain.step() for _ in range(self.STEPS)] == expected
+
+    def test_cell_loss_matches_scalar_calls(self):
+        plan = ChannelPlan(seed=8, loss_rate=0.05, burst_loss=(0.02, 0.3))
+        loss = CellLoss(plan)
+        burst = _scalar_gilbert(np.random.default_rng(plan.derive("burst-loss")),
+                                0.02, 0.3, self.STEPS)
+        independent = np.random.default_rng(plan.derive("loss"))
+        expected = [independent.random() < 0.05 or bad for bad in burst]
+        assert [loss.lost() for _ in range(self.STEPS)] == expected
+        assert 0 < sum(expected) < self.STEPS

@@ -53,7 +53,7 @@ def load_digests():
 
 
 def moved_ids(old, new):
-    """Experiment ids whose digest differs between two digest maps."""
+    """Keys whose digest differs between two digest maps."""
     return sorted(name for name in set(old) | set(new)
                   if old.get(name) != new.get(name))
 

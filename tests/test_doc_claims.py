@@ -1,0 +1,115 @@
+"""README.md and docs/*.md claim only what the tree contains.
+
+Three checks over the user-facing docs:
+
+* every ``BENCH_<n>.json`` they name exists at the repository root;
+* every ``make <target>`` in a code block or inline code span is a
+  Makefile target;
+* every option on a ``repro-checksums ...`` or ``python -m repro.cli
+  ...`` line of a code block is accepted by that subcommand's parser.
+
+Other command lines (perfbench, pytest, pip) are not checked: their
+options belong to other programs.
+"""
+
+import argparse
+import re
+import shlex
+from pathlib import Path
+
+from repro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+
+_FENCE = re.compile(r"^\s*```")
+_CLI_LINE = re.compile(
+    r"^\s*(?:\$\s+)?(?:\w+=\S*\s+)*"
+    r"(?:repro-checksums|python3? -m repro\.cli)\s+(?P<args>.+)$"
+)
+_MAKE_LINE = re.compile(r"^\s*(?:\$\s+)?make\s+(?P<target>[\w-]+)")
+_MAKE_SPAN = re.compile(r"`make\s+(?P<target>[\w-]+)[^`]*`")
+_MAKE_RULE = re.compile(r"^(?P<target>[\w-]+)\s*:(?!=)", re.MULTILINE)
+_BENCH_FILE = re.compile(r"BENCH_\d+\.json")
+
+
+def code_block_lines(path):
+    """``(line_number, text)`` of fenced code, comments dropped and
+    backslash continuations joined onto their first line."""
+    lines, inside, joining = [], False, False
+    for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if _FENCE.match(raw):
+            inside, joining = not inside, False
+            continue
+        if not inside:
+            continue
+        text = re.split(r"\s#", raw, maxsplit=1)[0].strip()
+        if joining:
+            lines[-1] = (lines[-1][0], lines[-1][1] + " " + text.rstrip("\\"))
+        else:
+            lines.append((number, text.rstrip("\\")))
+        joining = text.endswith("\\")
+    return lines
+
+
+def where(path, number):
+    return "%s:%d" % (path.relative_to(ROOT), number)
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return None
+
+
+def unknown_options(args):
+    """Options in ``args`` that its (sub)command's parser rejects."""
+    parser, tokens = build_parser(), shlex.split(args)
+    while tokens and _subparsers(parser) is not None:
+        choices = _subparsers(parser)
+        if tokens[0] not in choices:
+            return ["unknown subcommand %r" % tokens[0]]
+        parser = choices[tokens.pop(0)]
+    return [token for token in tokens
+            if token.startswith("-") and token != "-"
+            and token.split("=", 1)[0] not in parser._option_string_actions]
+
+
+def test_named_bench_snapshots_exist():
+    named = {(where(path, number), name)
+             for path in DOCS
+             for number, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1)
+             for name in _BENCH_FILE.findall(line)}
+    assert named
+    missing = sorted(claim for claim in named if not (ROOT / claim[1]).is_file())
+    assert not missing, missing
+
+
+def test_make_targets_exist():
+    targets = set(_MAKE_RULE.findall((ROOT / "Makefile").read_text(encoding="utf-8")))
+    named = []
+    for path in DOCS:
+        for number, line in code_block_lines(path):
+            named += [(where(path, number), m) for m in _MAKE_LINE.findall(line)]
+        for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
+            named += [(where(path, number), m) for m in _MAKE_SPAN.findall(line)]
+    assert len(named) >= 5
+    missing = sorted(claim for claim in named if claim[1] not in targets)
+    assert not missing, missing
+
+
+def test_cli_options_exist():
+    checked, problems = 0, []
+    for path in DOCS:
+        for number, line in code_block_lines(path):
+            match = _CLI_LINE.match(line)
+            if match is None:
+                continue
+            checked += 1
+            for problem in unknown_options(match.group("args")):
+                problems.append("%s: %s: %s" % (where(path, number), problem, line))
+    assert checked >= 20
+    assert not problems, "\n".join(problems)
