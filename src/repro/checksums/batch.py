@@ -19,10 +19,7 @@ tractable with three extra capabilities:
 ``combine(state_a, state_b, len_b)``
     The state of the concatenation ``A || B`` from the two independent
     states -- O(1) for the modular sums, O(log len_b) for CRCs via the
-    zero-feed operator.  This is what makes cut-splice evaluation
-    O(cells) per packet pair instead of O(cells^2): prefix states of
-    packet 1 and suffix states of packet 2 are each computed once and
-    every splice point costs a single ``combine``.
+    zero-feed operator.
 
 Algorithms advertise the capability *structurally*: there is no base
 class to inherit, :func:`supports_batch` simply checks the methods are

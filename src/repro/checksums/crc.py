@@ -36,9 +36,10 @@ Two kernels do the byte-serial work:
 
       ``Z^L(r) XOR T_{L-1}[d_0] XOR ... XOR T_0[d_{L-1}]``
 
-  one gather-and-XOR per column over every row at once.  The tables
-  are grown one ``Z^1`` step at a time in a per-polynomial cache whose
-  first eight rows are also the slicing-by-8 tables of
+  one gather over every byte of every row at once (the ``L`` tables
+  laid end to end) and one XOR reduction.  The tables are grown one
+  ``Z^1`` step at a time in a per-polynomial cache whose first eight
+  rows are also the slicing-by-8 tables of
   :meth:`CRCEngine.compute_many`.
 
 The specific CRCs the paper relies on are provided as specs:
@@ -145,6 +146,7 @@ class CRCEngine:
         self._table_np = np.asarray(self._table, dtype=np.uint32)
         self._feed = _c_feed(spec)
         self._zero_ops = {}
+        self._cell_tables: dict = {}
         self._residues = {}
         self._frame_residue = None
 
@@ -326,13 +328,18 @@ class CRCEngine:
         """
         cells = np.asarray(cells, dtype=np.uint8)
         length = cells.shape[-1]
-        tables = _offset_tables(self, length)
-        reg = np.zeros(cells.shape[:-1], dtype=np.uint32)
-        for j in range(length):
-            reg ^= tables[length - 1 - j][cells[..., j]]
+        if length not in self._cell_tables:
+            # T_{L-1} .. T_0 end to end: column j indexes block j.
+            tables = _offset_tables(self, length)[:length][::-1]
+            self._cell_tables[length] = (
+                np.concatenate(tables) if tables else np.zeros(0, np.uint32),
+                256 * np.arange(length),
+            )
+        flat, offsets = self._cell_tables[length]
+        reg = np.bitwise_xor.reduce(np.take(flat, cells + offsets), axis=-1)
         init = np.asarray(init, dtype=np.uint32)
         if init.any():
-            reg ^= self.zero_feed(length).apply_vec(init)
+            reg = reg ^ self.zero_feed(length).apply_vec(init)
         return reg
 
     def zero_feed(self, nbytes):
@@ -424,7 +431,9 @@ class ZeroFeedOperator:
 
     Built by exponentiating the one-byte bit-matrix and baked into
     byte-sliced XOR lookup tables so it applies in a handful of gathers
-    per call even across large NumPy register arrays.
+    per call even across large NumPy register arrays: ``tables[k][v]``
+    is the image of a register whose byte ``k`` is ``v`` and whose
+    other bytes are zero.
     """
 
     def __init__(self, engine, nbytes):
@@ -435,21 +444,21 @@ class ZeroFeedOperator:
         width = engine.spec.width
         matrix = _matrix_power(_one_byte_matrix(engine), nbytes, width)
         self._matrix = matrix
-        self._tables = _bake_tables(matrix, width)
+        self.tables = _bake_tables(matrix, width)
 
     def apply(self, reg):
         """Apply the operator to a scalar register value."""
         result = 0
-        for k, table in enumerate(self._tables):
+        for k, table in enumerate(self.tables):
             result ^= int(table[(reg >> (8 * k)) & 0xFF])
         return result
 
     def apply_vec(self, regs):
         """Apply the operator to a uint32 array of register values."""
         regs = np.asarray(regs, dtype=np.uint32)
-        result = self._tables[0][regs & np.uint32(0xFF)]
-        for k in range(1, len(self._tables)):
-            result = result ^ self._tables[k][
+        result = self.tables[0][regs & np.uint32(0xFF)]
+        for k in range(1, len(self.tables)):
+            result = result ^ self.tables[k][
                 (regs >> np.uint32(8 * k)) & np.uint32(0xFF)
             ]
         return result

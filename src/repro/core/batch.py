@@ -8,28 +8,25 @@ per-cell reduction lives here, built on the checksums layer's batch tier
 Three families of machinery:
 
 * **Range kernels** -- :func:`range_word_sums` / :func:`range_fletcher`
-  / :func:`fold16` reduce whole ``(batch, cells, 48)`` matrices in one
-  NumPy pass per cell slot.
+  / :func:`fold16` reduce whole ``(..., 48)`` cell arrays in one NumPy
+  pass per coverage window.
 
-* **Per-slot CRC folds** -- :class:`CellCrcFold` unrolls the affine
+* **Per-slot CRC operators** -- :class:`CellCrcFold` unrolls the affine
   register recurrence ``reg' = Z^48(reg) XOR c_cell`` across all slots:
 
       ``reg = Z^{48*slots + tail}(init)
               XOR_j Z^{48*(slots-1-j) + tail}(c_j)  XOR  c_trailer``
 
-  so each slot costs one zero-feed application on the *small* per-cell
-  image array plus a single gather+XOR on the big ``(pairs, splices)``
-  matrix -- instead of four gathers per slot on the big matrix.
+  and applies every slot's operator to every cell image in one table
+  gather, so a cell's contribution in each slot is known before any
+  splice is formed.
 
-* **Incremental cut-splice evaluation** --
-  :func:`evaluate_cut_splices` judges every *contiguous* splice (prefix
-  of packet 1 followed by the matching suffix of packet 2, the
-  single-burst-loss family) in O(cells) total: exclusive prefix
-  partial sums of packet 1 and suffix partial sums / CRC remainders of
-  packet 2 are each computed once, and every cut point is one combine.
-  The general enumeration is quadratic in cells *per pair* because
-  there are that many splices; the cut family is where the prefix/
-  suffix algebra collapses the cost.
+* **Part partials** -- :func:`part_partials` folds those per-slot
+  contributions over the first-frame and second-frame parts of an
+  enumeration (see :class:`~repro.core.enumeration.SpliceEnumeration`).
+  Every verdict is a sum, XOR or AND over slots, so it splits at the
+  frame boundary, and the engine judges each splice with one combine
+  of two partials instead of one gather per slot.
 
 :func:`resolve_engine_kind` maps an options record's ``engine`` field
 (``"auto"``/``"scalar"``/``"batch"``) to the concrete
@@ -42,24 +39,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checksums.batch import EngineKind
-from repro.checksums.registry import get_algorithm, supports_batch
-from repro.core.checks import candidate_header_validity, candidate_pseudo_sums
-from repro.protocols.aal5 import CELL_PAYLOAD, aal5_crc_engine
-from repro.protocols.packetizer import ChecksumPlacement
+from repro.checksums.registry import supports_batch
+from repro.protocols.aal5 import CELL_PAYLOAD
 
 __all__ = [
     "CellCrcFold",
-    "cut_selections",
-    "evaluate_cut_splices",
     "fold16",
+    "part_partials",
     "range_fletcher",
     "range_word_sums",
     "resolve_engine_kind",
 ]
-
-_IP_HEADER_LEN = 20
-_TCP_CHECKSUM_SPLICE_OFFSET = 36  # IP header + TCP checksum field offset
-_CRC_FIELD_LEN = 4
 
 
 def range_word_sums(arr, lo, hi):
@@ -70,8 +60,8 @@ def range_word_sums(arr, lo, hi):
     if seg.shape[-1] % 2:
         pad = np.zeros(seg.shape[:-1] + (1,), dtype=np.uint8)
         seg = np.concatenate([seg, pad], axis=-1)
-    words = seg.reshape(seg.shape[:-1] + (-1, 2)).astype(np.uint64)
-    return ((words[..., 0] << np.uint64(8)) | words[..., 1]).sum(axis=-1)
+    words = np.ascontiguousarray(seg).view(">u2")
+    return words.sum(axis=-1, dtype=np.uint64)
 
 
 def range_fletcher(arr, lo, hi, modulus):
@@ -93,6 +83,36 @@ def fold16(values):
     while (values >> np.uint64(16)).any():
         values = (values & np.uint64(0xFFFF)) + (values >> np.uint64(16))
     return values
+
+
+#: Most elements one :func:`part_partials` gather may hold.  Exact
+#: enumerations of the paper's packet sizes fit in one gather; sampled
+#: enumerations of large frames, whose parts are nearly all distinct,
+#: are gathered in blocks so the intermediate stays bounded.
+_PART_GATHER_ELEMENTS = 1 << 20
+
+
+def part_partials(per_slot, parts, reduce):
+    """Per-part partials: ``reduce`` over the slots each part occupies.
+
+    ``per_slot`` is a ``(slots, cells, B)`` array holding what each cell
+    contributes when it sits in each slot; its last cell must hold the
+    identity of ``reduce`` (zero for sums and XOR, True for AND).
+    ``parts`` is a ``(K, slots)`` matrix of cell indices with ``-1`` in
+    the slots a part does not occupy, which therefore read the identity.
+    Returns the ``(K, B)`` partials: one gather and one reduction per
+    block of parts.
+    """
+    slots = np.arange(parts.shape[1])
+    step = max(1, _PART_GATHER_ELEMENTS // max(len(slots) * per_slot.shape[-1], 1))
+    if len(parts) <= step:
+        return reduce(per_slot[slots, parts], axis=1)
+    return np.concatenate(
+        [
+            reduce(per_slot[slots, parts[start : start + step]], axis=1)
+            for start in range(0, len(parts), step)
+        ]
+    )
 
 
 def resolve_engine_kind(options):
@@ -118,294 +138,34 @@ def resolve_engine_kind(options):
 
 
 class CellCrcFold:
-    """Per-slot zero-feed fold of cell CRC images.
+    """Per-slot zero-feed operators of cell CRC images.
 
     Feeding ``slots`` candidate cells and then a ``tail``-byte trailer
     chunk from the preset register unrolls, by GF(2) linearity, to the
     XOR form in the module docstring.  The per-slot operators
     ``Z^{48*(slots-1-j) + tail}`` are built once (their tables are
-    cached on the CRC engine) and applied to the per-cell image arrays
-    *before* the per-splice gather, which is what removes the wide
-    ``apply_vec`` from the inner loop.
+    cached on the CRC engine) and stacked, so :meth:`slot_images`
+    applies all of them to every cell image in one gather; :attr:`const`
+    is the preset register's term ``Z^{48*slots + tail}(init)``.
     """
 
     def __init__(self, engine, slots, tail, span=CELL_PAYLOAD):
-        self.engine = engine
-        self.slots = slots
-        self._ops = [
-            engine.zero_feed(span * (slots - 1 - j) + tail)
-            for j in range(slots)
-        ]
-        self._const = np.uint32(
+        self.const = np.uint32(
             engine.zero_feed(span * slots + tail).apply(engine.register_init)
         )
+        ops = [engine.zero_feed(span * (slots - 1 - j) + tail) for j in range(slots)]
+        nbytes = (engine.width + 7) // 8
+        # Block j * nbytes + k maps register byte k through slot j's operator.
+        tables = [table for op in ops for table in op.tables]
+        self._tables = np.concatenate(tables) if tables else np.zeros(0, np.uint32)
+        self._shifts = np.arange(0, 8 * nbytes, 8, dtype=np.uint32)[:, None, None]
+        self._offsets = 256 * np.arange(slots * nbytes).reshape(slots, nbytes, 1, 1)
 
-    def fold_selected(self, images, idx, trailer_images):
-        """Registers of every selection row: ``(B, S)`` from gathers.
+    def slot_images(self, images):
+        """``(slots, cells, B)``: each slot's operator on ``images``.
 
-        ``images`` is the ``(B, n_cand)`` per-cell image array,
-        ``idx`` the ``(S, slots)`` selection matrix, ``trailer_images``
-        the ``(B,)`` trailer-chunk images.
+        ``images`` is the ``(cells, B)`` uint32 array of cell images.
         """
-        batch = images.shape[0]
-        reg = np.empty((batch, idx.shape[0]), dtype=np.uint32)
-        reg[...] = self._const
-        reg ^= trailer_images[:, None]
-        for j, op in enumerate(self._ops):
-            reg ^= op.apply_vec(images)[:, idx[:, j]]
-        return reg
-
-    def fold_columns(self, columns, trailer_images):
-        """Registers of one explicit per-slot column layout: ``(B,)``.
-
-        ``columns`` is ``(B, slots)`` -- the image of the cell occupying
-        each slot -- which is how the intact-frame reference value is
-        folded without enumerating selections.
-        """
-        reg = self._const ^ trailer_images
-        for j, op in enumerate(self._ops):
-            reg = reg ^ op.apply_vec(columns[:, j])
-        return reg
-
-
-def cut_selections(n1, n2):
-    """Selection rows of every contiguous cut splice, most-from-2 first.
-
-    Cut ``j`` keeps the first ``j`` cells of packet 1 and the suffix of
-    packet 2 from slot ``j`` on (plus its trailer); ``j`` ranges from 0
-    (intact packet 2) to ``min(n2 - 1, n1 - 1)``.  Rows index the
-    engine's candidate layout (packet 1's unmarked cells, then packet
-    2's).
-    """
-    slots = n2 - 1
-    cuts = min(slots, n1 - 1)
-    rows = np.empty((cuts + 1, slots), dtype=np.int16)
-    for j in range(cuts + 1):
-        rows[j, :j] = np.arange(j, dtype=np.int16)
-        rows[j, j:] = np.arange(n1 - 1 + j, n1 - 1 + slots, dtype=np.int16)
-    return rows
-
-
-def evaluate_cut_splices(cells1, cells2, iplen1, iplen2, options):
-    """Verdicts of every contiguous cut splice in O(cells) total.
-
-    ``cells1``/``cells2`` are ``(B, n, 48)`` uint8 arrays of same-shape
-    frame pairs.  Returns ``(selections, verdicts)`` where
-    ``selections`` is the :func:`cut_selections` matrix and each
-    verdict array is ``(B, cuts)`` -- the same verdict semantics as
-    ``SpliceEngine.splice_verdicts`` restricted to the cut columns,
-    and bit-identical to them (the conformance suite asserts this).
-
-    The cost argument: every per-slot quantity (word sums, Fletcher
-    pairs, operator-applied CRC images, window equality) is computed
-    once per frame, then cut ``j`` is read off an exclusive prefix
-    scan of packet 1's values and a suffix scan of packet 2's --
-    O(cells) work overall instead of O(cells) per cut.
-    """
-    cells1 = np.asarray(cells1, dtype=np.uint8)
-    cells2 = np.asarray(cells2, dtype=np.uint8)
-    batch, n1 = cells1.shape[:2]
-    n2 = cells2.shape[1]
-    slots = n2 - 1
-    cuts = min(slots, n1 - 1)
-    trailer = cells2[:, n2 - 1]
-    iplen = iplen2
-
-    coverage_start = 0 if options.legacy_coverage else _IP_HEADER_LEN
-    windows = []
-    for j in range(slots):
-        lo = max(coverage_start - CELL_PAYLOAD * j, 0)
-        hi = int(np.clip(iplen - CELL_PAYLOAD * j, lo, CELL_PAYLOAD))
-        windows.append((lo, hi))
-    t_hi = int(np.clip(iplen - CELL_PAYLOAD * slots, 0, CELL_PAYLOAD))
-
-    # -- header: cut 0 leads with packet 2's first cell, the rest with
-    #    packet 1's.
-    valid2 = candidate_header_validity(
-        cells2[:, :1], iplen, require_ip_checksum=options.require_ip_checksum
-    )[:, 0]
-    valid1 = candidate_header_validity(
-        cells1[:, :1], iplen, require_ip_checksum=options.require_ip_checksum
-    )[:, 0]
-    header_pass = np.empty((batch, cuts + 1), dtype=bool)
-    header_pass[:, 0] = valid2
-    header_pass[:, 1:] = valid1[:, None]
-
-    # -- transport ------------------------------------------------------
-    if options.algorithm in ("tcp", "internet"):
-        transport = _cut_tcp_valid(
-            cells1, cells2, trailer, windows, t_hi, iplen, cuts, options
-        )
-    elif options.algorithm.startswith("fletcher"):
-        transport = _cut_fletcher_valid(
-            cells1, cells2, trailer, windows, t_hi, iplen, cuts,
-            int(options.algorithm[-3:]),
-        )
-    else:
-        raise ValueError(
-            "unsupported transport algorithm %r" % options.algorithm
-        )
-
-    # -- CRCs: prefix/suffix XOR scans of operator-applied images ------
-    crc32_engine = aal5_crc_engine()
-    reg = _cut_crc_registers(
-        crc32_engine, cells1, cells2, trailer, slots, cuts, CELL_PAYLOAD
-    )
-    crc32 = reg == np.uint32(crc32_engine.residue_register("big"))
-
-    aux = {}
-    for name in options.aux_crcs:
-        engine = get_algorithm(name)
-        reg = _cut_crc_registers(
-            engine, cells1, cells2, trailer[:, : CELL_PAYLOAD - _CRC_FIELD_LEN],
-            slots, cuts, CELL_PAYLOAD - _CRC_FIELD_LEN,
-        )
-        # Cut 0 *is* the intact second frame, i.e. the reference value.
-        aux[name] = reg == reg[:, :1]
-
-    # -- identical: prefix-AND / suffix-AND of per-slot window equality
-    identical = _cut_identical(
-        cells1, cells2, trailer, slots, cuts, iplen1, iplen2, options
-    )
-
-    verdicts = {
-        "header_pass": header_pass,
-        "transport": transport,
-        "crc32": crc32,
-        "identical": identical,
-        "aux": aux,
-    }
-    return cut_selections(n1, n2), verdicts
-
-
-def _cut_tcp_valid(cells1, cells2, trailer, windows, t_hi, iplen, cuts, options):
-    batch = cells1.shape[0]
-    slots = len(windows)
-    prefix = np.zeros((batch, cuts + 1), dtype=np.uint64)
-    for i in range(cuts):
-        prefix[:, i + 1] = prefix[:, i] + range_word_sums(
-            cells1[:, i], *windows[i]
-        )
-    suffix = np.zeros((batch, slots + 1), dtype=np.uint64)
-    for i in range(slots - 1, -1, -1):
-        suffix[:, i] = suffix[:, i + 1] + range_word_sums(
-            cells2[:, i], *windows[i]
-        )
-    total = prefix + suffix[:, : cuts + 1]
-    total += range_word_sums(trailer, 0, t_hi)[:, None]
-    if not options.legacy_coverage:
-        seg_len = iplen - _IP_HEADER_LEN
-        pseudo2 = candidate_pseudo_sums(cells2[:, :1], seg_len)[:, 0]
-        pseudo1 = candidate_pseudo_sums(cells1[:, :1], seg_len)[:, 0]
-        total[:, 0] += pseudo2
-        total[:, 1:] += pseudo1[:, None]
-    if options.invert or options.placement is ChecksumPlacement.TRAILER:
-        return fold16(total) == 0xFFFF
-    # Section 6.3 ablation: compare against the field in the lead cell.
-    field2 = (
-        cells2[:, 0, _TCP_CHECKSUM_SPLICE_OFFSET].astype(np.uint64)
-        << np.uint64(8)
-    ) | cells2[:, 0, _TCP_CHECKSUM_SPLICE_OFFSET + 1]
-    field1 = (
-        cells1[:, 0, _TCP_CHECKSUM_SPLICE_OFFSET].astype(np.uint64)
-        << np.uint64(8)
-    ) | cells1[:, 0, _TCP_CHECKSUM_SPLICE_OFFSET + 1]
-    field = np.empty((batch, cuts + 1), dtype=np.uint64)
-    field[:, 0] = field2
-    field[:, 1:] = field1[:, None]
-    return fold16(total - field) == field
-
-
-def _cut_fletcher_valid(
-    cells1, cells2, trailer, windows, t_hi, iplen, cuts, modulus
-):
-    batch = cells1.shape[0]
-    slots = len(windows)
-
-    def contribution(cells, i):
-        lo, hi = windows[i]
-        a, b = range_fletcher(cells[:, i], lo, hi, modulus)
-        distance = iplen - min(CELL_PAYLOAD * i + hi, iplen)
-        return a, (b + distance * a) % modulus
-
-    a_prefix = np.zeros((batch, cuts + 1), dtype=np.int64)
-    b_prefix = np.zeros((batch, cuts + 1), dtype=np.int64)
-    for i in range(cuts):
-        a_i, b_i = contribution(cells1, i)
-        a_prefix[:, i + 1] = a_prefix[:, i] + a_i
-        b_prefix[:, i + 1] = b_prefix[:, i] + b_i
-    a_suffix = np.zeros((batch, slots + 1), dtype=np.int64)
-    b_suffix = np.zeros((batch, slots + 1), dtype=np.int64)
-    for i in range(slots - 1, -1, -1):
-        a_i, b_i = contribution(cells2, i)
-        a_suffix[:, i] = a_suffix[:, i + 1] + a_i
-        b_suffix[:, i] = b_suffix[:, i + 1] + b_i
-    a_t, b_t = range_fletcher(trailer, 0, t_hi, modulus)
-    a_total = a_prefix + a_suffix[:, : cuts + 1] + a_t[:, None]
-    b_total = b_prefix + b_suffix[:, : cuts + 1] + b_t[:, None]
-    return (a_total % modulus == 0) & (b_total % modulus == 0)
-
-
-def _cut_crc_registers(engine, cells1, cells2, trailer_chunk, slots, cuts, tail):
-    """Cut-splice registers via prefix/suffix XOR scans, ``(B, cuts+1)``."""
-    fold = CellCrcFold(engine, slots, tail)
-    trailer_images = engine.process_cells(trailer_chunk)
-    batch = cells1.shape[0]
-    prefix = np.zeros((batch, cuts + 1), dtype=np.uint32)
-    suffix = np.zeros((batch, slots + 1), dtype=np.uint32)
-    if slots:
-        applied1 = np.stack(
-            [
-                fold._ops[i].apply_vec(engine.process_cells(cells1[:, i]))
-                for i in range(cuts)
-            ],
-            axis=1,
-        ) if cuts else np.zeros((batch, 0), dtype=np.uint32)
-        applied2 = np.stack(
-            [
-                fold._ops[i].apply_vec(engine.process_cells(cells2[:, i]))
-                for i in range(slots)
-            ],
-            axis=1,
-        )
-        for i in range(cuts):
-            prefix[:, i + 1] = prefix[:, i] ^ applied1[:, i]
-        for i in range(slots - 1, -1, -1):
-            suffix[:, i] = suffix[:, i + 1] ^ applied2[:, i]
-    reg = prefix ^ suffix[:, : cuts + 1]
-    reg ^= (fold._const ^ trailer_images)[:, None]
-    return reg
-
-
-def _cut_identical(cells1, cells2, trailer, slots, cuts, iplen1, iplen2, options):
-    batch = cells1.shape[0]
-    iplen = iplen2
-    if options.placement is ChecksumPlacement.TRAILER:
-        iplen -= 2
-    eq = np.ones((batch, slots), dtype=bool)
-    for i in range(min(slots, cells1.shape[1])):
-        cmp_len = int(np.clip(iplen - CELL_PAYLOAD * i, 0, CELL_PAYLOAD))
-        if cmp_len:
-            eq[:, i] = (
-                cells1[:, i, :cmp_len] == cells2[:, i, :cmp_len]
-            ).all(axis=-1)
-    # Identical to packet 2: every substituted prefix slot must match.
-    ident2 = np.ones((batch, cuts + 1), dtype=bool)
-    for i in range(cuts):
-        ident2[:, i + 1] = ident2[:, i] & eq[:, i]
-    result = ident2
-    # Identical to packet 1: only possible when lengths agree.
-    if cells1.shape[1] == cells2.shape[1] and iplen1 == iplen2:
-        t_len = int(np.clip(iplen - CELL_PAYLOAD * slots, 0, CELL_PAYLOAD))
-        if t_len:
-            trailer_ok = (
-                trailer[:, :t_len] == cells1[:, -1, :t_len]
-            ).all(axis=-1)
-        else:
-            trailer_ok = np.ones(batch, dtype=bool)
-        ident1 = np.empty((batch, slots + 1), dtype=bool)
-        ident1[:, slots] = True
-        for i in range(slots - 1, -1, -1):
-            ident1[:, i] = ident1[:, i + 1] & eq[:, i]
-        result = result | (ident1[:, : cuts + 1] & trailer_ok[:, None])
-    return result
+        octets = (images >> self._shifts) & np.uint32(0xFF)
+        gathered = np.take(self._tables, octets + self._offsets)
+        return np.bitwise_xor.reduce(gathered, axis=1)

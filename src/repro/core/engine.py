@@ -19,14 +19,22 @@ The algebra: the Internet checksum of a splice decomposes into per-cell
 partial word sums plus the pseudo-header; Fletcher into per-cell (A, B)
 pairs with the positional term ``B + D * A`` for a cell ending ``D``
 bytes before the end of coverage; and a CRC register through a chunk is
-affine -- ``reg' = Z^48(reg) XOR c_cell``.  Each batch therefore costs a
-handful of NumPy gathers per cell slot over a ``(pairs, splices)``
-matrix.
+affine -- ``reg' = Z^48(reg) XOR c_cell``.  Each verdict is therefore a
+sum, XOR or AND over cell slots, and it splits at the frame boundary:
+every splice is a first-frame part (slots ``0 .. k-1``, ``k >= 1``)
+followed by a second-frame part.  Per batch the engine folds the
+per-slot quantities into ``(parts, pairs)`` partials on small arrays,
+then judges each splice with one gather per part and one add, XOR,
+compare or AND on the ``(splices, pairs)`` matrix.
+:meth:`SpliceEngine.evaluate_batch` also skips the rows whose leading
+cell fails the header checks for every pair of the batch: they are
+counted as caught by the header without being judged further.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from repro.checksums.crc import CRCEngine
 from repro.checksums.registry import get_algorithm
 from repro.core.batch import (
     CellCrcFold,
-    fold16 as _fold16,
+    part_partials as _part_partials,
     range_fletcher as _range_fletcher,
     range_word_sums as _range_word_sums,
     resolve_engine_kind,
@@ -48,7 +56,7 @@ from repro.core.enumeration import (
 )
 from repro.core.results import SpliceCounters
 from repro.protocols.aal5 import CELL_PAYLOAD, aal5_crc_engine
-from repro.protocols.packetizer import ChecksumPlacement, PacketizerConfig
+from repro.protocols.packetizer import ChecksumPlacement
 from repro.telemetry.core import current as _telemetry
 
 __all__ = ["EngineOptions", "SpliceEngine"]
@@ -110,14 +118,15 @@ class SpliceEngine:
     the byte-at-a-time reference receiver of
     :mod:`repro.core.reference` over the *same* enumeration, producing
     bit-identical counters at a fraction of the speed -- it exists as
-    the conformance baseline ``--engine scalar`` exposes.
+    the conformance baseline ``--engine scalar`` exposes.  It judges
+    every row: the header pruning of :meth:`evaluate_batch` applies to
+    the batch kernels only.
     """
 
     def __init__(self, options=None):
         self.options = options or EngineOptions()
         self.engine_kind = resolve_engine_kind(self.options)
         self._crc32 = aal5_crc_engine()
-        self._z48 = self._crc32.zero_feed(CELL_PAYLOAD)
         self._residue32 = np.uint32(self._crc32.residue_register("big"))
         self._folds = {}
         self._aux = []
@@ -125,14 +134,7 @@ class SpliceEngine:
             engine = get_algorithm(name)
             if not isinstance(engine, CRCEngine):
                 raise ValueError("aux_crcs must name CRC engines, got %r" % name)
-            self._aux.append(
-                (
-                    name,
-                    engine,
-                    engine.zero_feed(CELL_PAYLOAD),
-                    engine.zero_feed(CELL_PAYLOAD - _CRC_FIELD_LEN),
-                )
-            )
+            self._aux.append((name, engine))
         if self.options.algorithm.startswith("fletcher"):
             self._modulus = int(self.options.algorithm[-3:])
         elif self.options.algorithm in ("tcp", "internet"):
@@ -180,10 +182,11 @@ class SpliceEngine:
                 )
                 for start in range(0, len(pairs), batch_size):
                     chunk = pairs[start : start + batch_size]
-                    cells1 = np.stack([p[0].frame.cells() for p in chunk])
-                    cells2 = np.stack([p[1].frame.cells() for p in chunk])
                     counters += self.evaluate_batch(
-                        cells1, cells2, iplen1, iplen2
+                        _frame_cells([p[0].frame for p in chunk], n1),
+                        _frame_cells([p[1].frame for p in chunk], n2),
+                        iplen1,
+                        iplen2,
                     )
         return counters
 
@@ -196,9 +199,97 @@ class SpliceEngine:
         verdict (``header_pass``, ``transport``, ``crc32``,
         ``identical``, plus one entry per auxiliary CRC under ``aux``)
         is a ``(B, splices)`` boolean array aligned with the
-        enumeration's selection rows.  This is the building block for
-        custom accounting -- weighted loss models, per-splice studies,
-        or cross-checks against the reference receiver.
+        enumeration's selection rows; every row is judged.  This is the
+        building block for custom accounting -- weighted loss models,
+        per-splice studies, or cross-checks against the reference
+        receiver.
+        """
+        enum, _, verdicts = self._verdicts(
+            cells1, cells2, iplen1, iplen2, prune=False
+        )
+        by_pair = {key: verdicts[key].T for key in _VERDICTS}
+        by_pair["aux"] = {name: valid.T for name, valid in verdicts["aux"].items()}
+        return enum, by_pair
+
+    def evaluate_batch(self, cells1, cells2, iplen1, iplen2):
+        """Evaluate all splices of a batch of same-shape frame pairs.
+
+        ``cells1``/``cells2`` are ``(B, n, 48)`` uint8 arrays of the
+        first/second frames; ``iplen*`` the IP packet lengths (the AAL5
+        Length fields).  Returns the accumulated counters.  The batch
+        kernels judge only the rows whose leading cell passes the header
+        checks for some pair; the other rows count as caught by the
+        header for every pair.
+        """
+        counters = SpliceCounters()
+        counters.pairs = batch = np.asarray(cells1).shape[0]
+        telemetry = _telemetry()
+        with telemetry.span("engine.batch"):
+            enum, rows, verdicts = self._verdicts(
+                cells1, cells2, iplen1, iplen2, prune=True
+            )
+        if enum.splices == 0:
+            return counters
+
+        # Verdicts cover the judged rows only; every other row failed
+        # the header check for every pair.
+        header_pass = verdicts["header_pass"]
+        valid_transport = verdicts["transport"]
+        identical = verdicts["identical"]
+        lens = enum.substitution_len
+        hdr2 = enum.has_second_header
+        if rows is not None:
+            lens, hdr2 = lens[rows], hdr2[rows]
+
+        ident_mask = header_pass & identical
+        remaining = header_pass & ~identical
+        missed_transport = remaining & valid_transport
+
+        counters.total = batch * enum.splices
+        counters.caught_by_header = counters.total - int(
+            np.count_nonzero(header_pass)
+        )
+        counters.identical = int(np.count_nonzero(ident_mask))
+        remaining_per_splice = np.count_nonzero(remaining, axis=1)
+        missed_per_splice = np.count_nonzero(missed_transport, axis=1)
+        counters.remaining = int(remaining_per_splice.sum())
+        counters.missed_transport = int(missed_per_splice.sum())
+        counters.missed_crc32 = int(
+            np.count_nonzero(remaining & verdicts["crc32"])
+        )
+        counters.identical_rejected = int(
+            np.count_nonzero(ident_mask & ~valid_transport)
+        )
+
+        lengths = np.unique(enum.substitution_len)
+        size = int(lengths[-1]) + 1
+        remaining_by_len = np.bincount(lens, remaining_per_splice, size)
+        missed_by_len = np.bincount(lens, missed_per_splice, size)
+        for k in lengths.tolist():
+            counters.remaining_by_len[k] = int(remaining_by_len[k])
+            counters.missed_by_len[k] = int(missed_by_len[k])
+        counters.remaining_with_hdr2 = int(remaining_per_splice[hdr2].sum())
+        counters.missed_with_hdr2 = int(missed_per_splice[hdr2].sum())
+
+        for name, valid_aux in verdicts["aux"].items():
+            counters.missed_aux[name] = int(np.count_nonzero(remaining & valid_aux))
+
+        # Engine-kind throughput accounting happens parent-side in
+        # ``experiment._account_shard`` (``engine.<kind>.splices`` and
+        # its rate meter): worker pools keep their own registries, so
+        # anything emitted here would vanish under ``--workers N`` and
+        # break counter-total identity across execution layouts.
+        return counters
+
+    # -- verdict evaluation ---------------------------------------------
+
+    def _verdicts(self, cells1, cells2, iplen1, iplen2, prune):
+        """``(enumeration, rows, verdicts)`` for a same-shape batch.
+
+        Each verdict is a ``(rows, B)`` boolean array over the
+        enumeration rows ``rows``, where ``None`` means every row.  With
+        ``prune``, the batch kernels judge only the rows whose leading
+        cell passes the header checks for at least one pair.
         """
         telemetry = _telemetry()
         cells1 = np.asarray(cells1, dtype=np.uint8)
@@ -208,50 +299,52 @@ class SpliceEngine:
         with telemetry.span("engine.enumeration"):
             enum = self._enumeration(n1, n2)
         if enum.splices == 0:
-            empty = np.zeros((batch, 0), dtype=bool)
-            return enum, {
-                "header_pass": empty,
-                "transport": empty.copy(),
-                "crc32": empty.copy(),
-                "identical": empty.copy(),
-                "aux": {name: empty.copy() for name, _, _, _ in self._aux},
-            }
+            return enum, None, self._no_verdicts(batch)
         if self.engine_kind is EngineKind.SCALAR:
             with telemetry.span("engine.scalar"):
-                return enum, self._scalar_verdicts(
+                verdicts = self._scalar_verdicts(
                     enum, cells1, cells2, iplen1, iplen2
                 )
-        idx = enum.selection
-        slots = enum.slots
+            return enum, None, verdicts
 
-        cand = np.concatenate([cells1[:, : n1 - 1], cells2[:, : n2 - 1]], axis=1)
-        trailer = cells2[:, n2 - 1]
-        iplen = iplen2
-
-        coverage_start = 0 if self.options.legacy_coverage else _IP_HEADER_LEN
-        windows = []
-        for j in range(slots):
-            lo = max(coverage_start - CELL_PAYLOAD * j, 0)
-            hi = int(np.clip(iplen - CELL_PAYLOAD * j, lo, CELL_PAYLOAD))
-            windows.append((lo, hi))
-        t_hi = int(np.clip(iplen - CELL_PAYLOAD * slots, 0, CELL_PAYLOAD))
+        # Cell-major copy of the batch: frame 1's candidates, then all of
+        # frame 2 (candidates in the enumeration's layout, its trailer at
+        # index -2), then one all-zero cell at index -1.  A part's unused
+        # slots point at that cell, whose contribution to every sum and
+        # CRC image is zero.
+        cells = np.zeros((n1 + n2, batch, CELL_PAYLOAD), dtype=np.uint8)
+        cells[: n1 - 1] = cells1[:, : n1 - 1].swapaxes(0, 1)
+        cells[n1 - 1 : -1] = cells2.swapaxes(0, 1)
+        first_key, second_key = enum.first_key, enum.second_key
 
         with telemetry.span("engine.header"):
-            header_pass = self._header_pass(cand, idx, iplen)
+            valid = candidate_header_validity(
+                cells[: n1 - 1],
+                iplen2,
+                require_ip_checksum=self.options.require_ip_checksum,
+            )
+            lead = enum.selection[:, 0]
+            rows = None
+            if prune:
+                live = valid.any(axis=1)
+                if not live.all():
+                    rows = np.flatnonzero(live[lead])
+                    lead = lead[rows]
+                    first_key, second_key = first_key[rows], second_key[rows]
+            header_pass = valid[lead]
+        if rows is not None and not rows.size:
+            return enum, rows, self._no_verdicts(batch)
+        split = _Split(enum.first_parts, enum.second_parts, first_key, second_key)
         with telemetry.span("engine.transport"):
-            transport = self._transport_valid(
-                cand, trailer, idx, windows, t_hi, iplen
-            )
+            transport = self._transport_valid(cells, enum, split, iplen2)
         with telemetry.span("engine.crc32"):
-            crc32 = self._crc_valid(cand, trailer, idx)
+            crc32 = self._crc_valid(cells, enum, split)
         with telemetry.span("engine.identical"):
-            identical = self._identical(
-                cand, trailer, idx, cells1, cells2, iplen1, iplen2, windows
-            )
+            identical = self._identical(cells, enum, split, cells1, iplen1, iplen2)
         with telemetry.span("engine.aux"):
             aux = {
-                name: self._aux_valid(cand, trailer, idx, n1, engine, z48, z44)
-                for name, engine, z48, z44 in self._aux
+                name: self._aux_valid(cells, enum, split, engine)
+                for name, engine in self._aux
             }
         verdicts = {
             "header_pass": header_pass,
@@ -260,118 +353,91 @@ class SpliceEngine:
             "identical": identical,
             "aux": aux,
         }
-        return enum, verdicts
+        return enum, rows, verdicts
 
-    def evaluate_batch(self, cells1, cells2, iplen1, iplen2):
-        """Evaluate all splices of a batch of same-shape frame pairs.
-
-        ``cells1``/``cells2`` are ``(B, n, 48)`` uint8 arrays of the
-        first/second frames; ``iplen*`` the IP packet lengths (the AAL5
-        Length fields).  Returns the accumulated counters.
-        """
-        counters = SpliceCounters()
-        counters.pairs = np.asarray(cells1).shape[0]
-        telemetry = _telemetry()
-        with telemetry.span("engine.batch"):
-            enum, verdicts = self.splice_verdicts(cells1, cells2, iplen1, iplen2)
-        if enum.splices == 0:
-            return counters
-        batch = counters.pairs
-
-        header_pass = verdicts["header_pass"]
-        valid_transport = verdicts["transport"]
-        valid_crc32 = verdicts["crc32"]
-        identical = verdicts["identical"]
-
-        caught = ~header_pass
-        ident_mask = header_pass & identical
-        remaining = header_pass & ~identical
-        missed_transport = remaining & valid_transport
-        missed_crc = remaining & valid_crc32
-
-        counters.total = batch * enum.splices
-        counters.caught_by_header = int(caught.sum())
-        counters.identical = int(ident_mask.sum())
-        counters.remaining = int(remaining.sum())
-        counters.missed_transport = int(missed_transport.sum())
-        counters.missed_crc32 = int(missed_crc.sum())
-        counters.identical_rejected = int((ident_mask & ~valid_transport).sum())
-
-        remaining_per_splice = remaining.sum(axis=0)
-        missed_per_splice = missed_transport.sum(axis=0)
-        lens = enum.substitution_len
-        for k in np.unique(lens):
-            mask = lens == k
-            counters.remaining_by_len[int(k)] = int(remaining_per_splice[mask].sum())
-            counters.missed_by_len[int(k)] = int(missed_per_splice[mask].sum())
-        hdr2 = enum.has_second_header
-        counters.remaining_with_hdr2 = int(remaining_per_splice[hdr2].sum())
-        counters.missed_with_hdr2 = int(missed_per_splice[hdr2].sum())
-
-        for name, valid_aux in verdicts["aux"].items():
-            counters.missed_aux[name] = int((remaining & valid_aux).sum())
-
-        # Engine-kind throughput accounting happens parent-side in
-        # ``experiment._account_shard`` (``engine.<kind>.splices`` and
-        # its rate meter): worker pools keep their own registries, so
-        # anything emitted here would vanish under ``--workers N`` and
-        # break counter-total identity across execution layouts.
-        return counters
+    def _no_verdicts(self, batch, rows=0):
+        """All-False verdicts of shape ``(rows, batch)``."""
+        verdicts = {key: np.zeros((rows, batch), dtype=bool) for key in _VERDICTS}
+        verdicts["aux"] = {
+            name: np.zeros((rows, batch), dtype=bool) for name, _ in self._aux
+        }
+        return verdicts
 
     # -- component evaluations ------------------------------------------
 
-    def _header_pass(self, cand, idx, iplen):
-        valid_first = candidate_header_validity(
-            cand, iplen, require_ip_checksum=self.options.require_ip_checksum
-        )
-        return valid_first[:, idx[:, 0]]
+    def _windows(self, iplen, slots):
+        """Transport coverage ``(lo, hi)`` of each slot, and the trailer's."""
+        coverage_start = 0 if self.options.legacy_coverage else _IP_HEADER_LEN
+        windows = []
+        for j in range(slots):
+            lo = max(coverage_start - CELL_PAYLOAD * j, 0)
+            hi = min(max(iplen - CELL_PAYLOAD * j, lo), CELL_PAYLOAD)
+            windows.append((lo, hi))
+        t_hi = min(max(iplen - CELL_PAYLOAD * slots, 0), CELL_PAYLOAD)
+        return windows, t_hi
 
-    def _transport_valid(self, cand, trailer, idx, windows, t_hi, iplen):
+    def _transport_valid(self, cells, enum, split, iplen):
         if self._modulus is None:
-            return self._tcp_valid(cand, trailer, idx, windows, t_hi, iplen)
-        return self._fletcher_valid(cand, trailer, idx, windows, t_hi, iplen)
+            return self._tcp_valid(cells, enum, split, iplen)
+        return self._fletcher_valid(cells, enum, split, iplen)
 
-    def _tcp_valid(self, cand, trailer, idx, windows, t_hi, iplen):
-        sums_cache = {}
-        for window in set(windows):
-            sums_cache[window] = _range_word_sums(cand, *window)
-        if self.options.legacy_coverage:
-            # Section 6.2 legacy mode: no pseudo-header; the sum runs
-            # from byte 0 of the IP header.
-            total = np.zeros((cand.shape[0], idx.shape[0]), dtype=np.uint64)
-        else:
-            total = candidate_pseudo_sums(cand, iplen - _IP_HEADER_LEN)[:, idx[:, 0]]
-        for j, window in enumerate(windows):
-            total = total + sums_cache[window][:, idx[:, j]]
-        total = total + _range_word_sums(trailer, 0, t_hi)[:, None]
+    def _tcp_valid(self, cells, enum, split, iplen):
+        windows, t_hi = self._windows(iplen, enum.slots)
+        sums = {window: _range_word_sums(cells, *window) for window in set(windows)}
+        per_slot = np.stack([sums[window] for window in windows])
+        first = _part_partials(per_slot, split.first_parts, np.add.reduce)
+        second = _part_partials(per_slot, split.second_parts, np.add.reduce)
+        second += _range_word_sums(cells[-2], 0, t_hi)
+        leads = split.first_parts[:, 0]
+        heads = cells[: enum.n1 - 1]
+        if not self.options.legacy_coverage:
+            # Section 6.2 legacy mode has no pseudo-header; the sum then
+            # runs from byte 0 of the IP header.
+            first += candidate_pseudo_sums(heads, iplen - _IP_HEADER_LEN)[leads]
         if self.options.invert or self.options.placement is ChecksumPlacement.TRAILER:
-            return _fold16(total) == 0xFFFF
+            # Each part folds to 0..0xFFFF, so the splice's folded sum is
+            # 0xFFFF exactly when the two add to 0xFFFF or 0x1FFFE.
+            total = _combine(_fold16_u32(first), _fold16_u32(second), split, np.add)
+            return (total == 0xFFFF) | (total == 0x1FFFE)
         # Section 6.3 ablation: the stored field is the sum itself, so
         # the verifier compares the recomputed sum (field excluded)
         # against the field taken from the splice's leading cell.
         field = (
-            cand[..., _TCP_CHECKSUM_SPLICE_OFFSET].astype(np.uint64) << np.uint64(8)
-        ) | cand[..., _TCP_CHECKSUM_SPLICE_OFFSET + 1]
-        field = field[:, idx[:, 0]]
-        return _fold16(total - field) == field
+            heads[..., _TCP_CHECKSUM_SPLICE_OFFSET].astype(np.uint64) << np.uint64(8)
+        ) | heads[..., _TCP_CHECKSUM_SPLICE_OFFSET + 1]
+        field = field[leads]
+        total = _combine(_fold16_u32(first - field), _fold16_u32(second), split, np.add)
+        folded = (total & np.uint32(0xFFFF)) + (total >> np.uint32(16))
+        return folded == np.take(field.astype(np.uint32), split.first_key, axis=0)
 
-    def _fletcher_valid(self, cand, trailer, idx, windows, t_hi, iplen):
+    def _fletcher_valid(self, cells, enum, split, iplen):
         modulus = self._modulus
-        cache = {}
-        for window in set(windows):
-            cache[window] = _range_fletcher(cand, *window, modulus)
-        a_trailer, b_trailer = _range_fletcher(trailer, 0, t_hi, modulus)
-        a_total = np.zeros((cand.shape[0], idx.shape[0]), dtype=np.int64)
-        b_total = np.zeros_like(a_total)
-        for j, (lo, hi) in enumerate(windows):
-            a_j, b_j = cache[(lo, hi)]
-            distance = iplen - min(CELL_PAYLOAD * j + hi, iplen)
-            a_sel = a_j[:, idx[:, j]]
-            a_total += a_sel
-            b_total += b_j[:, idx[:, j]] + distance * a_sel
-        a_total += a_trailer[:, None]
-        b_total += b_trailer[:, None]
-        return (a_total % modulus == 0) & (b_total % modulus == 0)
+        windows, t_hi = self._windows(iplen, enum.slots)
+        sums = {
+            window: _range_fletcher(cells, *window, modulus)
+            for window in set(windows)
+        }
+        a = np.stack([sums[window][0] for window in windows])
+        b = np.stack([sums[window][1] for window in windows])
+        # Slot j's cell ends this many bytes before the coverage end.
+        distance = np.array(
+            [
+                iplen - min(CELL_PAYLOAD * j + hi, iplen)
+                for j, (_, hi) in enumerate(windows)
+            ]
+        )
+        b += distance[:, None, None] * a
+        a_trailer, b_trailer = _range_fletcher(cells[-2], 0, t_hi, modulus)
+        a1 = _part_partials(a, split.first_parts, np.add.reduce)
+        b1 = _part_partials(b, split.first_parts, np.add.reduce)
+        a2 = _part_partials(a, split.second_parts, np.add.reduce) + a_trailer
+        b2 = _part_partials(b, split.second_parts, np.add.reduce) + b_trailer
+        # A and B are each 0 (mod M) exactly when the second part's
+        # residue cancels the first part's: pack both residues in one
+        # word per part and compare once.
+        need = ((-a1 % modulus) << 16) | (-b1 % modulus)
+        have = ((a2 % modulus) << 16) | (b2 % modulus)
+        return _combine(need.astype(np.uint32), have.astype(np.uint32), split, np.equal)
 
     def _crc_fold(self, engine, slots, tail):
         """Cached :class:`CellCrcFold` for ``(engine, slots, tail)``."""
@@ -380,32 +446,78 @@ class SpliceEngine:
             self._folds[key] = CellCrcFold(engine, slots, tail)
         return self._folds[key]
 
-    def _crc_valid(self, cand, trailer, idx):
-        images = self._crc32.process_cells(cand)
-        trailer_image = self._crc32.process_cells(trailer)
-        fold = self._crc_fold(self._crc32, idx.shape[1], CELL_PAYLOAD)
-        return fold.fold_selected(images, idx, trailer_image) == self._residue32
+    def _crc_valid(self, cells, enum, split):
+        fold = self._crc_fold(self._crc32, enum.slots, CELL_PAYLOAD)
+        images = self._crc32.process_cells(cells)
+        per_slot = fold.slot_images(images)
+        first = _part_partials(per_slot, split.first_parts, np.bitwise_xor.reduce)
+        second = _part_partials(per_slot, split.second_parts, np.bitwise_xor.reduce)
+        # reg = first ^ second ^ const ^ trailer image; valid at the residue.
+        second ^= fold.const ^ self._residue32 ^ images[-2]
+        return _combine(first, second, split, np.equal)
 
-    def _aux_valid(self, cand, trailer, idx, n1, engine, z48, z44):
+    def _aux_valid(self, cells, enum, split, engine):
         """Would a hypothetical AAL5 with this CRC have missed the splice?
 
         The auxiliary CRC covers the frame minus the (CRC-32) field, and
         the splice passes when it matches the second frame's value --
-        i.e. the value the trailer would have carried.
+        i.e. the value the trailer would have carried.  The preset and
+        trailer terms are common to both registers and cancel.
         """
-        slots = idx.shape[1]
-        images = engine.process_cells(cand)
-        trailer_image = engine.process_cells(
-            trailer[:, : CELL_PAYLOAD - _CRC_FIELD_LEN]
-        )
-        fold = self._crc_fold(engine, slots, CELL_PAYLOAD - _CRC_FIELD_LEN)
-        reg = fold.fold_selected(images, idx, trailer_image)
-
+        fold = self._crc_fold(engine, enum.slots, CELL_PAYLOAD - _CRC_FIELD_LEN)
+        per_slot = fold.slot_images(engine.process_cells(cells))
+        first = _part_partials(per_slot, split.first_parts, np.bitwise_xor.reduce)
+        second = _part_partials(per_slot, split.second_parts, np.bitwise_xor.reduce)
         # The reference value: the same fold over the intact second frame.
-        target = fold.fold_columns(
-            images[:, n1 - 1 : n1 - 1 + slots], trailer_image
-        )
-        return reg == target[:, None]
+        slot = np.arange(enum.slots)
+        second ^= np.bitwise_xor.reduce(per_slot[slot, enum.n1 - 1 + slot], axis=0)
+        return _combine(first, second, split, np.equal)
+
+    def _identical(self, cells, enum, split, cells1, iplen1, iplen2):
+        # "Identical" means the *delivered data* matches an original
+        # packet.  With trailer placement the appended check bytes are
+        # not user data -- a splice carrying packet 1's payload but
+        # packet 2's trailer checksum is still benign (and is exactly
+        # the case the trailer sum spuriously rejects; Section 5.3).
+        iplen = iplen2
+        if self.options.placement is ChecksumPlacement.TRAILER:
+            iplen -= 2
+        batch = cells.shape[1]
+        slot = np.arange(enum.slots)
+        # The cell each slot must hold: frame 2's, and frame 1's when
+        # the frames agree in shape and length (then its trailer's
+        # compared bytes must match too).
+        refs = [enum.n1 - 1 + slot]
+        trailer_ok = [np.ones(batch, dtype=bool)]
+        if enum.n1 == enum.n2 and iplen1 == iplen2:
+            refs.append(slot)
+            t_len = min(max(iplen - CELL_PAYLOAD * enum.slots, 0), CELL_PAYLOAD)
+            trailer_ok.append(
+                (cells[-2, :, :t_len] == cells1[:, -1, :t_len]).all(axis=-1)
+            )
+        # Compare the first cmp bytes of each slot as 64-bit words, word
+        # index first: (words, slots, cells, frames, pairs).
+        cmp = np.clip(iplen - CELL_PAYLOAD * slot, 0, CELL_PAYLOAD)
+        masks = np.where(
+            np.arange(CELL_PAYLOAD) < cmp[:, None], np.uint8(0xFF), np.uint8(0)
+        ).view(np.uint64)
+        words = np.ascontiguousarray(np.moveaxis(cells.view(np.uint64), -1, 0))
+        diff = words[:, np.stack(refs, axis=1)][:, :, None] ^ words[:, None, :, None]
+        diff &= masks.T[:, :, None, None, None]
+        eq = ~diff.any(axis=0)
+        eq[:, -1] = True  # the padding cell
+        # Reference frames ride along the pairs axis through the partials.
+        eq = eq.reshape(enum.slots, len(cells), -1)
+        frames = (len(refs), batch)
+        first = _part_partials(eq, split.first_parts, np.logical_and.reduce)
+        second = _part_partials(eq, split.second_parts, np.logical_and.reduce)
+        first = first.reshape((-1,) + frames)
+        second = second.reshape((-1,) + frames) & np.array(trailer_ok)
+        # One bit per reference frame; identical when any bit survives.
+        bits = np.arange(len(refs), dtype=np.uint8)[:, None]
+        first = np.bitwise_or.reduce(first.view(np.uint8) << bits, axis=1)
+        second = np.bitwise_or.reduce(second.view(np.uint8) << bits, axis=1)
+        return _combine(first, second, split, np.bitwise_and).astype(bool)
 
     # -- scalar conformance path ----------------------------------------
 
@@ -420,15 +532,8 @@ class SpliceEngine:
         from repro.core.reference import judge_splice_cells
 
         batch = cells1.shape[0]
-        shape = (batch, enum.splices)
-        verdicts = {
-            "header_pass": np.zeros(shape, dtype=bool),
-            "transport": np.zeros(shape, dtype=bool),
-            "crc32": np.zeros(shape, dtype=bool),
-            "identical": np.zeros(shape, dtype=bool),
-            "aux": {name: np.zeros(shape, dtype=bool) for name, _, _, _ in self._aux},
-        }
-        aux_engines = [(name, engine) for name, engine, _, _ in self._aux]
+        verdicts = self._no_verdicts(batch, enum.splices)
+        aux_engines = self._aux
         for b in range(batch):
             frame2 = b"".join(bytes(c) for c in cells2[b])
             aux_targets = {
@@ -448,51 +553,51 @@ class SpliceEngine:
                     aux_engines=aux_engines,
                     aux_targets=aux_targets,
                 )
-                verdicts["header_pass"][b, s] = verdict["header_pass"]
-                verdicts["transport"][b, s] = verdict["transport"]
-                verdicts["crc32"][b, s] = verdict["crc32"]
-                verdicts["identical"][b, s] = verdict["identical"]
+                for key in _VERDICTS:
+                    verdicts[key][s, b] = verdict[key]
                 for name, ok in verdict["aux"].items():
-                    verdicts["aux"][name][b, s] = ok
+                    verdicts["aux"][name][s, b] = ok
         return verdicts
 
-    def _identical(self, cand, trailer, idx, cells1, cells2, iplen1, iplen2, windows):
-        batch = cand.shape[0]
-        slots = idx.shape[1]
-        # "Identical" means the *delivered data* matches an original
-        # packet.  With trailer placement the appended check bytes are
-        # not user data -- a splice carrying packet 1's payload but
-        # packet 2's trailer checksum is still benign (and is exactly
-        # the case the trailer sum spuriously rejects; Section 5.3).
-        iplen = iplen2
-        if self.options.placement is ChecksumPlacement.TRAILER:
-            iplen -= 2
-        result = np.zeros((batch, idx.shape[0]), dtype=bool)
 
-        def frame_match(cells, trailer_ok):
-            match = trailer_ok[:, None] if trailer_ok is not None else np.ones(
-                (batch, 1), dtype=bool
-            )
-            match = np.broadcast_to(match, (batch, idx.shape[0])).copy()
-            for j in range(slots):
-                cmp_len = int(np.clip(iplen - CELL_PAYLOAD * j, 0, CELL_PAYLOAD))
-                if cmp_len == 0:
-                    continue
-                eq = (cand[:, :, :cmp_len] == cells[:, j][:, None, :cmp_len]).all(
-                    axis=-1
-                )
-                match &= eq[:, idx[:, j]]
-            return match
+_VERDICTS = ("header_pass", "transport", "crc32", "identical")
 
-        # Identical to the second packet (header and payload from frame 2).
-        result |= frame_match(cells2, None)
 
-        # Identical to the first packet: only possible when lengths agree.
-        if cells1.shape[1] == cells2.shape[1] and iplen1 == iplen2:
-            t_len = int(np.clip(iplen - CELL_PAYLOAD * slots, 0, CELL_PAYLOAD))
-            if t_len:
-                trailer_ok = (trailer[:, :t_len] == cells1[:, -1, :t_len]).all(axis=-1)
-            else:
-                trailer_ok = np.ones(batch, dtype=bool)
-            result |= frame_match(cells1, trailer_ok)
-        return result
+def _frame_cells(frames, cells):
+    """``(len(frames), cells, 48)`` uint8 array of same-shape frames."""
+    blob = b"".join(frame.frame for frame in frames)
+    return np.frombuffer(blob, dtype=np.uint8).reshape(len(frames), cells, CELL_PAYLOAD)
+
+
+class _Split(NamedTuple):
+    """An enumeration's frame-boundary split, over the judged rows."""
+
+    first_parts: np.ndarray
+    second_parts: np.ndarray
+    first_key: np.ndarray
+    second_key: np.ndarray
+
+
+def _combine(first, second, split, op):
+    """``op`` of each judged row's first-part and second-part partials.
+
+    ``first``/``second`` are ``(K1, B)``/``(K2, B)`` partials; the
+    result is ``(rows, B)``.
+    """
+    return op(
+        np.take(first, split.first_key, axis=0),
+        np.take(second, split.second_key, axis=0),
+    )
+
+
+def _fold16_u32(sums):
+    """:func:`fold16` of word sums below ``2**32``, as uint32.
+
+    Any frame AAL5 can carry keeps a part's sum below ``2**32``, and
+    there two end-around-carry steps are exact: the first leaves at
+    most ``0x1FFFE``, the second at most ``0xFFFF``.
+    """
+    sums = sums.astype(np.uint32)
+    mask, shift = np.uint32(0xFFFF), np.uint32(16)
+    sums = (sums & mask) + (sums >> shift)
+    return (sums & mask) + (sums >> shift)

@@ -73,6 +73,16 @@ class SpliceEnumeration:
       trailer (the "48(k-1)+8 byte" accounting of Section 4.6).
     * ``has_second_header`` -- whether the second frame's header cell is
       part of the splice (Section 5.3's case split).
+
+    Every row also splits at the frame boundary into a *first part*
+    (its ``k >= 1`` first-frame cells, in slots ``0 .. k-1``) and a
+    *second part* (its second-frame cells, in slots ``k ..``), so the
+    engine can judge a row by combining two per-part partials:
+
+    * ``first_key`` / ``second_key`` -- each row's two part ids;
+    * ``first_rows`` / ``second_rows`` -- for each part id, one row
+      that holds the part, from which :attr:`first_parts` and
+      :attr:`second_parts` are read.
     """
 
     n1: int
@@ -80,10 +90,30 @@ class SpliceEnumeration:
     selection: np.ndarray
     substitution_len: np.ndarray
     has_second_header: np.ndarray
+    first_key: np.ndarray
+    second_key: np.ndarray
+    first_rows: np.ndarray
+    second_rows: np.ndarray
 
     @property
     def splices(self):
         return self.selection.shape[0]
+
+    @property
+    def first_parts(self):
+        """``(K1, n2 - 1)`` distinct first parts, ``-1`` past their cells.
+
+        ``selection[s]`` is ``first_parts[first_key[s]]`` with the
+        ``-1`` slots filled from ``second_parts[second_key[s]]``.
+        """
+        rows = self.selection[self.first_rows]
+        return np.where(rows < self.n1 - 1, rows, -1)
+
+    @property
+    def second_parts(self):
+        """``(K2, n2 - 1)`` distinct second parts, ``-1`` before their cells."""
+        rows = self.selection[self.second_rows]
+        return np.where(rows >= self.n1 - 1, rows, -1)
 
     @property
     def slots(self):
@@ -112,8 +142,7 @@ def enumerate_splices(n1, n2, max_splices=2_000_000):
     if n1 < 2 or n2 < 2:
         # A 1-cell frame cannot splice: its only cell is the marked one.
         empty = np.empty((0, max(n2 - 1, 0)), dtype=np.int16)
-        bools = np.empty(0, dtype=bool)
-        return SpliceEnumeration(n1, n2, empty, np.empty(0, dtype=np.int64), bools)
+        return _finish_enumeration(n1, n2, empty)
     candidates = (n1 - 1) + (n2 - 1)
     pick = n2 - 1
     total = comb(candidates, pick)
@@ -133,7 +162,36 @@ def _finish_enumeration(n1, n2, matrix):
     from_second = matrix >= (n1 - 1)
     substitution_len = from_second.sum(axis=1).astype(np.int64) + 1
     has_second_header = (matrix == (n1 - 1)).any(axis=1)
-    return SpliceEnumeration(n1, n2, matrix, substitution_len, has_second_header)
+    # The only row without a first-frame cell is the intact second
+    # frame, which no enumeration keeps: every first part is non-empty,
+    # so every row leads with a first-frame cell.
+    assert not from_second[:, :1].any(), "a splice row lacks a first-frame cell"
+    first_key, first_rows = _part_ids(np.where(from_second, -1, matrix))
+    second_key, second_rows = _part_ids(np.where(from_second, matrix, -1))
+    return SpliceEnumeration(
+        n1,
+        n2,
+        matrix,
+        substitution_len,
+        has_second_header,
+        first_key,
+        second_key,
+        first_rows,
+        second_rows,
+    )
+
+
+def _part_ids(parts):
+    """Each row's id among the distinct rows of ``parts``, and one row per id."""
+    if not parts.size:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    # One opaque item per row makes np.unique compare whole rows at once.
+    items = np.ascontiguousarray(parts).view(
+        np.dtype((np.void, parts.itemsize * parts.shape[1]))
+    )
+    _, rows, ids = np.unique(items[:, 0], return_index=True, return_inverse=True)
+    return ids.reshape(-1), rows
 
 
 @lru_cache(maxsize=None)

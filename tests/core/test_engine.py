@@ -8,6 +8,7 @@ from repro.core.results import SpliceCounters
 from repro.corpus.generators import generate
 from repro.protocols.ftpsim import FileTransferSimulator
 from repro.protocols.packetizer import ChecksumPlacement, PacketizerConfig
+from repro.telemetry.core import collect
 
 
 def run_stream(data, config=None, **option_overrides):
@@ -200,3 +201,25 @@ class TestPerLengthAttribution:
                     expected_missed[k] += 1
         assert counters.remaining_by_len == expected_remaining
         assert counters.missed_by_len == +expected_missed
+
+
+class TestSpans:
+    def test_evaluate_stream_span_tree(self):
+        # The tree the bench overhead section walks and the table
+        # ledger's per-stage rows sum.
+        units = FileTransferSimulator().transfer(generate("english", 3000, 1))
+        engine = SpliceEngine(EngineOptions())
+        with collect() as telemetry:
+            engine.evaluate_stream(units)
+        spans = telemetry.snapshot()["spans"]
+        assert [node["name"] for node in spans] == ["engine.stream"]
+        children = spans[0]["children"]
+        assert [node["name"] for node in children] == ["engine.batch"]
+        assert {node["name"] for node in children[0]["children"]} == {
+            "engine.enumeration",
+            "engine.header",
+            "engine.transport",
+            "engine.crc32",
+            "engine.identical",
+            "engine.aux",
+        }

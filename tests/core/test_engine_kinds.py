@@ -5,8 +5,8 @@ path (``--engine batch``) and the byte-at-a-time reference receiver
 (``--engine scalar``) run the same enumeration and must agree on every
 per-splice verdict, every counter, and every aggregation layout
 (``--workers 1`` vs ``--workers 4``).  These tests pin that contract
-at all three levels, plus the O(cells) cut-splice shortcut against the
-full enumeration's columns.
+at all three levels.  The counter-level tests also cover the batch
+path's header pruning, which ``splice_verdicts`` never applies.
 """
 
 import dataclasses
@@ -15,17 +15,16 @@ import numpy as np
 import pytest
 
 from repro.checksums.batch import EngineKind
-from repro.core.batch import (
-    cut_selections,
-    evaluate_cut_splices,
-    resolve_engine_kind,
-)
+from repro.core import batch as core_batch
+from repro.core.batch import resolve_engine_kind
 from repro.core.engine import EngineOptions, SpliceEngine
+from repro.core.enumeration import structural_splice_count
 from repro.core.experiment import run_splice_experiment
 from repro.corpus.generators import generate
 from repro.protocols.ftpsim import FileTransferSimulator
 from repro.protocols.packetizer import ChecksumPlacement, PacketizerConfig
 from tests.conftest import make_filesystem
+from tests.core.test_reference_crosscheck import CONFIGS as CROSSCHECK_CONFIGS
 
 CONFIGS = [
     PacketizerConfig(),
@@ -35,8 +34,8 @@ CONFIGS = [
 ]
 
 
-def _engines(config):
-    options = EngineOptions.from_packetizer(config)
+def _engines(config, **overrides):
+    options = EngineOptions.from_packetizer(config, **overrides)
     return (
         SpliceEngine(dataclasses.replace(options, engine="batch")),
         SpliceEngine(dataclasses.replace(options, engine="scalar")),
@@ -83,6 +82,28 @@ class TestVerdictIdentity:
             compared += enum_b.splices
         assert compared > 0
 
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: "%s-%s" % (
+        c.algorithm, c.placement.value,
+    ))
+    def test_duplicate_frame_verdicts_match(self, config):
+        # A frame followed by a copy of itself: the splices that rebuild
+        # its bytes (frame 1's first k cells, then frame 2's rest) pass
+        # the CRC-32 and the auxiliary CRC, which splices of distinct
+        # frames practically never do.
+        unit = FileTransferSimulator(config).transfer(generate("english", 600, 3))[0]
+        cells = unit.frame.cells()[None]
+        iplen = len(unit.packet.ip_packet)
+        batch, scalar = _engines(config)
+        _, v_batch = batch.splice_verdicts(cells, cells, iplen, iplen)
+        _, v_scalar = scalar.splice_verdicts(cells, cells, iplen, iplen)
+        rebuilt = unit.frame.cell_count - 1
+        assert int(v_batch["crc32"].sum()) == rebuilt
+        for key in ("header_pass", "transport", "crc32", "identical"):
+            assert np.array_equal(v_batch[key], v_scalar[key]), key
+        for name in v_batch["aux"]:
+            assert v_batch["aux"][name].sum() >= rebuilt
+            assert np.array_equal(v_batch["aux"][name], v_scalar["aux"][name])
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_stream_counters_identical_across_seeds(self, seed):
         batch, scalar = _engines(PacketizerConfig())
@@ -90,6 +111,79 @@ class TestVerdictIdentity:
             generate("english", 6_000, seed)
         )
         assert batch.evaluate_stream(units) == scalar.evaluate_stream(units)
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(CROSSCHECK_CONFIGS) - {"tcp-header"})
+    )
+    def test_stream_counters_identical_across_configs(self, name):
+        config = CROSSCHECK_CONFIGS[name]
+        batch, scalar = _engines(config)
+        units = FileTransferSimulator(config).transfer(
+            generate("english", 2_500, 4)
+        )
+        counters = batch.evaluate_stream(units)
+        assert counters.total > 0
+        assert counters == scalar.evaluate_stream(units)
+
+    def test_stream_counters_identical_on_sampled_enumeration(self):
+        config = PacketizerConfig()
+        units = FileTransferSimulator(config).transfer(
+            generate("gmon", 3_000, 5)
+        )
+        limit = 300
+        assert limit < structural_splice_count(
+            units[0].frame.cell_count, units[1].frame.cell_count
+        )
+        batch, scalar = _engines(config, sample_splices=limit)
+        counters = batch.evaluate_stream(units)
+        assert 0 < counters.total <= limit * counters.pairs
+        assert counters == scalar.evaluate_stream(units)
+
+    def test_stream_counters_identical_with_blocked_partials(self, monkeypatch):
+        # Sampled enumerations of large frames fold their parts in
+        # blocks; force one part per block on a small input.
+        monkeypatch.setattr(core_batch, "_PART_GATHER_ELEMENTS", 1)
+        batch, scalar = _engines(PacketizerConfig())
+        units = FileTransferSimulator(PacketizerConfig()).transfer(
+            generate("english", 2_500, 6)
+        )
+        assert batch.evaluate_stream(units) == scalar.evaluate_stream(units)
+
+
+def _embedded_header_file(config, chunks):
+    """Payload whose every segment carries a valid IP/TCP header in cell 1.
+
+    The header is the packetizer's own for a full segment (total length
+    296, ACK set, the configured addresses); each 256-byte chunk holds it
+    at payload offset 8, so it fills the first 40 bytes of the frame's
+    second cell.
+    """
+    header = FileTransferSimulator(config).transfer(bytes(config.mss))[0]
+    header = header.packet.ip_packet[:40]
+    step = config.mss - 40
+    filler = generate("english", chunks * step, 7)
+    pieces = [filler[i : i + step] for i in range(0, chunks * step, step)]
+    return b"".join(piece[:8] + header + piece[8:] for piece in pieces)
+
+
+class TestHeaderPruning:
+    def test_embedded_headers_lead_splices(self):
+        # evaluate_batch judges only rows whose leading cell passes the
+        # header checks for some pair; data that embeds a header lets
+        # rows led by a data cell through, and pruning must keep them.
+        config = PacketizerConfig()
+        units = FileTransferSimulator(config).transfer(
+            _embedded_header_file(config, chunks=4)
+        )
+        batch, scalar = _engines(config)
+        cells1, cells2, iplen1, iplen2 = next(_pairs(units))
+        enum, verdicts = batch.splice_verdicts(cells1, cells2, iplen1, iplen2)
+        lead = enum.selection[:, 0]
+        header_pass = verdicts["header_pass"][0]
+        assert header_pass[lead == 1].all()
+        assert int(header_pass[lead != 0].sum()) == int((lead == 1).sum()) == 252
+        counters = batch.evaluate_stream(units)
+        assert counters == scalar.evaluate_stream(units)
 
 
 class TestWorkerLayouts:
@@ -107,64 +201,6 @@ class TestWorkerLayouts:
         scalar = run_splice_experiment(fs, engine="scalar", workers=4)
         assert batch.counters == scalar.counters
         assert batch.counters.total > 0
-
-
-class TestCutSplices:
-    def test_cut_columns_match_full_enumeration(self):
-        config = PacketizerConfig()
-        options = EngineOptions.from_packetizer(config)
-        engine = SpliceEngine(options)
-        units = FileTransferSimulator(config).transfer(
-            generate("gmon", 5_000, 4)
-        )
-        checked = 0
-        for cells1, cells2, iplen1, iplen2 in _pairs(units):
-            enum, full = engine.splice_verdicts(
-                cells1, cells2, iplen1, iplen2
-            )
-            selections, cuts = evaluate_cut_splices(
-                cells1, cells2, iplen1, iplen2, options
-            )
-            assert np.array_equal(
-                selections,
-                cut_selections(cells1.shape[1], cells2.shape[1]),
-            )
-            for j in range(1, selections.shape[0]):
-                # Cut 0 (the intact second frame) is deliberately
-                # excluded from the enumeration; every other cut has
-                # exactly one column there.
-                matches = np.where(
-                    (enum.selection == selections[j]).all(axis=1)
-                )[0]
-                assert matches.size == 1, j
-                col = int(matches[0])
-                for key in ("header_pass", "transport", "crc32",
-                            "identical"):
-                    assert np.array_equal(
-                        cuts[key][:, j], full[key][:, col]
-                    ), (key, j)
-                for name in cuts["aux"]:
-                    assert np.array_equal(
-                        cuts["aux"][name][:, j], full["aux"][name][:, col]
-                    ), (name, j)
-                checked += 1
-        assert checked > 0
-
-    def test_cut_zero_is_the_intact_frame(self):
-        config = PacketizerConfig()
-        options = EngineOptions.from_packetizer(config)
-        units = FileTransferSimulator(config).transfer(
-            generate("english", 4_000, 9)
-        )
-        for cells1, cells2, iplen1, iplen2 in _pairs(units):
-            selections, cuts = evaluate_cut_splices(
-                cells1, cells2, iplen1, iplen2, options
-            )
-            # An untouched frame 2 passes every check.
-            for key in ("header_pass", "transport", "crc32", "identical"):
-                assert cuts[key][:, 0].all(), key
-            for name in cuts["aux"]:
-                assert cuts["aux"][name][:, 0].all(), name
 
 
 class TestEngineResolution:
