@@ -53,11 +53,11 @@ def test_crc_cells_vectorized_throughput(benchmark):
 def test_splice_engine_throughput(benchmark):
     """Splices evaluated per second by the full engine."""
     data = generate("english", 100_000, 2)
-    units = FileTransferSimulator(PacketizerConfig()).transfer(data)
+    wire = FileTransferSimulator(PacketizerConfig()).wire(data)
     engine = SpliceEngine(EngineOptions())
 
     counters = benchmark.pedantic(
-        lambda: engine.evaluate_stream(units), rounds=3, iterations=1
+        lambda: engine.evaluate_stream(wire), rounds=3, iterations=1
     )
     assert counters.total > 300_000
     rate = counters.total / benchmark.stats["mean"]

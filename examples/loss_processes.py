@@ -53,7 +53,8 @@ def main():
     config = PacketizerConfig()
     options = EngineOptions.from_packetizer(config, aux_crcs=())
     simulator = FileTransferSimulator(config)
-    units = max((simulator.transfer(f.data) for f in fs), key=len)
+    data = max((f.data for f in fs), key=len)
+    units = simulator.transfer(data)
 
     # 2. Weighted conditional rates.
     for label, model in [("independent p=0.2", IndependentLoss(0.2)),
@@ -63,7 +64,7 @@ def main():
             label, rates["conditional_miss_pct"], rates["p_transport_miss"]))
 
     # 3. Monte Carlo vs enumeration.
-    counters = SpliceEngine(options).evaluate_stream(units)
+    counters = SpliceEngine(options).evaluate_stream(simulator.wire(data))
     tally = run_monte_carlo(units, IndependentLoss(0.25), options,
                             trials=150, seed=args.seed)
     print("\nenumeration miss rate : %.3f%% over %d corrupted splices"

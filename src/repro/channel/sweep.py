@@ -20,6 +20,7 @@ import time
 
 from repro.channel.arq import ArqConfig, ChannelReport, run_channel_transfer
 from repro.core.checkpoint import current_controller
+from repro.core.codedigest import code_digest
 from repro.core.engine import EngineOptions
 from repro.core.experiment import _check_stop
 from repro.core.supervisor import RunHealth, SupervisedPool
@@ -45,9 +46,10 @@ def _packetizer_dict(config):
 
 
 def channel_fingerprint(files, plan, arq, config, use_crc):
-    """The sweep's identity: corpus bytes + every knob that shapes it."""
+    """The sweep's identity: corpus bytes, code and every knob that shapes it."""
     payload = {
         "schema": SWEEP_SCHEMA,
+        "code": code_digest(),
         "files": [hashlib.sha256(f.data).hexdigest() for f in files],
         "plan": plan.to_dict(),
         "arq": arq.to_dict(),

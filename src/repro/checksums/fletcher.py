@@ -109,12 +109,13 @@ def fletcher_check_bytes(sums, distance_from_end, modulus=255):
     the paper applies to its Fletcher results.
 
     The 2x2 system ``A + x + y = 0``, ``B + (d+2)x + (d+1)y = 0`` has
-    determinant -1, hence a unique solution for any modulus.
+    determinant -1, hence a unique solution for any modulus.  Sums held
+    as integer arrays solve elementwise.
     """
     d = distance_from_end
     x = ((d + 1) * sums.a - sums.b) % modulus
     y = (-sums.a - x) % modulus
-    return int(x), int(y)
+    return x, y
 
 
 class Fletcher8:

@@ -50,12 +50,15 @@ def fold_carries(value):
     Repeatedly adds the high bits back into the low 16 bits, which is
     how deferred end-around-carry ones-complement addition is realised
     on twos-complement hardware.  Accepts Python ints or NumPy arrays.
+    Each step keeps the value modulo 0xFFFF and a non-zero value never
+    folds to zero, so arrays take the closed form: 0 stays 0, anything
+    else lands on its residue in ``1..0xFFFF``.
     """
     if isinstance(value, np.ndarray):
-        value = value.astype(np.uint64, copy=True)
-        while (value >> np.uint64(16)).any():
-            value = (value & np.uint64(MOD_MASK)) + (value >> np.uint64(16))
-        return value.astype(np.uint32)
+        value = value.astype(np.uint64)
+        folded = (value - np.uint64(1)) % np.uint64(MOD_MASK) + np.uint64(1)
+        folded[value == 0] = 0
+        return folded.astype(np.uint32)
     value = int(value)
     while value >> 16:
         value = (value & MOD_MASK) + (value >> 16)
@@ -162,8 +165,10 @@ class InternetChecksum:
         cells = np.asarray(cells, dtype=np.uint8)
         if cells.shape[-1] % 2:
             raise ValueError("cell length must be even for word alignment")
-        words = cells.reshape(cells.shape[:-1] + (-1, 2)).astype(np.uint64)
-        return (words[..., 0] << np.uint64(8) | words[..., 1]).sum(axis=-1)
+        # Summing a big-endian uint16 view into uint64 widens in small
+        # buffered chunks, never materialising an 8-byte copy per byte.
+        words = np.ascontiguousarray(cells).view(">u2")
+        return words.sum(axis=-1, dtype=np.uint64)
 
     @staticmethod
     def fold(values):

@@ -179,6 +179,26 @@ def _positive_seconds(text):
     return value
 
 
+def _mss(text):
+    """Argparse type: a segment size whose IP packet fits 65535 bytes.
+
+    The IPv4 total length and the AAL5 Length field are 16 bits wide,
+    and every packet carries 40 header bytes; trailer placement adds
+    two more, which the packetizer config checks.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected a segment size in bytes, got %r" % text
+        ) from None
+    if not 1 <= value <= 0xFFFF - 40:
+        raise argparse.ArgumentTypeError(
+            "must be 1..%d bytes, got %s" % (0xFFFF - 40, text)
+        )
+    return value
+
+
 def _sweep_parent(journal=True):
     """``--shard-timeout``/``--deadline`` (+ journal/resume knobs)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -277,7 +297,7 @@ def build_parser():
                  _workers_parent(help_text="fan files out over N processes"),
                  _engine_parent(), _metrics_parent(), _sweep_parent()],
     )
-    p_splice.add_argument("--mss", type=int, default=256)
+    p_splice.add_argument("--mss", type=_mss, default=256)
     p_splice.add_argument("--algorithm", default="tcp",
                           choices=["tcp", "fletcher255", "fletcher256"])
     p_splice.add_argument("--placement", default="header",
@@ -342,7 +362,7 @@ def build_parser():
                  _workers_parent(2, "pool width for the chaotic pass"),
                  _metrics_parent(), _sweep_parent(journal=False)],
     )
-    p_chaos.add_argument("--mss", type=int, default=256)
+    p_chaos.add_argument("--mss", type=_mss, default=256)
     p_chaos.add_argument("--plan", default="monkey", choices=plan_names(),
                          help="named fault plan (default: monkey)")
     p_chaos.add_argument("--fault-seed", type=int, default=0,
@@ -395,7 +415,7 @@ def build_parser():
                         choices=["tcp", "fletcher255", "fletcher256"])
     p_crun.add_argument("--no-crc", action="store_true",
                         help="drop the AAL5 CRC from the receiver's stack")
-    p_crun.add_argument("--mss", type=int, default=256)
+    p_crun.add_argument("--mss", type=_mss, default=256)
     p_crun.add_argument("--trace", metavar="PATH", default=None,
                         help="record the run as a replayable trace file")
     p_creplay = channel_sub.add_parser(
@@ -558,11 +578,17 @@ def _cmd_splice(args):
         run_splice_experiment,
     )
 
-    config = PacketizerConfig(
-        mss=args.mss,
-        algorithm=args.algorithm,
-        placement=ChecksumPlacement(args.placement),
-    )
+    try:
+        config = PacketizerConfig(
+            mss=args.mss,
+            algorithm=args.algorithm,
+            placement=ChecksumPlacement(args.placement),
+        )
+    except ValueError as exc:
+        # --mss passed its type check, but the trailer's two check bytes
+        # push the packet past 65535.
+        print("repro-checksums splice: %s" % exc, file=sys.stderr)
+        return 2
     fs = build_filesystem(args.profile, args.bytes, args.seed)
     result = run_splice_experiment(
         fs, config, workers=args.workers, store=_make_store(args),

@@ -1,0 +1,52 @@
+"""The digest of the code behind every cached value.
+
+Cache keys (:mod:`repro.store.keys`) and channel-sweep fingerprints
+(:mod:`repro.channel.sweep`) hash what determines a result: ids,
+parameters, corpus bytes and configs.  They also hash this digest, so
+an entry that different code wrote is never served as current.  It
+covers the sorted relative paths and bytes of every ``*.py`` file in
+the packages that compute cached values, read once per process without
+importing any of them: a warm ``--cache`` hit still never imports the
+engine or the corpus generators (REP303).
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+__all__ = ["CODE_PACKAGES", "code_digest"]
+
+#: The ``repro`` subpackages whose code can change a cached value.
+CODE_PACKAGES = (
+    "analysis",
+    "channel",
+    "checksums",
+    "core",
+    "corpus",
+    "experiments",
+    "protocols",
+    "sim",
+)
+
+_ROOT = Path(__file__).resolve().parents[1]
+_digest = None
+
+
+def code_digest():
+    """sha256 hex over the relative paths and bytes of :data:`CODE_PACKAGES`."""
+    global _digest
+    if _digest is None:
+        files = sorted(
+            (path.relative_to(_ROOT).as_posix(), path)
+            for package in CODE_PACKAGES
+            for path in (_ROOT / package).rglob("*.py")
+        )
+        digest = hashlib.sha256()
+        for name, path in files:
+            data = path.read_bytes()
+            digest.update(name.encode("utf-8") + b"\0")
+            digest.update(len(data).to_bytes(8, "big"))
+            digest.update(data)
+        _digest = digest.hexdigest()
+    return _digest

@@ -156,35 +156,37 @@ class SpliceEngine:
             return sample_splices(n1, n2, limit)
         return enumerate_splices(n1, n2, self.options.max_splices)
 
-    def evaluate_stream(self, units):
-        """Evaluate every adjacent pair of a transfer's units.
+    def evaluate_stream(self, wire):
+        """Evaluate every adjacent pair of one file's frames.
 
-        ``units`` is the :class:`TransferUnit` list of one file.
-        Consecutive pairs with the same shape are batched together.
+        ``wire`` is the file's tuple of :class:`WireGroup`
+        (:meth:`FileTransferSimulator.wire`): the full-MSS frames, then
+        the runt.  Pairs are batched as views, ``frames[:-1]`` with
+        ``frames[1:]`` within each group, then the last full frame with
+        the runt.
         """
         telemetry = _telemetry()
         with telemetry.span("engine.stream"):
             counters = SpliceCounters()
-            counters.packets += len(units)
-            groups = {}
-            for first, second in zip(units, units[1:]):
-                key = (
-                    first.frame.cell_count,
-                    second.frame.cell_count,
-                    len(first.packet.ip_packet),
-                    len(second.packet.ip_packet),
-                )
-                groups.setdefault(key, []).append((first, second))
-            for (n1, n2, iplen1, iplen2), pairs in groups.items():
-                enum = self._enumeration(n1, n2)
+            counters.packets += sum(len(group.frames) for group in wire)
+            pairs = [
+                (group.frames[:-1], group.frames[1:], group.iplen, group.iplen)
+                for group in wire
+                if len(group.frames) > 1
+            ]
+            pairs += [
+                (first.frames[-1:], second.frames[:1], first.iplen, second.iplen)
+                for first, second in zip(wire, wire[1:])
+            ]
+            for frames1, frames2, iplen1, iplen2 in pairs:
+                enum = self._enumeration(frames1.shape[1], frames2.shape[1])
                 batch_size = max(
                     1, self.options.batch_elements // max(enum.splices, 1)
                 )
-                for start in range(0, len(pairs), batch_size):
-                    chunk = pairs[start : start + batch_size]
+                for start in range(0, len(frames1), batch_size):
                     counters += self.evaluate_batch(
-                        _frame_cells([p[0].frame for p in chunk], n1),
-                        _frame_cells([p[1].frame for p in chunk], n2),
+                        frames1[start : start + batch_size],
+                        frames2[start : start + batch_size],
                         iplen1,
                         iplen2,
                     )
@@ -561,12 +563,6 @@ class SpliceEngine:
 
 
 _VERDICTS = ("header_pass", "transport", "crc32", "identical")
-
-
-def _frame_cells(frames, cells):
-    """``(len(frames), cells, 48)`` uint8 array of same-shape frames."""
-    blob = b"".join(frame.frame for frame in frames)
-    return np.frombuffer(blob, dtype=np.uint8).reshape(len(frames), cells, CELL_PAYLOAD)
 
 
 class _Split(NamedTuple):

@@ -64,12 +64,7 @@ def run_per_file_experiment(filesystem, config=None, options=None, max_files=Non
     for index, file in enumerate(filesystem):
         if max_files is not None and index >= max_files:
             break
-        units = simulator.transfer(file.data)
-        counters = SpliceCounters()
-        if len(units) >= 2:
-            counters += engine.evaluate_stream(units)
-        else:
-            counters.packets += len(units)
+        counters = engine.evaluate_stream(simulator.wire(file.data))
         counters.files = 1
         results.append((file, counters))
     return results
@@ -79,13 +74,7 @@ def _file_counters(args):
     """Process-pool worker: splice counters for one file's bytes."""
     data, config, options = args
     simulator = FileTransferSimulator(config)
-    engine = SpliceEngine(options)
-    counters = SpliceCounters()
-    units = simulator.transfer(data)
-    if len(units) >= 2:
-        counters += engine.evaluate_stream(units)
-    else:
-        counters.packets += len(units)
+    counters = SpliceEngine(options).evaluate_stream(simulator.wire(data))
     counters.files += 1
     return counters
 

@@ -28,6 +28,7 @@ from repro.core.biterrors import (
 from repro.core.engine import EngineOptions, SpliceEngine
 from repro.core.lossmodel import weighted_splice_rates
 from repro.core.montecarlo import run_monte_carlo
+from repro.core.results import SpliceCounters
 from repro.corpus.profiles import build_filesystem
 from repro.experiments.render import TextTable, fmt_pct
 from repro.experiments.report import ExperimentReport
@@ -125,19 +126,15 @@ def mss_sweep(
             config, sample_splices=sample, aux_crcs=()
         )
         engine = SpliceEngine(options)
-        counters = None
+        counters = SpliceCounters()
         for file in fs:
-            units = simulator.transfer(file.data)
-            if len(units) < 2:
-                continue
-            result = engine.evaluate_stream(units)
-            counters = result if counters is None else counters + result
+            counters += engine.evaluate_stream(simulator.wire(file.data))
         cells = (40 + mss + 8 + 47) // 48
         row = dict(
             mss=mss,
             cells=cells,
-            splices=counters.total if counters else 0,
-            miss_pct=counters.miss_rate_transport if counters else 0.0,
+            splices=counters.total,
+            miss_pct=counters.miss_rate_transport,
         )
         data["rows"].append(row)
         table.add_row(mss, cells, row["splices"], fmt_pct(row["miss_pct"]))
@@ -211,17 +208,17 @@ def monte_carlo_crosscheck(
     engine = SpliceEngine(options)
 
     tally = None
-    counters = None
+    counters = SpliceCounters()
     for index, file in enumerate(fs):
-        units = simulator.transfer(file.data)
-        if len(units) < 2:
-            continue
         part = run_monte_carlo(
-            units, IndependentLoss(0.25), options, trials=trials, seed=seed + index
+            simulator.transfer(file.data),
+            IndependentLoss(0.25),
+            options,
+            trials=trials,
+            seed=seed + index,
         )
         tally = part if tally is None else tally + part
-        result = engine.evaluate_stream(units)
-        counters = result if counters is None else counters + result
+        counters += engine.evaluate_stream(simulator.wire(file.data))
 
     table = TextTable(["statistic", "Monte Carlo", "enumeration"])
     table.add_row("corrupted frames judged", tally.corrupted_frames,

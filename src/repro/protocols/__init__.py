@@ -14,7 +14,8 @@ ATM.  This package builds the bytes that go "on the wire":
   trailer with length and CRC-32, segmentation and reassembly.
 - :mod:`repro.protocols.packetizer` -- turns a file into the paper's
   packet stream (seq += payload, IP ID += 1, 256-byte segments) under a
-  configurable checksum algorithm/placement.
+  configurable checksum algorithm/placement, all of a file's AAL5
+  frames in one array pass (``Packetizer.wire``).
 - :mod:`repro.protocols.ftpsim` -- the simulated FTP transfer driving
   the splice experiments.
 """
@@ -40,6 +41,7 @@ from repro.protocols.packetizer import (
     Packetizer,
     PacketizerConfig,
     TCPPacket,
+    WireGroup,
 )
 from repro.protocols.ftpsim import FileTransferSimulator, TransferUnit
 from repro.protocols.tcp import (
@@ -69,6 +71,7 @@ __all__ = [
     "TCPPacket",
     "TCP_HEADER_LEN",
     "TransferUnit",
+    "WireGroup",
     "build_aal5_frame",
     "build_ipv4_header",
     "build_tcp_header",

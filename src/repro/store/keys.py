@@ -3,9 +3,10 @@
 A cache entry is only valid while *everything* that determined its
 value is unchanged: the experiment id, the corpus parameters
 (profile/total_bytes/seed — corpora are bit-reproducible from those),
-the packetizer/engine configuration, and the code's result schema.
-Keys are therefore SHA-256 digests over a canonical JSON rendering of
-all of those, so any parameter or schema change invalidates cleanly —
+the packetizer/engine configuration, the code's result schema, and the
+code itself (:func:`repro.core.codedigest.code_digest`).  Keys are
+therefore SHA-256 digests over a canonical JSON rendering of all of
+those, so any parameter, schema or code change invalidates cleanly —
 there is no way to read a stale entry under a new meaning.
 
 Parameters that cannot change the result — e.g. ``workers`` (the
@@ -19,6 +20,8 @@ import dataclasses
 import enum
 import hashlib
 import json
+
+from repro.core.codedigest import code_digest
 
 __all__ = [
     "EXCLUDED_PARAMS",
@@ -85,7 +88,9 @@ def experiment_key(experiment_id, params=None):
     params = {
         k: v for k, v in (params or {}).items() if k not in EXCLUDED_PARAMS
     }
-    return digest_key("experiment", SCHEMA_VERSION, experiment_id, params)
+    return digest_key(
+        "experiment", SCHEMA_VERSION, code_digest(), experiment_id, params
+    )
 
 
 def shard_key(data_digest, config, options):
@@ -95,4 +100,6 @@ def shard_key(data_digest, config, options):
     filesystem, so identical files share shards across profiles,
     corpus sizes and experiments.
     """
-    return digest_key("splice-shard", SCHEMA_VERSION, data_digest, config, options)
+    return digest_key(
+        "splice-shard", SCHEMA_VERSION, code_digest(), data_digest, config, options
+    )

@@ -255,17 +255,17 @@ def _overhead_section(quick):
     from repro.telemetry.core import collect, current, deactivate
 
     data = generate("english", 60_000 if quick else 150_000, _SEED)
-    units = FileTransferSimulator(PacketizerConfig()).transfer(data)
+    wire = FileTransferSimulator(PacketizerConfig()).wire(data)
     engine = SpliceEngine(EngineOptions())
 
     deactivate()  # ensure the disabled state for the baseline
     t_disabled = _best_seconds(
-        lambda: engine.evaluate_stream(units), 0.05 if quick else 0.2
+        lambda: engine.evaluate_stream(wire), 0.05 if quick else 0.2
     )
 
     with collect() as telemetry:
         t_enabled = _best_seconds(
-            lambda: engine.evaluate_stream(units), 0.05 if quick else 0.2
+            lambda: engine.evaluate_stream(wire), 0.05 if quick else 0.2
         )
         stream_node = telemetry._root.children.get("engine.stream")
         batch_node = (

@@ -44,6 +44,15 @@ class TestFoldCarries:
         out = fold_carries(arr)
         assert out.tolist() == [1, 0x1234, 0xFFFF]
 
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    @settings(max_examples=60)
+    def test_array_path_matches_the_carry_loop(self, values):
+        edges = [0, 1, 0xFFFF, 0x1_0000, 0x1_FFFE, 0xFFFF * 0xFFFF, 2**64 - 1]
+        arr = np.array(values + edges, dtype=np.uint64)
+        out = fold_carries(arr)
+        assert out.dtype == np.uint32
+        assert out.tolist() == [fold_carries(v) for v in values + edges]
+
 
 class TestScalarChecksum:
     def test_rfc1071_example(self):

@@ -14,8 +14,8 @@ from repro.telemetry.core import collect
 def run_stream(data, config=None, **option_overrides):
     config = config or PacketizerConfig()
     options = EngineOptions.from_packetizer(config, **option_overrides)
-    units = FileTransferSimulator(config).transfer(data)
-    return SpliceEngine(options).evaluate_stream(units)
+    wire = FileTransferSimulator(config).wire(data)
+    return SpliceEngine(options).evaluate_stream(wire)
 
 
 class TestCounterConsistency:
@@ -45,10 +45,11 @@ class TestBatchingEquivalence:
         data = generate("gmon", 6000, 3)
         config = PacketizerConfig()
         options = EngineOptions.from_packetizer(config)
-        units = FileTransferSimulator(config).transfer(data)
+        simulator = FileTransferSimulator(config)
+        units = simulator.transfer(data)
         engine = SpliceEngine(options)
 
-        whole = engine.evaluate_stream(units)
+        whole = engine.evaluate_stream(simulator.wire(data))
 
         accumulated = SpliceCounters()
         accumulated.packets = len(units)
@@ -66,13 +67,13 @@ class TestBatchingEquivalence:
     def test_small_batch_elements_still_exact(self):
         data = generate("gmon", 6000, 3)
         config = PacketizerConfig()
-        units = FileTransferSimulator(config).transfer(data)
+        wire = FileTransferSimulator(config).wire(data)
         base = SpliceEngine(EngineOptions.from_packetizer(config))
         tiny = SpliceEngine(
             EngineOptions.from_packetizer(config, batch_elements=1000)
         )
-        a = base.evaluate_stream(units)
-        b = tiny.evaluate_stream(units)
+        a = base.evaluate_stream(wire)
+        b = tiny.evaluate_stream(wire)
         assert a.missed_transport == b.missed_transport
         assert a.total == b.total
 
@@ -207,13 +208,14 @@ class TestSpans:
     def test_evaluate_stream_span_tree(self):
         # The tree the bench overhead section walks and the table
         # ledger's per-stage rows sum.
-        units = FileTransferSimulator().transfer(generate("english", 3000, 1))
+        simulator = FileTransferSimulator()
         engine = SpliceEngine(EngineOptions())
         with collect() as telemetry:
-            engine.evaluate_stream(units)
+            engine.evaluate_stream(simulator.wire(generate("english", 3000, 1)))
         spans = telemetry.snapshot()["spans"]
-        assert [node["name"] for node in spans] == ["engine.stream"]
-        children = spans[0]["children"]
+        assert [node["name"] for node in spans] == ["protocols.wire", "engine.stream"]
+        assert spans[0]["count"] == 1 and not spans[0].get("children")
+        children = spans[1]["children"]
         assert [node["name"] for node in children] == ["engine.batch"]
         assert {node["name"] for node in children[0]["children"]} == {
             "engine.enumeration",

@@ -107,10 +107,10 @@ class TestVerdictIdentity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_stream_counters_identical_across_seeds(self, seed):
         batch, scalar = _engines(PacketizerConfig())
-        units = FileTransferSimulator(PacketizerConfig()).transfer(
+        wire = FileTransferSimulator(PacketizerConfig()).wire(
             generate("english", 6_000, seed)
         )
-        assert batch.evaluate_stream(units) == scalar.evaluate_stream(units)
+        assert batch.evaluate_stream(wire) == scalar.evaluate_stream(wire)
 
     @pytest.mark.parametrize(
         "name", sorted(set(CROSSCHECK_CONFIGS) - {"tcp-header"})
@@ -118,36 +118,31 @@ class TestVerdictIdentity:
     def test_stream_counters_identical_across_configs(self, name):
         config = CROSSCHECK_CONFIGS[name]
         batch, scalar = _engines(config)
-        units = FileTransferSimulator(config).transfer(
-            generate("english", 2_500, 4)
-        )
-        counters = batch.evaluate_stream(units)
+        wire = FileTransferSimulator(config).wire(generate("english", 2_500, 4))
+        counters = batch.evaluate_stream(wire)
         assert counters.total > 0
-        assert counters == scalar.evaluate_stream(units)
+        assert counters == scalar.evaluate_stream(wire)
 
     def test_stream_counters_identical_on_sampled_enumeration(self):
         config = PacketizerConfig()
-        units = FileTransferSimulator(config).transfer(
-            generate("gmon", 3_000, 5)
-        )
+        wire = FileTransferSimulator(config).wire(generate("gmon", 3_000, 5))
         limit = 300
-        assert limit < structural_splice_count(
-            units[0].frame.cell_count, units[1].frame.cell_count
-        )
+        cells = wire[0].frames.shape[1]
+        assert limit < structural_splice_count(cells, cells)
         batch, scalar = _engines(config, sample_splices=limit)
-        counters = batch.evaluate_stream(units)
+        counters = batch.evaluate_stream(wire)
         assert 0 < counters.total <= limit * counters.pairs
-        assert counters == scalar.evaluate_stream(units)
+        assert counters == scalar.evaluate_stream(wire)
 
     def test_stream_counters_identical_with_blocked_partials(self, monkeypatch):
         # Sampled enumerations of large frames fold their parts in
         # blocks; force one part per block on a small input.
         monkeypatch.setattr(core_batch, "_PART_GATHER_ELEMENTS", 1)
         batch, scalar = _engines(PacketizerConfig())
-        units = FileTransferSimulator(PacketizerConfig()).transfer(
+        wire = FileTransferSimulator(PacketizerConfig()).wire(
             generate("english", 2_500, 6)
         )
-        assert batch.evaluate_stream(units) == scalar.evaluate_stream(units)
+        assert batch.evaluate_stream(wire) == scalar.evaluate_stream(wire)
 
 
 def _embedded_header_file(config, chunks):
@@ -172,9 +167,9 @@ class TestHeaderPruning:
         # header checks for some pair; data that embeds a header lets
         # rows led by a data cell through, and pruning must keep them.
         config = PacketizerConfig()
-        units = FileTransferSimulator(config).transfer(
-            _embedded_header_file(config, chunks=4)
-        )
+        simulator = FileTransferSimulator(config)
+        data = _embedded_header_file(config, chunks=4)
+        units = simulator.transfer(data)
         batch, scalar = _engines(config)
         cells1, cells2, iplen1, iplen2 = next(_pairs(units))
         enum, verdicts = batch.splice_verdicts(cells1, cells2, iplen1, iplen2)
@@ -182,8 +177,8 @@ class TestHeaderPruning:
         header_pass = verdicts["header_pass"][0]
         assert header_pass[lead == 1].all()
         assert int(header_pass[lead != 0].sum()) == int((lead == 1).sum()) == 252
-        counters = batch.evaluate_stream(units)
-        assert counters == scalar.evaluate_stream(units)
+        wire = simulator.wire(data)
+        assert batch.evaluate_stream(wire) == scalar.evaluate_stream(wire)
 
 
 class TestWorkerLayouts:

@@ -101,7 +101,8 @@ class TestWeightedRates:
     def test_iid_conditional_equals_engine_rate(self, units):
         options = EngineOptions(aux_crcs=())
         rates = weighted_splice_rates(units, IndependentLoss(0.15), options)
-        counters = SpliceEngine(options).evaluate_stream(units)
+        wire = FileTransferSimulator().wire(generate("gmon", 20_000, 3))
+        counters = SpliceEngine(options).evaluate_stream(wire)
         assert rates["conditional_miss_pct"] == pytest.approx(
             counters.miss_rate_transport
         )

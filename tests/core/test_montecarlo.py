@@ -81,7 +81,8 @@ class TestDetectionAccounting:
         units = transfer("gmon", 60_000)
         tally = run_monte_carlo(units, IndependentLoss(0.25), OPTIONS,
                                 trials=120, seed=4)
-        counters = SpliceEngine(OPTIONS).evaluate_stream(units)
+        wire = FileTransferSimulator(CONFIG).wire(generate("gmon", 60_000, 3))
+        counters = SpliceEngine(OPTIONS).evaluate_stream(wire)
         assert tally.corrupted_frames > 50
         mc = tally.transport_miss_rate
         exact = counters.miss_rate_transport

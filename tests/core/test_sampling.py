@@ -49,11 +49,11 @@ class TestEngineSampling:
         # On a 7-cell corpus the sampled estimate should track the
         # exact rate closely.
         data = generate("gmon", 50_000, 3)
-        units = FileTransferSimulator().transfer(data)
-        exact = SpliceEngine(EngineOptions(aux_crcs=())).evaluate_stream(units)
+        wire = FileTransferSimulator().wire(data)
+        exact = SpliceEngine(EngineOptions(aux_crcs=())).evaluate_stream(wire)
         sampled = SpliceEngine(
             EngineOptions(aux_crcs=(), sample_splices=400)
-        ).evaluate_stream(units)
+        ).evaluate_stream(wire)
         assert sampled.total < exact.total
         assert exact.miss_rate_transport > 1
         assert sampled.miss_rate_transport == pytest.approx(
@@ -62,18 +62,18 @@ class TestEngineSampling:
 
     def test_large_mss_runs_within_budget(self):
         config = PacketizerConfig(mss=1024)
-        units = FileTransferSimulator(config).transfer(generate("english", 30_000, 1))
+        wire = FileTransferSimulator(config).wire(generate("english", 30_000, 1))
         options = EngineOptions.from_packetizer(
             config, sample_splices=2_000, aux_crcs=()
         )
-        counters = SpliceEngine(options).evaluate_stream(units)
+        counters = SpliceEngine(options).evaluate_stream(wire)
         # 23-cell packets: exact enumeration would be ~2 * 10^12 rows.
         assert 0 < counters.total <= 2_000 * counters.pairs
         counters.sanity_check()
 
     def test_exact_mode_still_caps(self):
         config = PacketizerConfig(mss=1024)
-        units = FileTransferSimulator(config).transfer(bytes(4000))
+        wire = FileTransferSimulator(config).wire(bytes(4000))
         engine = SpliceEngine(EngineOptions(aux_crcs=(), max_splices=1000))
         with pytest.raises(ValueError, match="max_splices"):
-            engine.evaluate_stream(units)
+            engine.evaluate_stream(wire)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.checksums.fletcher import Fletcher8
 from repro.checksums.internet import fold_carries, word_sums
+from repro.protocols.aal5 import reassemble_frame
 from repro.protocols.ip import parse_ipv4_header, validate_ipv4_header
 from repro.protocols.packetizer import (
     ChecksumPlacement,
@@ -51,6 +52,23 @@ class TestSegmentation:
             PacketizerConfig(mss=0)
         with pytest.raises(ValueError):
             PacketizerConfig(algorithm="md5")
+
+
+class TestMssBounds:
+    # The IPv4 total length and the AAL5 Length field are 16 bits wide.
+    @pytest.mark.parametrize(
+        "placement, largest",
+        [(ChecksumPlacement.HEADER, 65495), (ChecksumPlacement.TRAILER, 65493)],
+    )
+    def test_largest_packet_fits_16_bit_lengths(self, placement, largest):
+        config = PacketizerConfig(mss=largest, placement=placement)
+        with pytest.raises(ValueError, match="65535"):
+            PacketizerConfig(mss=largest + 1, placement=placement)
+        (group,) = Packetizer(config).wire(bytes(largest))
+        assert group.iplen == 0xFFFF
+        frame = group.frames[0].tobytes()
+        assert frame[2:4] == frame[-6:-4] == b"\xff\xff"
+        assert reassemble_frame(group.frames[0]) == frame[:0xFFFF]
 
 
 class TestHeaderPlacementTCP:

@@ -92,3 +92,80 @@ class TestShardKeys:
         assert keys.shard_key("ab" * 32, config, options) == keys.shard_key(
             "ab" * 32, PacketizerConfig(), EngineOptions.from_packetizer(config)
         )
+
+
+class TestCodeDigest:
+    def test_every_key_sees_the_code(self, monkeypatch):
+        from repro.channel.arq import ArqConfig
+        from repro.channel.plan import named_channel_plan
+        from repro.channel.sweep import channel_fingerprint
+        from repro.core import codedigest
+        from repro.corpus.filesystem import SyntheticFile
+        from repro.store.runner import run_key_for
+
+        config = PacketizerConfig()
+        options = EngineOptions.from_packetizer(config)
+        files = [SyntheticFile("a", b"abc", "english")]
+        plan = named_channel_plan("bursty-link", seed=5)
+
+        def all_keys():
+            shard = keys.shard_key("ab" * 32, config, options)
+            return (
+                keys.experiment_key("table1", {"seed": 3}),
+                shard,
+                run_key_for("fs", [shard]),
+                channel_fingerprint(files, plan, ArqConfig(), config, True),
+            )
+
+        before = all_keys()
+        assert all_keys() == before
+        monkeypatch.setattr(codedigest, "_digest", "0" * 64)
+        after = all_keys()
+        assert [a != b for a, b in zip(before, after)] == [True] * 4
+
+    def test_digest_covers_code_package_bytes_only(self, monkeypatch, tmp_path):
+        from repro.core import codedigest
+
+        for package in codedigest.CODE_PACKAGES + ("store",):
+            (tmp_path / package).mkdir()
+            (tmp_path / package / "mod.py").write_text("x = 1\n")
+        monkeypatch.setattr(codedigest, "_ROOT", tmp_path)
+
+        def fresh_digest():
+            monkeypatch.setattr(codedigest, "_digest", None)
+            return codedigest.code_digest()
+
+        base = fresh_digest()
+        assert len(base) == 64 and base == codedigest.code_digest()
+        (tmp_path / "store" / "mod.py").write_text("x = 2\n")
+        assert fresh_digest() == base
+        (tmp_path / "core" / "mod.py").write_text("x = 2\n")
+        changed = fresh_digest()
+        assert changed != base
+        (tmp_path / "core" / "mod.py").rename(tmp_path / "core" / "other.py")
+        assert fresh_digest() != changed
+
+    def test_warm_cache_hit_imports_no_engine(self, tmp_path, capsys):
+        # The warm-start contract (REP303) with the code digest in
+        # every key: a result-cache hit in a fresh process reads the
+        # code's bytes but never imports the engine or the packetizer.
+        import subprocess
+        import sys
+
+        from repro.cli import main
+
+        argv = ["run", "table1", "--bytes", "20000", "--seed", "3",
+                "--cache", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        code = (
+            "import sys; from repro.cli import main; code = main(%r); "
+            "hot = [m for m in ('repro.core.engine', "
+            "'repro.protocols.packetizer') if m in sys.modules]; "
+            "sys.exit(code or (1 if hot else 0))" % (argv,)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == cold

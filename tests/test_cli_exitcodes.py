@@ -91,6 +91,29 @@ class TestFlagValidation:
         assert excinfo.value.code == 2
         assert "seconds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["splice"], ["chaos"], ["channel", "run"]])
+    @pytest.mark.parametrize("value", ["0", "-1", "65496", "big"])
+    def test_mss_outside_a_frame_is_rejected(self, command, value, capsys):
+        # One usage line with exit 2, not a traceback from the packetizer.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--mss", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --mss" in err and "Traceback" not in err
+
+    def test_trailer_mss_past_the_frame_is_a_usage_error(self, capsys):
+        code = main(["splice", "--placement", "trailer", "--mss", "65494",
+                     "--bytes", "1000", "--no-journal"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "65535" in err
+
+    def test_largest_mss_parses(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["splice", "--mss", "65495"])
+        assert args.mss == 65495
+
     def test_sweep_flags_parse_on_run_splice_chaos(self):
         from repro.cli import build_parser
 

@@ -1,8 +1,11 @@
 """README.md and docs/*.md claim only what the tree contains.
 
-Three checks over the user-facing docs:
+Four checks over the user-facing docs:
 
 * every ``BENCH_<n>.json`` they name exists at the repository root;
+* every repository path they name in inline code under ``src/``,
+  ``tests/``, ``benchmarks/``, ``perfbench/`` or ``examples/`` exists
+  (a pytest node id counts by its file, ``path:line`` by its path);
 * every ``make <target>`` in a code block or inline code span is a
   Makefile target;
 * every option on a ``repro-checksums ...`` or ``python -m repro.cli
@@ -31,6 +34,10 @@ _MAKE_LINE = re.compile(r"^\s*(?:\$\s+)?make\s+(?P<target>[\w-]+)")
 _MAKE_SPAN = re.compile(r"`make\s+(?P<target>[\w-]+)[^`]*`")
 _MAKE_RULE = re.compile(r"^(?P<target>[\w-]+)\s*:(?!=)", re.MULTILINE)
 _BENCH_FILE = re.compile(r"BENCH_\d+\.json")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:src|tests|benchmarks|perfbench|examples)/[\w./*-]*)"
+)
 
 
 def code_block_lines(path):
@@ -84,6 +91,20 @@ def test_named_bench_snapshots_exist():
              for name in _BENCH_FILE.findall(line)}
     assert named
     missing = sorted(claim for claim in named if not (ROOT / claim[1]).is_file())
+    assert not missing, missing
+
+
+def test_named_repository_paths_exist():
+    named = []
+    for path in DOCS:
+        text = path.read_text(encoding="utf-8")
+        for number, line in enumerate(text.splitlines(), 1):
+            for span in _CODE_SPAN.findall(line):
+                named += [(where(path, number), match.rstrip("."))
+                          for match in _REPO_PATH.findall(span)]
+    assert len(named) >= 20
+    missing = sorted(claim for claim in named
+                     if not any(ROOT.glob(claim[1].rstrip("/") or ".")))
     assert not missing, missing
 
 
