@@ -117,8 +117,9 @@ def run_channel_sweep(
     reports stay bit-identical either way.
 
     ``journal``/``resume`` follow the splice sweep's checkpoint
-    contract (ambient :func:`current_controller` defaults); the
-    journal revives entries through :class:`ChannelReport`, and
+    contract (ambient :func:`current_controller` defaults): the
+    journal records each computed shard the store cache did not keep
+    and revives entries through :class:`ChannelReport`, and
     signals/deadlines stop the sweep at shard boundaries with the
     usual partial-result degradation.
     """
@@ -207,14 +208,11 @@ def run_channel_sweep(
                 last = now
                 results[index] = (report, events)
                 done += 1
-                if journal is not None:
+                kept = guard is not None and guard.put_shard(
+                    keys[index], report
+                )
+                if not kept and journal is not None:
                     journal.record(keys[index], report)
-                if guard is not None:
-                    guard._attempt(
-                        "channel shard write",
-                        lambda k=keys[index], r=report:
-                            store.shards.put_object(k, r),
-                    )
                 if _check_stop(
                     controller, health, telemetry, done, len(files), journal
                 ):

@@ -49,8 +49,9 @@ to stdout (``--metrics json``/``--metrics md``) or to a file path.
 ``--deadline`` stops a sweep cleanly at a shard boundary once the time
 budget is spent (partial report, exit 3), SIGINT/SIGTERM stop it
 checkpointed (exit ``128 + signum``: 130/143), and — on ``run`` and
-``splice`` — ``--journal`` (default on) checkpoints completed shards
-so ``--resume`` continues an interrupted sweep bit-identically.
+``splice`` — ``--journal`` (default on) checkpoints the completed
+shards the store did not keep (all of them without ``--cache``), so
+``--resume`` continues an interrupted sweep bit-identically.
 
 Flags shared between subcommands (``--bytes``/``--seed``,
 ``--workers``, ``--cache``/``--cache-dir``, ``--metrics``) are defined

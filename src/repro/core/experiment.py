@@ -176,7 +176,8 @@ def run_splice_experiment(
 
     ``journal`` (a :class:`repro.store.journal.ShardJournal`) makes the
     sweep **interruptible**: every completed shard is checkpointed
-    atomically, a signal stops the run at a shard boundary with
+    once (its shard object when ``store`` kept it, else a journal
+    record), a signal stops the run at a shard boundary with
     :class:`~repro.core.checkpoint.SweepInterrupted`, and ``resume``
     merges a fingerprint-matching journal so the resumed run is
     bit-identical to an uninterrupted one.  Both default to the

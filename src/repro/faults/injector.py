@@ -275,7 +275,6 @@ def wrap_run_store(store, plan, health=None):
     store.objects = FaultyObjectStore(store.objects, plan, health)
     store.results.store = FaultyObjectStore(store.results.store, plan, health)
     store.shards.store = FaultyObjectStore(store.shards.store, plan, health)
-    store.manifests.store = FaultyObjectStore(store.manifests.store, plan, health)
     return store
 
 

@@ -136,8 +136,8 @@ class LintConfig:
     ))
 
     #: Checkpoint-journal modules: every filesystem write must route
-    #: through the store's atomic-write helper (REP402) so a kill
-    #: between shards can never tear a checkpoint.
+    #: through the store's atomic_write or durable_append helper
+    #: (REP402) so a kill can never tear a record already written.
     journal_prefixes: tuple = field(default_factory=lambda: _tuple(
         "repro.store.journal",
     ))

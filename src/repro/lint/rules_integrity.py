@@ -8,10 +8,12 @@ fully-written one ever had a name.
 
 REP402 guards the checkpoint journal's torn-write contract: journal
 modules exist so an interrupted sweep can resume from its last shard
-boundary, which only holds if *every* write they perform is the
-all-or-nothing ``atomic_write`` discipline -- one raw ``open(...,
-"wb")`` or ``Path.write_bytes`` and a kill mid-write leaves a torn
-checkpoint that silently discards hours of completed shards.
+boundary, which only holds if *every* write they perform is one of the
+store's two write disciplines -- ``atomic_write`` (all-or-nothing
+whole file) or ``durable_append`` (one more self-delimiting record,
+fsynced) -- one raw ``open(..., "wb")``, ``open(..., "ab")`` or
+``Path.write_bytes`` and a kill mid-write can tear records already
+written, silently discarding hours of completed shards.
 
 REP403 guards the store's verified-read contract: the backend split
 moved frame storage behind an interface, and every *payload-returning*
@@ -137,7 +139,7 @@ _WRITE_MODE_CHARS = set("wax+")
 
 @register
 class JournalAtomicWriteRule(Rule):
-    """REP402: journal modules write only through the atomic helper."""
+    """REP402: journal modules write only through the store's write helpers."""
 
     id = "REP402"
     title = "unjournaled-checkpoint-write"
@@ -145,9 +147,11 @@ class JournalAtomicWriteRule(Rule):
     category = "crash-consistency"
     invariant = (
         "Every filesystem write in a checkpoint-journal module routes "
-        "through the store's atomic_write helper (write, fsync, "
-        "rename, directory fsync), so an interrupt can tear a "
-        "checkpoint file in no kill window."
+        "through one of the store's two write disciplines: "
+        "atomic_write (write, fsync, rename, directory fsync) for a "
+        "whole file, durable_append (append, fsync) for one more "
+        "self-delimiting record, so a kill can tear at most the record "
+        "being appended, never one written before it."
     )
 
     def check(self, module, ctx):
@@ -202,7 +206,8 @@ class JournalAtomicWriteRule(Rule):
             if mode is not None and set(mode) & _WRITE_MODE_CHARS:
                 return (
                     "open(..., %r) writes the checkpoint in place; "
-                    "route the bytes through atomic_write instead" % mode
+                    "route the bytes through atomic_write or "
+                    "durable_append instead" % mode
                 )
         return None
 

@@ -16,8 +16,11 @@ The persistence layer behind cached and resumable experiments:
   parameters, corpus identity and the code schema version;
 * :mod:`repro.store.cache` -- the counting result cache (hit / miss /
   corrupt-evict-recompute);
-* :mod:`repro.store.manifest` / :mod:`repro.store.runner` -- resumable
-  sharded splice runs checkpointed per file;
+* :mod:`repro.store.runner` -- resumable sharded splice runs: each
+  computed shard is one durable write, a shard object when the store
+  keeps it, else a record in the sweep journal;
+* :mod:`repro.store.journal` -- the append-only log of the shards a
+  sweep computed but no store kept, for ``--resume``;
 * :mod:`repro.store.audit` -- re-verify every stored object;
 * :mod:`repro.store.scrub` -- walk a backend re-verifying trailers,
   quarantining corrupt objects and repairing them from healthy
@@ -36,7 +39,6 @@ from repro.store.backends import (
 )
 from repro.store.cache import ResultCache
 from repro.store.keys import SCHEMA_VERSION, experiment_key, shard_key
-from repro.store.manifest import ManifestStore, RunManifest
 from repro.store.objstore import (
     DEFAULT_ALGORITHM,
     IntegrityError,
@@ -52,10 +54,8 @@ __all__ = [
     "BackendCounters",
     "DEFAULT_ALGORITHM",
     "IntegrityError",
-    "ManifestStore",
     "ObjectStore",
     "ResultCache",
-    "RunManifest",
     "RunStore",
     "SCHEMA_VERSION",
     "ScrubReport",

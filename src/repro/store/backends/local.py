@@ -1,4 +1,4 @@
-"""The pathsliced on-disk backend (and the atomic-write discipline).
+"""The pathsliced on-disk backend (and the store's two write disciplines).
 
 The original ``repro.store`` layout, refactored to conform to the
 :class:`~repro.store.backends.base.Backend` interface: frames live
@@ -7,7 +7,8 @@ key, and every write is atomic — a temp file in the destination
 directory is populated, fsynced, ``os.replace``-d into place, and the
 parent directory entry fsynced, so readers observe old bytes or new
 bytes, never a mixture, across power loss (reprolint REP401 checks
-the ordering statically).
+the ordering statically).  :func:`durable_append` is the second
+discipline, for the sweep journal's append-only log.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from repro.store.backends.base import Backend, check_key
 
-__all__ = ["LocalBackend", "atomic_write"]
+__all__ = ["LocalBackend", "atomic_write", "durable_append"]
 
 
 def _fsync_dir(path):
@@ -51,7 +52,7 @@ def atomic_write(path, blob):
     directory entry is fsynced so a power cut can neither resurrect a
     half-written file nor forget a fully-written one ever had a name.
     Readers therefore observe the old bytes or the new bytes, never a
-    mixture.  The sweep checkpoint journal routes every write through
+    mixture.  The sweep checkpoint journal creates its file through
     this helper (enforced statically by reprolint REP402).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -72,6 +73,22 @@ def atomic_write(path, blob):
     # entry, so fsync the parent too — otherwise a power cut can
     # forget a fully-fsynced object ever had a name.
     _fsync_dir(path.parent)
+
+
+def durable_append(path, blob):
+    """Append ``blob`` to the file at ``path`` and fsync it.
+
+    The sweep journal's second write discipline, beside
+    :func:`atomic_write` (which creates the file, so its directory
+    entry is already durable): one write and one fsync make the new
+    bytes durable.  A kill mid-append can tear only the bytes being
+    appended; the journal's records are self-delimiting and
+    trailer-checked, so a reader keeps every record before the tear.
+    """
+    with open(path, "ab") as handle:
+        handle.write(blob)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def _is_object_name(name):

@@ -300,7 +300,7 @@ class MultiplexBackend(_Composite):
         if stored:
             if controller is not None and controller.spool is not None:
                 # A direct write supersedes any spooled predecessor of
-                # the same key: manifests are mutable under a stable
+                # the same key: keyed values overwrite under a stable
                 # key, and replaying a stale spooled copy at drain
                 # time would roll this fresh write back.
                 controller.spool.discard(self.namespace, key)

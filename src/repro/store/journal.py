@@ -1,32 +1,40 @@
-"""Crash-safe shard journal: per-sweep checkpoints for mid-sweep resume.
+"""Crash-safe shard journal: the shards a sweep computed but no store kept.
 
-The artifact store already caches *shards* (keyed by file content +
-configuration) and *manifests* (completion state), but both require a
-``RunStore`` — a plain ``repro-checksums splice`` run had nothing on
-disk, so an interrupt lost every completed shard.  The journal closes
-that gap: one small integrity-trailed JSON file per in-flight sweep,
-atomically rewritten (write → fsync → rename, the objstore's
-:func:`~repro.store.objstore.atomic_write` discipline) after every
-drained shard, holding the sweep **fingerprint** and each completed
-shard's :class:`~repro.core.results.SpliceCounters`.
+A sweep with a :class:`~repro.store.runner.RunStore` checkpoints itself
+through the store's shard cache: every computed shard is one durable
+shard object, and a resumed run is served from it.  The journal covers
+what that cache does not keep -- every shard of a store-less sweep
+(a plain ``repro-checksums splice``), a shard whose write the store
+refused, and everything after the run was demoted to store-less -- so
+each computed shard costs exactly one durable write, the shard object
+or one journal record.
+
+The file is an append-only log: one header record (schema, sweep
+**fingerprint**, label, shard total) followed by one record per shard,
+each ``length(4, big-endian) || frame``, where the frame is the
+store's integrity-trailed JSON (:func:`~repro.store.objstore.frame_object`)
+of the shard key and its counters.
 
 Contract:
 
 * the fingerprint is the sweep's :func:`~repro.store.runner.run_key_for`
-  identity — a digest over the corpus content, the packetizer/engine
-  configuration, and the result schema.  ``--resume`` loads the journal
-  **only** when the stored fingerprint matches the sweep about to run;
-  a mismatch (changed corpus, config, or algorithm set) discards the
-  journal with one warning — stale checkpoints are never merged;
-* records are written through :func:`~repro.store.objstore.atomic_write`
-  (statically enforced by reprolint REP402), so a kill between shards
-  leaves either the previous checkpoint or the new one, never a torn
-  file — and the CRC trailer catches any bit rot on top;
-* a journal whose frame or JSON fails to parse degrades to "no
-  journal" (the sweep restarts cleanly), mirroring the manifest
-  store's any-defect-is-a-miss posture;
-* :meth:`ShardJournal.complete` deletes the file, so a journal on disk
-  always means "this sweep was interrupted here".
+  identity -- a digest over the corpus content, the packetizer/engine
+  configuration, the result schema and the code.  ``--resume`` loads
+  the journal **only** when the stored fingerprint matches the sweep
+  about to run; a mismatch discards it with one warning -- stale
+  checkpoints are never merged;
+* the first write of a run creates the file whole through
+  :func:`~repro.store.backends.local.atomic_write` (so does the first
+  write after ``--resume``: a torn tail never has new records behind
+  it), and every later record is appended and fsynced by
+  :func:`~repro.store.backends.local.durable_append` -- statically
+  enforced by reprolint REP402;
+* a reader keeps the records before the first torn or failing one, so
+  a kill mid-append costs that one shard; a bad header (torn, failed
+  trailer, garbage JSON) or schema drift degrades to "no journal";
+* :meth:`ShardJournal.complete` deletes the file, and a sweep whose
+  store kept every shard never writes it, so a journal on disk always
+  means "this sweep was interrupted here".
 
 Resuming merges journaled counters into the same deterministic
 first-seen-key order the sharded runner uses, so a resumed sweep is
@@ -37,23 +45,27 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 import warnings
 from pathlib import Path
 
+from repro.store.backends.local import atomic_write, durable_append
 from repro.store.keys import SCHEMA_VERSION
 from repro.store.objstore import (
     DEFAULT_ALGORITHM,
     IntegrityError,
-    atomic_write,
     default_root,
     frame_object,
-    unframe_object,
+    verify_frame,
 )
 from repro.telemetry.core import current as _telemetry
 
 __all__ = ["ShardJournal", "default_journal_dir", "journal_path", "open_journal"]
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9._-]+")
+
+#: The length prefix that makes every record self-delimiting.
+_LENGTH = struct.Struct(">I")
 
 
 def default_journal_dir(root=None):
@@ -92,7 +104,7 @@ def open_journal(root=None, filesystem_name="sweep", config=None):
 
 
 class ShardJournal:
-    """One sweep's checkpoint file: fingerprint + completed counters."""
+    """One sweep's checkpoint log: a header, then one record per shard."""
 
     #: Bump when the journal payload layout changes; old journals are
     #: then discarded as stale rather than misread.
@@ -105,6 +117,10 @@ class ShardJournal:
         self._label = ""
         self._total = 0
         self._entries = {}
+        #: Keys recorded since the last flush.
+        self._unwritten = []
+        #: Whether this run has written the file (header included).
+        self._created = False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -112,12 +128,13 @@ class ShardJournal:
                  codec=None):
         """Bind the journal to one sweep; return the resumable counters.
 
-        With ``resume``, a stored journal whose fingerprint matches
-        ``fingerprint`` yields its ``{shard_key: counters}`` map; a
-        mismatched or defective journal is discarded with a warning
-        and an empty map is returned.  Without ``resume`` the journal
-        always starts empty (the first :meth:`record` overwrites any
-        leftover file).
+        With ``resume``, a stored journal whose header matches
+        ``fingerprint`` yields the ``{shard_key: counters}`` map of its
+        intact records; a mismatched or defective journal is discarded
+        (with a warning on a fingerprint mismatch) and an empty map is
+        returned.  Without ``resume`` the journal always starts empty
+        (its first write replaces any leftover file).  Either way the
+        run's first write rewrites the file whole.
 
         ``codec`` is the counters class used to revive entries
         (anything with ``from_dict``/``to_dict``); it defaults to
@@ -131,12 +148,18 @@ class ShardJournal:
         self._label = label
         self._total = total
         self._entries = {}
+        self._unwritten = []
+        self._created = False
         if not resume:
             return {}
-        payload = self._read_payload()
-        if payload is None:
+        records = self._read_records()
+        if records is None:
             return {}
-        if payload.get("fingerprint") != fingerprint:
+        header = records[0] if records else None
+        if not isinstance(header, dict) or header.get("schema") != self.SCHEMA:
+            self.discard()
+            return {}
+        if header.get("fingerprint") != fingerprint:
             _telemetry().count("checkpoint.stale_journals")
             warnings.warn(
                 "stale sweep journal %s: fingerprint mismatch (the corpus, "
@@ -148,34 +171,49 @@ class ShardJournal:
             )
             self.discard()
             return {}
-        entries = {}
-        try:
-            for key in sorted(payload.get("entries", {})):
-                entries[key] = codec.from_dict(payload["entries"][key])
-        except (TypeError, ValueError):
-            warnings.warn(
-                "defective sweep journal %s: entries failed to parse; "
-                "discarding it and restarting the sweep" % self.path,
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.discard()
-            return {}
-        self._entries = dict(entries)
-        return entries
+        for position, record in enumerate(records[1:], 1):
+            try:
+                self._entries[record["key"]] = codec.from_dict(
+                    record["counters"]
+                )
+            except (KeyError, TypeError, ValueError):
+                warnings.warn(
+                    "defective sweep journal %s: record %d failed to "
+                    "parse; resuming from the %d records before it"
+                    % (self.path, position, len(self._entries)),
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                break
+        return dict(self._entries)
 
     def record(self, shard_key, counters):
-        """Checkpoint one completed shard (atomic full rewrite)."""
+        """Checkpoint one shard the store did not keep (one durable write)."""
         self._entries[shard_key] = counters
+        self._unwritten.append(shard_key)
         self.flush()
 
     def flush(self):
-        """Persist the current checkpoint state atomically."""
+        """Make every recorded shard durable.
+
+        The run's first flush creates the file whole -- header and every
+        entry -- through ``atomic_write``; later flushes append only the
+        records written since, through ``durable_append``.
+        """
+        if self._created and not self._unwritten:
+            return
         telemetry = _telemetry()
         with telemetry.span("journal.flush"):
-            atomic_write(self.path, frame_object(
-                self._payload_bytes(), self.algorithm
-            ))
+            if self._created:
+                durable_append(self.path, b"".join(
+                    self._shard(key) for key in self._unwritten
+                ))
+            else:
+                atomic_write(self.path, b"".join(
+                    [self._header()] + [self._shard(key) for key in self._entries]
+                ))
+                self._created = True
+            self._unwritten = []
         telemetry.count("checkpoint.journal_writes")
 
     def complete(self):
@@ -193,7 +231,7 @@ class ShardJournal:
 
     @property
     def done(self):
-        """Shards checkpointed so far (loaded + recorded)."""
+        """Shards the journal holds (resumed + recorded)."""
         return len(self._entries)
 
     @property
@@ -206,41 +244,51 @@ class ShardJournal:
 
     # -- wire format --------------------------------------------------------
 
-    def _payload_bytes(self):
-        payload = {
+    def _frame(self, payload):
+        """One self-delimiting record: length prefix + trailed JSON frame."""
+        frame = frame_object(
+            json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            .encode("utf-8"),
+            self.algorithm,
+        )
+        return _LENGTH.pack(len(frame)) + frame
+
+    def _header(self):
+        return self._frame({
             "schema": self.SCHEMA,
             "fingerprint": self._fingerprint,
             "label": self._label,
             "total": self._total,
-            "entries": {
-                key: self._entries[key].to_dict()
-                for key in sorted(self._entries)
-            },
-        }
-        return json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        })
 
-    def _read_payload(self):
-        """The stored payload dict, or None (missing/defective).
+    def _shard(self, key):
+        return self._frame({
+            "key": key, "counters": self._entries[key].to_dict(),
+        })
 
-        Any defect — unreadable file, failed integrity trailer,
-        undecodable or unparsable JSON, schema drift — degrades to
-        "no journal" and removes the defective file best-effort.
+    def _read_records(self):
+        """The decoded records before the first torn or failing one.
+
+        None when the file is missing or unreadable.  A record fails
+        when its length runs past the end of the file (a torn append),
+        its trailer does not verify, or its payload is not JSON.
         """
         try:
             blob = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
         except OSError:
             return None
-        try:
-            raw, _ = unframe_object(blob)
-            payload = json.loads(raw.decode("utf-8"))
-        except (IntegrityError, UnicodeDecodeError, ValueError):
-            self.discard()
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != self.SCHEMA:
-            self.discard()
-            return None
-        return payload
+        records = []
+        offset = 0
+        while offset + _LENGTH.size <= len(blob):
+            (length,) = _LENGTH.unpack_from(blob, offset)
+            start = offset + _LENGTH.size
+            if start + length > len(blob):
+                break
+            try:
+                records.append(json.loads(
+                    verify_frame(blob[start:start + length]).decode("utf-8")
+                ))
+            except (IntegrityError, UnicodeDecodeError, ValueError):
+                break
+            offset = start + length
+        return records

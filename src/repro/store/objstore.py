@@ -112,7 +112,7 @@ class ObjectStore:
     def put_keyed(self, key, payload, overwrite=True):
         """Store ``payload`` under the caller-chosen hex ``key``.
 
-        Keyed entries (cache results, manifests) are overwritten by
+        Keyed entries (cache results, shards) are overwritten by
         default; content-addressed :meth:`put` skips the write when the
         object already exists (identical payload by construction).
         """

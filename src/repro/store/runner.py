@@ -7,13 +7,14 @@ independent, so the sweep shards naturally per file:
 * each shard is keyed by the **content digest** of the file plus the
   packetizer/engine configuration (identical files share shards across
   profiles, sizes, and experiments);
-* completed shards persist their :class:`SpliceCounters` as
-  integrity-trailed JSON; a manifest checkpoints completion state
-  after every shard;
+* each computed shard costs exactly one durable write: its
+  :class:`SpliceCounters` as an integrity-trailed shard object when
+  the store keeps it, otherwise one record appended to the sweep's
+  :class:`~repro.store.journal.ShardJournal`;
 * a re-run (or a run interrupted and restarted) recomputes only the
-  shards that are missing or whose stored bytes fail the integrity
-  trailer — corrupt entries are evicted and recomputed, so corruption
-  costs time, never correctness.
+  shards that neither the shard cache nor the journal serves, or
+  whose stored bytes fail the integrity trailer — corrupt entries are
+  evicted and recomputed, so corruption costs time, never correctness.
 
 Execution goes through :class:`repro.core.supervisor.SupervisedPool`
 (retry → pool respawn → in-process fallback), and store I/O goes
@@ -23,9 +24,10 @@ cache root is retried under a deterministic
 store demotes the run to store-less computation with a single
 warning, and every intervention lands in the run's
 :class:`RunHealth` record.  A full disk or a read-only cache can
-therefore never abort a sweep — it only costs the resumability of
-that one run.  Writes spooled during a remote-store outage are
-replayed opportunistically at end-of-sweep.
+therefore never abort a sweep: a shard the store did not keep is
+recorded in the sweep journal when one is open, and otherwise costs
+only its own resumability.  Writes spooled during a remote-store
+outage are replayed opportunistically at end-of-sweep.
 
 ``run_splice_experiment(..., store=RunStore(...))`` routes through
 :func:`run_sharded_splice`; results are bit-identical to the direct
@@ -44,7 +46,6 @@ from repro.core.supervisor import RunHealth
 from repro.telemetry.core import current as _telemetry
 from repro.store.cache import ResultCache
 from repro.store.keys import SCHEMA_VERSION, digest_key, shard_key
-from repro.store.manifest import ManifestStore, RunManifest
 from repro.store.backends.local import LocalBackend
 from repro.store.objstore import DEFAULT_ALGORITHM, ObjectStore, default_root
 from repro.store.resilience import RetryPolicy
@@ -61,7 +62,6 @@ class RunStore:
     ``objects/``   content-addressed blobs (``put``/``get`` by SHA-256)
     ``results/``   experiment-level :class:`ExperimentReport` JSON
     ``shards/``    per-file :class:`SpliceCounters` JSON
-    ``manifests/`` :class:`RunManifest` checkpoints
     =============  =======================================================
 
     Every namespace frames its payloads with the same integrity-trailer
@@ -84,7 +84,6 @@ class RunStore:
         self.objects = namespace("objects")
         self.results = ResultCache(namespace("results"))
         self.shards = ResultCache(namespace("shards"))
-        self.manifests = ManifestStore(namespace("manifests"))
 
     def describe(self):
         """Human-readable identity of the backing store."""
@@ -104,7 +103,6 @@ class RunStore:
             ("objects", self.objects),
             ("results", self.results.store),
             ("shards", self.shards.store),
-            ("manifests", self.manifests.store),
         )
 
     def stats(self):
@@ -170,7 +168,7 @@ class RunStore:
 
 
 def run_key_for(filesystem_name, shard_keys):
-    """The manifest key of one run: its identity is its shard set."""
+    """The identity of one run (its journal fingerprint): its shard set."""
     return digest_key("splice-run", SCHEMA_VERSION, filesystem_name, shard_keys)
 
 
@@ -184,9 +182,10 @@ class _StoreGuard:
     had, now centrally owned and telemetry-counted).  Each caught
     ``OSError`` is added to the run's store-error ledger; a final
     failure skips the operation (the run keeps its in-memory
-    counters).  Once :data:`DEMOTE_AFTER` errors have accumulated the
+    counters, and a shard the store did not keep goes to the sweep
+    journal).  Once :data:`DEMOTE_AFTER` errors have accumulated the
     guard demotes the whole run to store-less mode with a single
-    warning — persistence is disabled, correctness is untouched.
+    warning — the store is no longer used, correctness is untouched.
     """
 
     #: Cumulative store errors after which the run goes store-less.
@@ -228,23 +227,13 @@ class _StoreGuard:
         self.health.degrade(note)
         warnings.warn(
             "artifact store is failing (%s during %s); continuing without "
-            "persistence — results are unaffected, resumability is lost "
-            "for this run" % (exc, what),
+            "it — results are unaffected, and the rest of this run is "
+            "resumable only through its sweep journal" % (exc, what),
             RuntimeWarning,
             stacklevel=4,
         )
 
     # -- guarded operations -------------------------------------------------
-
-    def load_manifest(self, run_key):
-        return self._attempt(
-            "manifest load", lambda: self.store.manifests.load(run_key)
-        )
-
-    def save_manifest(self, manifest):
-        self._attempt(
-            "manifest save", lambda: self.store.manifests.save(manifest)
-        )
 
     def get_shard(self, key):
         """A verified cached shard, or None; evictions are counted."""
@@ -258,9 +247,12 @@ class _StoreGuard:
         return value
 
     def put_shard(self, key, counters):
-        self._attempt(
-            "shard write", lambda: self.store.shards.put_object(key, counters)
-        )
+        """Store one computed shard; True when it reached the store."""
+        def put():
+            self.store.shards.put_object(key, counters)
+            return True
+
+        return self._attempt("shard write", put, default=False)
 
     def drain_spool(self):
         """Opportunistic end-of-sweep replay of degraded-mode writes."""
@@ -297,9 +289,10 @@ def run_sharded_splice(
 
     ``store`` may be None when only a ``journal`` (a
     :class:`repro.store.journal.ShardJournal`) is in play: the journal
-    checkpoints every drained shard atomically, ``resume`` merges a
-    fingerprint-matching journal's counters before dispatch, and the
-    ambient :class:`~repro.core.checkpoint.SweepController` is polled
+    records every drained shard the store did not keep (all of them
+    without a store), ``resume`` merges a fingerprint-matching
+    journal's counters before dispatch, and the ambient
+    :class:`~repro.core.checkpoint.SweepController` is polled
     at every shard boundary so a signal or an expired ``--deadline``
     stops the sweep cleanly — checkpointed, never torn.  The resumed
     merge follows the same deterministic first-seen key order, so a
@@ -321,27 +314,17 @@ def run_sharded_splice(
         shard_key(hashlib.sha256(file.data).hexdigest(), config, options)
         for file in files
     ]
-    run_key = run_key_for(filesystem_name, shard_keys)
     unique_keys = list(dict.fromkeys(shard_keys))
     journal_entries = {}
     if journal is not None:
         with telemetry.span("journal.open"):
             journal_entries = journal.open_run(
-                run_key, label=filesystem_name,
-                total=len(unique_keys), resume=resume,
+                run_key_for(filesystem_name, shard_keys),
+                label=filesystem_name, total=len(unique_keys), resume=resume,
             )
-    manifest = guard.load_manifest(run_key)
-    if manifest is None:
-        manifest = RunManifest(
-            run_key=run_key,
-            label=filesystem_name,
-            params={"files": len(files), "algorithm": config.algorithm},
-        )
-    for key, file in zip(shard_keys, files):
-        manifest.register(key, getattr(file, "name", "<file>"))
 
-    # Load completed shards; anything missing or corrupt is demoted and
-    # recomputed below (the cache evicts corrupt frames itself).  The
+    # Load completed shards; anything missing or corrupt is recomputed
+    # below (the cache evicts corrupt frames itself).  The
     # iteration order is the deterministic first-seen file order — with
     # fault injection active, store faults must replay identically.
     # Journaled counters fill in what the shard cache cannot serve;
@@ -356,9 +339,6 @@ def run_sharded_splice(
                 resumed += 1
             if counters is not None:
                 loaded[key] = counters
-                manifest.mark_done(key)
-            else:
-                manifest.mark_pending(key)
     if resumed:
         telemetry.count("checkpoint.resumed_shards", resumed)
 
@@ -393,17 +373,16 @@ def run_sharded_splice(
                     engine_kind=resolve_engine_kind(options).value,
                 )
                 last = now
-                _store_shard(guard, manifest, loaded, jobs[index][0], counters)
-                if journal is not None:
-                    journal.record(jobs[index][0], counters)
+                key = jobs[index][0]
+                loaded[key] = counters
+                if not guard.put_shard(key, counters) and journal is not None:
+                    journal.record(key, counters)
                 stopped = _check_stop(
                     controller, health, telemetry, len(loaded), total, journal
                 )
                 if stopped:
                     break
 
-    if not jobs:  # pure resume/hit: still persist the refreshed manifest
-        guard.save_manifest(manifest)
     if journal is not None and not stopped:
         journal.complete()  # a journal on disk always means "interrupted"
     if not stopped:
@@ -417,11 +396,3 @@ def run_sharded_splice(
         if key in loaded:  # on a deadline stop the merge is partial
             merged += loaded[key]
     return merged
-
-
-def _store_shard(guard, manifest, loaded, key, counters):
-    """Record one computed shard and checkpoint the manifest."""
-    loaded[key] = counters
-    guard.put_shard(key, counters)
-    manifest.mark_done(key)
-    guard.save_manifest(manifest)

@@ -111,10 +111,11 @@ class WriteSpool:
     def discard(self, namespace, key):
         """Drop a spooled frame a direct write has superseded.
 
-        Namespaces like ``manifests`` store *mutable* values under a
-        stable key: once a post-outage write reaches a replica
-        directly, the queued copy is stale — replaying it later would
-        roll the remote value back.  True when an entry was dropped.
+        Keyed namespaces (``results``, ``shards``) overwrite under a
+        caller-chosen key: once a post-outage write reaches a replica
+        directly, the queued copy is redundant at best, and stale if
+        the value changed — replaying it later would roll the remote
+        value back.  True when an entry was dropped.
         """
         path = self.root / namespace / check_key(key)
         try:

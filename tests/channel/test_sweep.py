@@ -145,6 +145,23 @@ class TestStoreCache:
         direct = run_channel_sweep(fs, plan)
         assert warm.to_dict() == direct.to_dict()
 
+    def test_only_shards_the_store_did_not_keep_are_journaled(
+        self, tmp_path, monkeypatch
+    ):
+        recorded = []
+        monkeypatch.setattr(
+            ShardJournal, "record",
+            lambda journal, key, report: recorded.append(key),
+        )
+        fs = small_fs()
+        plan = named_channel_plan("lossy-link", seed=4)
+        path = tmp_path / "channel.journal"
+        store = RunStore(tmp_path / "store")
+        run_channel_sweep(fs, plan, store=store, journal=ShardJournal(path))
+        assert store.shards.stats.puts == 3 and recorded == []
+        run_channel_sweep(fs, plan, journal=ShardJournal(path))
+        assert len(recorded) == 3  # no store: every shard
+
     def test_recording_events_skips_the_cache(self, tmp_path):
         fs = small_fs()
         plan = named_channel_plan("lossy-link", seed=4)

@@ -81,8 +81,7 @@ class TestSequentialChaos:
         root = tmp_path / "store"
         # Populate cleanly, then resume through a read-corrupting plan.
         run_splice_experiment(fs, config, store=RunStore(root))
-        # fault_seed=1 schedules bit flips on shard reads (seed 0's
-        # only hit lands on the manifest, which degrades differently).
+        # fault_seed=1 schedules bit flips on shard reads.
         result, plan, health = chaotic_run(fs, config, root, "bitrot", fault_seed=1)
         assert result.counters == clean_counters
         assert health.evictions > 0, "bit rot over a warm store must evict"

@@ -139,9 +139,12 @@ class TestHealthAndDelegation:
         wrapped = wrap_run_store(run_store, plan)
         assert wrapped is run_store
         assert isinstance(run_store.objects, FaultyObjectStore)
-        for attr in ("results", "shards", "manifests"):
-            assert isinstance(getattr(run_store, attr).store, FaultyObjectStore)
-            assert getattr(run_store, attr).store.plan is plan
+        wrapped_names = [
+            name for name, namespace in run_store.namespaces
+            if isinstance(namespace, FaultyObjectStore)
+            and namespace.plan is plan
+        ]
+        assert wrapped_names == ["objects", "results", "shards"]
 
 
 class TestDirectives:

@@ -78,6 +78,17 @@ class TestJournalAtomicWrite:
         assert active_rules(result) == ["REP402"]
         assert "atomic_write" in result.active[0].message
 
+    def test_raw_open_append_is_flagged(self, lint):
+        result = lint({
+            "repro/store/journal.py": """
+                def append_record(path, record):
+                    with open(path, "ab") as handle:
+                        handle.write(record)
+            """,
+        }, rules=["REP402"])
+        assert active_rules(result) == ["REP402"]
+        assert "durable_append" in result.active[0].message
+
     def test_write_bytes_and_replace_are_flagged(self, lint):
         result = lint({
             "repro/store/journal.py": """
@@ -95,10 +106,15 @@ class TestJournalAtomicWrite:
     def test_atomic_helper_route_is_clean(self, lint):
         result = lint({
             "repro/store/journal.py": """
-                from repro.store.objstore import atomic_write
+                from repro.store.backends.local import (
+                    atomic_write, durable_append,
+                )
 
                 def checkpoint(path, blob):
                     atomic_write(path, blob)
+
+                def append_record(path, record):
+                    durable_append(path, record)
 
                 def load(path):
                     return path.read_bytes()

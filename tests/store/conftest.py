@@ -1,8 +1,14 @@
-"""Store tests always run against an isolated cache root."""
+"""Store tests run against an isolated cache root; ``durable_writes``
+spies on the store's two write disciplines."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+from repro.store import journal as journal_module
+from repro.store.backends import local as local_backend
 
 
 @pytest.fixture(autouse=True)
@@ -11,3 +17,27 @@ def cache_root(tmp_path, monkeypatch):
     root = tmp_path / "cache-root"
     monkeypatch.setenv("REPRO_CHECKSUMS_CACHE", str(root))
     return root
+
+
+@pytest.fixture
+def durable_writes(monkeypatch):
+    """Every durable write, in order, as ``(discipline, path)``.
+
+    ``whole`` is an ``atomic_write`` (a shard object, or the journal's
+    creating write), ``append`` a journal ``durable_append``.
+    """
+    log = []
+
+    def spy(kind, real):
+        def write(path, blob):
+            log.append((kind, Path(path)))
+            return real(path, blob)
+        return write
+
+    monkeypatch.setattr(local_backend, "atomic_write",
+                        spy("whole", local_backend.atomic_write))
+    monkeypatch.setattr(journal_module, "atomic_write",
+                        spy("whole", journal_module.atomic_write))
+    monkeypatch.setattr(journal_module, "durable_append",
+                        spy("append", journal_module.durable_append))
+    return log

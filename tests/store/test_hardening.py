@@ -1,91 +1,15 @@
-"""Store hardening satellites: manifest degradation, idempotent delete.
+"""Store hardening satellites: idempotent delete, durable atomic writes.
 
-Covers the two robustness satellites on the store itself:
-
-* :meth:`ManifestStore.load` treats *any* defect — corrupt frame,
-  unparsable JSON, schema drift, I/O errors — as "no manifest";
-* :meth:`ObjectStore.delete` is idempotent under concurrent eviction,
-  and :meth:`ObjectStore._atomic_write` leaves durable, whole frames.
+Covers the robustness satellites on the store itself:
+:meth:`ObjectStore.delete` is idempotent under concurrent eviction,
+and :meth:`ObjectStore._atomic_write` leaves durable, whole frames.
 """
 
 from __future__ import annotations
 
 import shutil
 
-import pytest
-
-from repro.faults.injector import FaultyObjectStore
-from repro.faults.plan import FaultPlan
-from repro.store.manifest import ManifestStore, RunManifest
 from repro.store.objstore import ObjectStore, _fsync_dir, unframe_object
-
-RUN_KEY = "ab" * 32
-
-
-@pytest.fixture
-def store(tmp_path):
-    return ObjectStore(tmp_path / "manifests")
-
-
-def saved_manifest(store):
-    manifests = ManifestStore(store)
-    manifest = RunManifest(run_key=RUN_KEY, label="demo")
-    manifest.register("cd" * 32, "file-a")
-    manifest.mark_done("cd" * 32)
-    manifests.save(manifest)
-    return manifests
-
-
-class TestManifestDegradation:
-    def test_clean_round_trip(self, store):
-        manifests = saved_manifest(store)
-        loaded = manifests.load(RUN_KEY)
-        assert loaded is not None and loaded.done == 1
-
-    def test_missing_is_none(self, store):
-        assert ManifestStore(store).load(RUN_KEY) is None
-
-    def test_corrupt_frame_degrades_and_discards(self, store):
-        manifests = saved_manifest(store)
-        path = store.path_for(RUN_KEY)
-        blob = bytearray(path.read_bytes())
-        blob[3] ^= 0x40
-        path.write_bytes(bytes(blob))
-        assert manifests.load(RUN_KEY) is None
-        assert RUN_KEY not in store  # defective entry was dropped
-
-    def test_unparsable_json_degrades_and_discards(self, store):
-        # The integrity trailer verifies, but the payload is not JSON.
-        store.put_keyed(RUN_KEY, b"{this is not json")
-        assert ManifestStore(store).load(RUN_KEY) is None
-        assert RUN_KEY not in store
-
-    def test_schema_drift_degrades(self, store):
-        manifests = saved_manifest(store)
-        payload = store.get(RUN_KEY).replace(b'"schema": 1', b'"schema": 99')
-        store.put_keyed(RUN_KEY, payload)
-        assert manifests.load(RUN_KEY) is None
-
-    def test_io_error_degrades_to_none(self, store):
-        saved_manifest(store)
-        flaky = ManifestStore(
-            FaultyObjectStore(store, FaultPlan(0, store_rates={"eio": 1.0}))
-        )
-        assert flaky.load(RUN_KEY) is None
-
-    def test_discard_failure_is_swallowed(self, store):
-        # Even the cleanup of a defective entry must not raise.
-        manifests = saved_manifest(store)
-        path = store.path_for(RUN_KEY)
-        path.write_bytes(b"garbage with no trailer")
-
-        class ExplodingDelete(ObjectStore):
-            def delete(self, digest):
-                raise OSError("deletion refused")
-
-        flaky = ManifestStore(ExplodingDelete(store.root))
-        assert flaky.load(RUN_KEY) is None
-        assert manifests.load(RUN_KEY) is None
 
 
 class TestDeleteIdempotency:

@@ -90,29 +90,3 @@ class TestResume:
         assert retried.counters == complete.counters
         assert retry_store.shards.stats.corrupt == 1
         assert retry_store.shards.stats.puts == 1
-
-    def test_manifest_records_completion(self, cache_root):
-        fs = small_fs()
-        store = RunStore()
-        run_splice_experiment(fs, store=store)
-        manifests = list(store.manifests.store.digests())
-        assert len(manifests) == 1
-        manifest = store.manifests.load(manifests[0])
-        assert manifest is not None
-        assert manifest.finished
-        assert manifest.total == len(list(fs))
-        assert manifest.done == manifest.total
-        assert manifest.label == fs.name
-
-    def test_corrupt_manifest_degrades_to_fresh_run(self, cache_root):
-        fs = small_fs()
-        store = RunStore()
-        complete = run_splice_experiment(fs, store=store)
-        key = next(iter(store.manifests.store.digests()))
-        path = store.manifests.store.path_for(key)
-        blob = bytearray(path.read_bytes())
-        blob[0] ^= 0xFF
-        path.write_bytes(bytes(blob))
-
-        again = run_splice_experiment(fs, store=RunStore())
-        assert again.counters == complete.counters
