@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-compare microbench report figures quicktest chaos channel-check cache-stats cache-audit store-check lint bless clean
+.PHONY: install test bench bench-compare microbench report figures quicktest chaos channel-check cache-stats cache-audit lint bless clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -39,16 +39,15 @@ channel-check:
 	rm -f channel.trace
 
 # Quick throughput snapshot (BENCH_<n>.json + delta table vs the
-# previous one) and the overhead guarantees: disabled telemetry (<2%),
-# sweep journaling (<3% on four 120-150 kB files) and the store
-# resilience layer (<2% of hot-path wall time), all asserted.  On a
-# 2-vCPU VM's ext4 disk one journal append per shard measured 5.1% of
-# sweep time on those four files and 11% on the 12-file nsc05 table
+# previous one) and the overhead guarantees: disabled telemetry (<2%)
+# and sweep journaling (<3% on four 120-150 kB files), both asserted.
+# On a 2-vCPU VM's ext4 disk one journal append per shard measured 5.1%
+# of sweep time on those four files and 11% on the 12-file nsc05 table
 # corpus, against 28% and 41% for the earlier whole-file rewrite per
 # shard (medians of 7 runs), so the journaling bound fails there.
 bench: bench-compare
 	$(PYTHON) -m repro.cli bench --quick
-	$(PYTHON) -m pytest benchmarks/test_telemetry_overhead.py benchmarks/test_journal_overhead.py benchmarks/test_resilience_overhead.py -q -s
+	$(PYTHON) -m pytest benchmarks/test_telemetry_overhead.py benchmarks/test_journal_overhead.py -q -s
 
 # Scalar-vs-batch engine comparison: bit-identical counters (the
 # conformance half) and the advertised >=5x batch speedup floor on the
@@ -70,17 +69,6 @@ cache-stats:
 
 cache-audit:
 	$(PYTHON) -m repro.cli cache audit
-
-# Backend conformance + scrubber + resilience: the store suite across
-# local, memory, HTTP, multiplexed, and striped backends, the
-# byte-identical sweep transparency checks, the scrub/repair chaos
-# tests, and the self-healing layer (retry policy, circuit breakers,
-# hedged reads, the degraded-mode write spool).
-store-check:
-	$(PYTHON) -m pytest tests/store/test_backends.py tests/store/test_scrub.py \
-		tests/store/test_backends_sweep.py tests/faults/test_remote_faults.py \
-		tests/store/test_resilience.py tests/store/test_spool.py \
-		tests/faults/test_resilience_chaos.py -q
 
 # Static analysis: the domain-aware reprolint rules always run (with
 # the incremental cache, so edit-lint loops stay fast); ruff and mypy

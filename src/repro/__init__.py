@@ -64,13 +64,9 @@ _FACADE_EXPORTS = (
     "ChannelPlan",
     "ChannelReport",
     "ChecksumPlacement",
-    "CircuitBreaker",
     "EngineKind",
     "IndependentLoss",
-    "ManualClock",
     "PacketizerConfig",
-    "ResilienceController",
-    "RetryPolicy",
     "RunAborted",
     "RunHealth",
     "ShardJournal",
@@ -78,7 +74,6 @@ _FACADE_EXPORTS = (
     "Telemetry",
     "TraceError",
     "TransferReport",
-    "WriteSpool",
     "activate_telemetry",
     "algorithm_names",
     "algorithm_summaries",
@@ -92,15 +87,12 @@ _FACADE_EXPORTS = (
     "current_telemetry",
     "deactivate_telemetry",
     "default_journal_dir",
-    "default_spool_dir",
-    "drain_spool",
     "experiment_ids",
     "generate_markdown_report",
     "latest_bench_snapshot",
     "lint_rules",
     "named_channel_plan",
     "named_plan",
-    "open_backend",
     "open_journal",
     "open_store",
     "plan_names",
@@ -114,8 +106,6 @@ _FACADE_EXPORTS = (
     "run_experiment",
     "run_lint",
     "run_splice_experiment",
-    "scrub_run_store",
-    "serve_store",
     "simulate_file_transfer",
     "sum_file",
     "supports_batch",

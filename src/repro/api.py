@@ -67,23 +67,12 @@ __all__ = [
     "run_channel_sweep",
     "run_channel_transfer",
     "write_channel_trace",
-    # store backends, network service, maintenance
+    # store maintenance
     "audit_run_store",
-    "open_backend",
-    "scrub_run_store",
-    "serve_store",
     # fault injection / chaos
     "named_plan",
     "plan_names",
     "wrap_run_store",
-    # store resilience: retries, breakers, degraded-mode spool
-    "CircuitBreaker",
-    "ManualClock",
-    "ResilienceController",
-    "RetryPolicy",
-    "WriteSpool",
-    "default_spool_dir",
-    "drain_spool",
     # reporting and rendering
     "generate_markdown_report",
     "write_figure_svg",
@@ -110,13 +99,6 @@ _LAZY = {
     "ChecksumPlacement": ("repro.protocols.packetizer", "ChecksumPlacement"),
     "EngineKind": ("repro.checksums.batch", "EngineKind"),
     "supports_batch": ("repro.checksums.registry", "supports_batch"),
-    "CircuitBreaker": ("repro.store.resilience", "CircuitBreaker"),
-    "ManualClock": ("repro.store.resilience", "ManualClock"),
-    "ResilienceController": ("repro.store.resilience", "ResilienceController"),
-    "RetryPolicy": ("repro.store.resilience", "RetryPolicy"),
-    "WriteSpool": ("repro.store.spool", "WriteSpool"),
-    "default_spool_dir": ("repro.store.spool", "default_spool_dir"),
-    "drain_spool": ("repro.store.spool", "drain_spool"),
     "ArqConfig": ("repro.channel.arq", "ArqConfig"),
     "ChannelPlan": ("repro.channel.plan", "ChannelPlan"),
     "ChannelReport": ("repro.channel.arq", "ChannelReport"),
@@ -151,10 +133,7 @@ _LAZY = {
         "repro.experiments.markdown", "generate_markdown_report"),
     "latest_bench_snapshot": ("repro.telemetry.bench", "latest_snapshot"),
     "named_plan": ("repro.faults.plan", "named_plan"),
-    "open_backend": ("repro.store.backends", "open_backend"),
     "plan_names": ("repro.faults.plan", "plan_names"),
-    "scrub_run_store": ("repro.store.scrub", "scrub_run_store"),
-    "serve_store": ("repro.store.api.server", "serve_store"),
     "lint_rules": ("repro.lint.engine", "all_rules"),
     "run_lint": ("repro.lint.engine", "run_lint"),
     "run_bench": ("repro.telemetry.bench", "run_bench"),
@@ -258,39 +237,18 @@ def sum_file(path, algorithm="internet"):
         return engine.compute(handle.read())
 
 
-def open_store(root=None, algorithm=None, url=None, timeout=10.0):
+def open_store(root=None, algorithm=None):
     """A :class:`~repro.store.runner.RunStore` rooted at ``root``.
 
     ``root`` defaults to ``$REPRO_CHECKSUMS_CACHE`` or
     ``~/.cache/repro-checksums``; ``algorithm`` names the integrity-
-    trailer check code (default CRC-32/AAL5).  ``url`` instead selects
-    a backend by ``--store-url`` spec (``file://``, ``memory://``,
-    ``http://``, comma-separated replicas for a resilient multiplexer,
-    ``stripe:`` for striping — see :mod:`repro.store.backends`);
-    remote specs get per-replica circuit breakers and a degraded-mode
-    write spool (under ``root`` when given, the default store root
-    otherwise).  ``timeout`` bounds each remote operation (the
-    ``--store-timeout`` flag).  Pass the result as
+    trailer check code (default CRC-32/AAL5).  Pass the result as
     ``cache=``/``store=`` to :func:`run_experiment`.
     """
     from repro.store.objstore import DEFAULT_ALGORITHM
     from repro.store.runner import RunStore
 
-    algorithm = algorithm or DEFAULT_ALGORITHM
-    if url is not None:
-        from repro.store.backends import open_store_url
-
-        spool_dir = None
-        if root is not None:
-            from repro.store.spool import default_spool_dir
-
-            spool_dir = default_spool_dir(root)
-        return RunStore(
-            algorithm=algorithm,
-            backend=open_store_url(url, timeout=timeout,
-                                   spool_dir=spool_dir),
-        )
-    return RunStore(root, algorithm)
+    return RunStore(root, algorithm or DEFAULT_ALGORITHM)
 
 
 def __getattr__(name):

@@ -23,12 +23,6 @@ Subcommands:
   ``~/.cache/repro-checksums``, overridable with ``--cache-dir`` or
   ``$REPRO_CHECKSUMS_CACHE``); ``stats`` includes the per-backend
   hit/miss/byte counters.
-* ``store serve|scrub|flush-spool`` -- run the ``repro-store/1`` HTTP
-  server over a store root (or any backend URL); the CRC scrubber:
-  walk a backend re-verifying integrity trailers, quarantine corrupt
-  objects, repair them from healthy replicas; and the degraded-mode
-  spool drain: replay writes queued locally during a remote-store
-  outage (exit 0 once the spool is empty, 1 while entries remain).
 * ``chaos`` -- run a splice sweep under a named fault-injection plan
   (worker crashes, store bit rot, ENOSPC, ...) and assert the final
   counters are bit-identical to a fault-free run.
@@ -114,35 +108,8 @@ def _workers_parent(default=None,
     return parent
 
 
-def _store_url_spec(value):
-    """Argparse type: syntax-check a ``--store-url`` spec at parse time.
-
-    Mirrors the grammar of ``repro.store.backends.open_store_url`` so a
-    typo'd scheme is an argparse error (exit 2, one line) instead of a
-    traceback when the backend first opens.
-    """
-    spec = value
-    if spec.startswith("stripe:"):
-        spec = spec[len("stripe:"):]
-    for part in spec.split(","):
-        part = part.strip()
-        if part.startswith("readonly+"):
-            part = part[len("readonly+"):]
-        if not part:
-            raise argparse.ArgumentTypeError(
-                "empty replica in store URL %r" % value
-            )
-        scheme, sep, _ = part.partition("://")
-        if sep and scheme not in ("file", "http", "memory"):
-            raise argparse.ArgumentTypeError(
-                "unsupported store URL scheme %r (known: file, http, "
-                "memory)" % scheme
-            )
-    return value
-
-
 def _cache_parent(toggle=True):
-    """``--cache``/``--cache-dir``/``--store-url``: a run's store."""
+    """``--cache``/``--cache-dir``: a run's store."""
     parent = argparse.ArgumentParser(add_help=False)
     if toggle:
         parent.add_argument("--cache", action=argparse.BooleanOptionalAction,
@@ -151,17 +118,6 @@ def _cache_parent(toggle=True):
     parent.add_argument("--cache-dir", default=None,
                         help="store root (default: $REPRO_CHECKSUMS_CACHE or "
                              "~/.cache/repro-checksums)")
-    parent.add_argument("--store-url", default=None, metavar="SPEC",
-                        type=_store_url_spec,
-                        help="artifact store backend instead of a local "
-                             "root: a path, file://, memory://[name], or "
-                             "http:// URL; comma-separate replicas for a "
-                             "resilient multiplexer, prefix 'stripe:' to "
-                             "stripe (implies --cache)")
-    parent.add_argument("--store-timeout", type=_positive_seconds,
-                        metavar="SECONDS", default=None,
-                        help="per-operation timeout for remote store "
-                             "backends (default: 10 seconds)")
     return parent
 
 
@@ -319,43 +275,6 @@ def build_parser():
     cache_sub.add_parser("clear", parents=[_cache_parent(toggle=False)],
                          help="delete every stored object")
 
-    p_store = sub.add_parser(
-        "store", help="network store service and CRC scrubber"
-    )
-    store_sub = p_store.add_subparsers(dest="store_command", required=True)
-    p_serve = store_sub.add_parser(
-        "serve", help="serve an artifact store over HTTP (repro-store/1)"
-    )
-    p_serve.add_argument("--root", default=None,
-                         help="store root directory to serve (default: "
-                              "$REPRO_CHECKSUMS_CACHE or "
-                              "~/.cache/repro-checksums)")
-    p_serve.add_argument("--store-url", default=None, metavar="SPEC",
-                         type=_store_url_spec,
-                         help="serve this backend instead of a local root "
-                              "(e.g. memory://shared)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8970,
-                         help="listening port (0 picks an ephemeral one)")
-    p_serve.add_argument("--verbose", action="store_true",
-                         help="log each request to stderr")
-    p_scrub = store_sub.add_parser(
-        "scrub", parents=[_cache_parent(toggle=False)],
-        help="re-verify every trailer; quarantine, repair from replicas",
-    )
-    p_scrub.add_argument("--quarantine", metavar="DIR", default=None,
-                         help="salvage corrupt frames into this directory "
-                              "before evicting them")
-    p_scrub.add_argument("--repair", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="rewrite corrupt objects from a healthy "
-                              "replica (multiplexed stores)")
-    store_sub.add_parser(
-        "flush-spool", parents=[_cache_parent(toggle=False)],
-        help="replay writes spooled during a remote-store outage "
-             "(exit 0 when the spool ends up empty, 1 otherwise)",
-    )
-
     p_chaos = sub.add_parser(
         "chaos",
         help="run a sweep under fault injection; verify counters survive",
@@ -478,30 +397,10 @@ def build_parser():
     return parser
 
 
-def _store_kwargs(args, url):
-    """``open_store`` kwargs for a ``--store-url`` spec."""
-    kwargs = {"url": url, "root": getattr(args, "cache_dir", None)}
-    timeout = getattr(args, "store_timeout", None)
-    if timeout is not None:
-        kwargs["timeout"] = timeout
-    return kwargs
-
-
 def _make_store(args):
-    """A RunStore when ``--cache``/``--store-url`` was requested, else None."""
-    url = getattr(args, "store_url", None)
-    if url:
-        return open_store(**_store_kwargs(args, url))
+    """A RunStore when ``--cache`` was requested, else None."""
     if not getattr(args, "cache", False):
         return None
-    return open_store(args.cache_dir)
-
-
-def _open_cache_store(args):
-    """The store a maintenance command operates on (always opens one)."""
-    url = getattr(args, "store_url", None)
-    if url:
-        return open_store(**_store_kwargs(args, url))
     return open_store(args.cache_dir)
 
 
@@ -618,7 +517,7 @@ def _cmd_splice(args):
 def _cmd_cache(args):
     from repro.api import audit_run_store
 
-    store = _open_cache_store(args)
+    store = open_store(args.cache_dir)
     if args.cache_command == "stats":
         stats = store.stats()
         print("root               %s" % stats["root"])
@@ -634,8 +533,12 @@ def _cmd_cache(args):
         print("")
         print("backend counters (this process):")
         for name, entry in store.backend_stats().items():
-            _print_backend_counters(name, entry)
-        _print_resilience(store.resilience_stats())
+            c = entry["counters"]
+            print("%-11s %-9s %4d gets (%d hits/%d misses) %4d puts "
+                  "%10d B read %10d B written %d errors" % (
+                      name, entry["kind"], c["gets"], c["hits"],
+                      c["misses"], c["puts"], c["bytes_read"],
+                      c["bytes_written"], c["errors"]))
         return 0
     if args.cache_command == "audit":
         report = audit_run_store(store, evict=args.evict)
@@ -645,76 +548,6 @@ def _cmd_cache(args):
         removed = store.clear()
         print("removed %d objects from %s" % (removed, store.describe()))
         return 0
-    return 1
-
-
-def _print_backend_counters(name, entry, indent=""):
-    c = entry["counters"]
-    print("%s%-11s %-9s %4d gets (%d hits/%d misses) %4d puts "
-          "%10d B read %10d B written %d errors" % (
-              indent, name, entry["kind"], c["gets"], c["hits"], c["misses"],
-              c["puts"], c["bytes_read"], c["bytes_written"], c["errors"]))
-    for child in entry.get("children", ()):
-        _print_backend_counters("- " + child["kind"], child,
-                                indent=indent + "  ")
-
-
-def _print_resilience(stats):
-    """Render a ``resilience_stats()`` snapshot (no-op when None)."""
-    if not stats:
-        return
-    print("")
-    print("resilience (this process):")
-    for breaker in stats.get("breakers", ()):
-        print("  breaker %-9s %s  (%d ok/%d failed/%d slow)" % (
-            breaker["state"], breaker["name"], breaker["successes"],
-            breaker["failures"], breaker["slow_reads"]))
-        for transition in breaker["transitions"]:
-            print("    op %-6d %s -> %s (%s)" % (
-                transition["op"], transition["from"], transition["to"],
-                transition["reason"]))
-    spool = stats.get("spool")
-    if spool is not None:
-        print("  spool   %d pending write(s), %d bytes, at %s" % (
-            spool["entries"], spool["bytes"], spool["dir"]))
-
-
-def _cmd_store(args):
-    if args.store_command == "serve":
-        from repro.api import open_backend, serve_store
-
-        backend = open_backend(args.store_url) if args.store_url else None
-        server = serve_store(root=args.root, backend=backend,
-                             host=args.host, port=args.port,
-                             verbose=args.verbose)
-        print("repro-store %s serving %s" % (
-            server.url, server.backend.describe()), flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - operator stop
-            pass
-        finally:
-            server.server_close()
-        return 0
-    if args.store_command == "scrub":
-        from repro.api import scrub_run_store
-
-        store = _open_cache_store(args)
-        print("store              %s" % store.describe())
-        report = scrub_run_store(store, repair=args.repair,
-                                 quarantine=args.quarantine)
-        print(report.render())
-        _print_resilience(store.resilience_stats())
-        return 0 if report.unrepairable == 0 else 1
-    if args.store_command == "flush-spool":
-        store = _open_cache_store(args)
-        print("store              %s" % store.describe())
-        report = store.drain_spool()
-        if report is None:
-            print("no write spool configured for this store")
-            return 0
-        print(report.render())
-        return 0 if report.clean else 1
     return 1
 
 
@@ -1055,7 +888,6 @@ _COMMANDS = {
     "transfer": _cmd_transfer,
     "channel": _cmd_channel,
     "cache": _cmd_cache,
-    "store": _cmd_store,
     "chaos": _cmd_chaos,
     "sum": _cmd_sum,
     "bench": _cmd_bench,

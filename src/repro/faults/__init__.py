@@ -18,7 +18,6 @@ _EXPORTS = {
     "FaultEvent": "repro.faults.plan",
     "FaultInjected": "repro.faults.injector",
     "FaultPlan": "repro.faults.plan",
-    "FaultyBackend": "repro.faults.injector",
     "FaultyObjectStore": "repro.faults.injector",
     "NAMED_PLANS": "repro.faults.plan",
     "SimulatedCrash": "repro.faults.injector",

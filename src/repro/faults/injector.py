@@ -4,9 +4,10 @@ Two injection surfaces, both driven by a :class:`repro.faults.plan.FaultPlan`:
 
 * :class:`FaultyObjectStore` wraps any :class:`repro.store.objstore.ObjectStore`
   and injects **read-side** corruption (bit flips, torn reads, EIO),
-  **write-side** failures (ENOSPC, EROFS, torn writes), and eviction
-  races — without ever touching the intact bytes on disk for read
-  faults, so a retry sees the true object;
+  network-style read failures (connection resets, timeouts, slow and
+  stale reads), **write-side** failures (ENOSPC, EROFS, torn writes),
+  and eviction races — without ever touching the intact bytes on disk
+  for read faults, so a retry sees the true object;
 * :func:`shim_file_counters` is a picklable pool-worker shim that
   executes one splice shard under a fault *directive* decided by the
   parent (crash the process, raise, stall, or simulate a kill).
@@ -25,12 +26,10 @@ import os
 import signal
 import time
 
-from repro.store.backends.base import Backend
 from repro.store.objstore import frame_object, unframe_object
 
 __all__ = [
     "FaultInjected",
-    "FaultyBackend",
     "FaultyObjectStore",
     "SimulatedCrash",
     "shim_file_counters",
@@ -110,11 +109,6 @@ class FaultyObjectStore:
             raise OSError(errno.ETIMEDOUT, "injected: request timed out")
         if kind == "slowread":
             time.sleep(self.plan.slow_seconds)  # late bytes, not lost ones
-            return self.inner.get(digest, verify=verify)
-        if kind == "stale":
-            # A local store has no stale replica to serve; the frame it
-            # has *is* the newest one, so the fault degrades to a read.
-            return self.inner.get(digest, verify=verify)
         if kind in ("bitflip", "truncate"):
             path = self.inner.path_for(digest)
             try:
@@ -129,6 +123,8 @@ class FaultyObjectStore:
                 blob = blob[: max(0, len(blob) - 5)]
             payload, _ = unframe_object(blob, verify=verify)  # IntegrityError
             return payload
+        # ``slowread`` and ``stale`` read the true frame: a local store
+        # has no older frame to serve, the one it has *is* the newest.
         return self.inner.get(digest, verify=verify)
 
     # -- write --------------------------------------------------------------
@@ -161,109 +157,6 @@ class FaultyObjectStore:
             # A concurrent evictor won the race; deletion is idempotent.
             return False
         return self.inner.delete(digest)
-
-
-class FaultyBackend(Backend):
-    """A frame-level :class:`Backend` proxy injecting per-plan faults.
-
-    The network-age sibling of :class:`FaultyObjectStore`: it wraps one
-    backend (typically one *replica* of a multiplexer) and injects the
-    remote-fault kinds — connection resets, timeouts, slow reads, stale
-    serves — plus the classic read/write corruption.  Corrupt frames
-    are corrupted *in flight*; the wrapped backend keeps the true
-    bytes, so a scrub or retry sees the real object.
-    """
-
-    kind = "faulty"
-
-    def __init__(self, inner, plan, health=None):
-        super().__init__()
-        self.inner = inner
-        self.plan = plan
-        self.health = health
-        #: first frame ever stored per key — what ``stale`` serves.
-        self._first_frames = {}
-
-    @property
-    def children(self):
-        return (self.inner,)
-
-    def describe(self):
-        return "faulty(%s)" % self.inner.describe()
-
-    def sub(self, namespace):
-        derived = FaultyBackend(self.inner.sub(namespace), self.plan,
-                                self.health)
-        return derived
-
-    def attach_health(self, health):
-        self.health = health
-        if hasattr(self.inner, "attach_health"):
-            self.inner.attach_health(health)
-
-    def close(self):
-        self.inner.close()
-
-    def _injected(self, op):
-        kind = self.plan.store_fault(op)
-        if kind is not None and self.health is not None:
-            self.health.faults_injected += 1
-        return kind
-
-    # -- hooks --------------------------------------------------------------
-
-    def _get_frame(self, key):
-        kind = self._injected("get")
-        if kind == "eio":
-            raise OSError(errno.EIO, "injected I/O error")
-        if kind == "connreset":
-            raise ConnectionResetError(
-                errno.ECONNRESET, "injected: connection reset by peer"
-            )
-        if kind == "conntimeout":
-            raise OSError(errno.ETIMEDOUT, "injected: request timed out")
-        if kind == "slowread":
-            time.sleep(self.plan.slow_seconds)
-            return self.inner.get_frame(key)
-        if kind == "stale":
-            stale = self._first_frames.get(key)
-            if stale is not None:
-                return stale  # an old frame whose trailer still verifies
-            return self.inner.get_frame(key)
-        frame = self.inner.get_frame(key)
-        if kind == "bitflip":
-            corrupted = bytearray(frame)
-            corrupted[len(corrupted) // 2] ^= 0x10
-            return bytes(corrupted)
-        if kind == "truncate":
-            return frame[: max(0, len(frame) - 5)]
-        return frame
-
-    def _put_frame(self, key, frame):
-        kind = self._injected("put")
-        if kind == "enospc":
-            raise OSError(errno.ENOSPC, "injected: no space left on device")
-        if kind == "erofs":
-            raise OSError(errno.EROFS, "injected: read-only file system")
-        if kind == "torn":
-            self.inner.put_frame(key, frame[: max(1, (len(frame) * 3) // 5)])
-            return
-        self.inner.put_frame(key, frame)
-        self._first_frames.setdefault(key, bytes(frame))
-
-    def _delete(self, key):
-        if self._injected("delete") == "enoent":
-            return False
-        return self.inner.delete(key)
-
-    def _contains(self, key):
-        return self.inner.contains(key)
-
-    def _keys(self):
-        return iter(self.inner.keys())
-
-    def _size(self, key):
-        return self.inner.size(key)
 
 
 def wrap_run_store(store, plan, health=None):

@@ -43,11 +43,11 @@ KIND_TO_OP = {
     "erofs": "put",       # OSError(EROFS): filesystem went read-only
     "torn": "put",        # persist only a prefix of the frame
     "enoent": "delete",   # concurrent eviction won the race
-    # Remote-backend faults (a networked replica misbehaving):
+    # Network-style read faults (the store behaving like a flaky link):
     "connreset": "get",   # connection reset mid-transfer
     "conntimeout": "get", # request exceeded its deadline
     "slowread": "get",    # the bytes arrive, but late (latency spike)
-    "stale": "get",       # replica serves an old (still-verifying) frame
+    "stale": "get",       # an old frame; a local store has only the newest
 }
 
 #: Worker fault kinds the injector's shim understands.  The ``sigint``
@@ -253,17 +253,17 @@ NAMED_PLANS = {
         stall_seconds=1.5,
         shard_timeout=0.5,
     ),
-    # A remote replica misbehaving: resets, timeouts, latency spikes,
-    # stale serves.  Point it at one replica of a multiplexer and the
-    # sweep degrades to the healthy one, bit-identically.
+    # Store reads misbehaving like a flaky network: resets, timeouts,
+    # latency spikes, stale serves.  The store guard retries or skips
+    # each failed read and the shard is recomputed, bit-identically.
     "flaky-network": dict(
         store_rates={"connreset": 0.20, "conntimeout": 0.10,
                      "slowread": 0.15, "stale": 0.05},
         slow_seconds=0.02,
     ),
-    # A replica goes completely dark: every read and write errors.
-    # Point it at all replicas of a resilient multiplexer to force the
-    # breakers open and exercise the degraded-mode write spool.
+    # The store goes completely dark: every read and write errors, so
+    # the store guard demotes the run to store-less mode; the counters
+    # are unaffected.
     "replica-outage": dict(
         store_rates={"eio": 1.0, "erofs": 1.0},
         max_faults=1_000_000,
@@ -275,7 +275,7 @@ NAMED_PLANS = {
         slow_seconds=0.01,
         channel="bursty-link",
     ),
-    # Cells arrive jittered, held back, duplicated; remote reads time
+    # Cells arrive jittered, held back, duplicated; store reads time
     # out now and then.
     "reordering-link": dict(
         store_rates={"conntimeout": 0.05},

@@ -146,7 +146,7 @@ class LintConfig:
 
     #: The one place except-and-retry loops are legitimate: the
     #: RetryPolicy engine itself.  Every other store module must
-    #: delegate its retries there (seeded backoff, budgets, telemetry).
+    #: delegate its retries there (attempt budget, telemetry).
     resilience_modules: tuple = field(default_factory=lambda: _tuple(
         "repro.store.resilience",
     ))

@@ -25,13 +25,12 @@ subsystem exists to prevent.  Methods whose names mark them as
 frame-level (``get_frame``) are the deliberate exception: they return
 trailer-carrying bytes for the caller's own unframe boundary.
 
-REP404 guards the store's retry discipline: fault handling lives in
-``repro.store.resilience.RetryPolicy`` (seeded backoff, attempt
-budgets, deadlines, telemetry), so a hand-rolled ``for _ in range(2)``
-loop that swallows transport errors and retries is a policy fork --
-its retries are invisible to telemetry, unbounded by the request
-deadline, and jittered by nothing, which silently breaks the
-determinism argument the chaos tests rely on.
+REP404 guards the store's retry discipline: retries live in
+``repro.store.resilience.RetryPolicy`` (an attempt budget and
+telemetry), so a hand-rolled ``for _ in range(2)`` loop that swallows
+transport errors and retries is a policy fork -- its retries are
+invisible to telemetry and to the store guard's error ledger, which
+the chaos tests' health accounting relies on.
 
 REP501 statically re-checks what the runtime conformance tests check
 dynamically: every algorithm registered in ``checksums.registry``
@@ -320,8 +319,8 @@ class HandRolledRetryRule(Rule):
     invariant = (
         "Every except-and-retry loop under repro.store delegates to "
         "resilience.RetryPolicy (no hand-rolled for-range loops that "
-        "swallow transport errors and loop), so retries are seeded, "
-        "budgeted, deadline-bounded, and telemetry-counted."
+        "swallow transport errors and loop), so retries are budgeted "
+        "and telemetry-counted."
     )
 
     def check(self, module, ctx):
@@ -342,7 +341,7 @@ class HandRolledRetryRule(Rule):
                     "hand-rolled retry loop (for over range swallowing "
                     "a transport error): delegate to repro.store."
                     "resilience.RetryPolicy.run() so the retry is "
-                    "seeded, budgeted, and telemetry-counted",
+                    "budgeted and telemetry-counted",
                 )
 
     @staticmethod

@@ -3,13 +3,9 @@
 The persistence layer behind cached and resumable experiments:
 
 * :mod:`repro.store.framing` -- the integrity-trailed frame format
-  every backend stores and transmits (CRC-32/AAL5 by default);
-* :mod:`repro.store.backends` -- pluggable frame backends (pathsliced
-  local directory, in-memory, HTTP remote) and their compositions
-  (resilient multiplexer, striping, read-only filter);
-* :mod:`repro.store.api` -- the ``repro-store/1`` HTTP server/client
-  pair serving a backend over the network, trailers verified on both
-  ends of both transfers;
+  every backend stores (CRC-32/AAL5 by default);
+* :mod:`repro.store.backends` -- the frame-backend interface and its
+  two implementations (pathsliced local directory, in-memory);
 * :mod:`repro.store.objstore` -- the framing layer over a backend:
   content-addressed payload storage with self-checking objects;
 * :mod:`repro.store.keys` -- canonical cache keys over experiment
@@ -22,21 +18,15 @@ The persistence layer behind cached and resumable experiments:
 * :mod:`repro.store.journal` -- the append-only log of the shards a
   sweep computed but no store kept, for ``--resume``;
 * :mod:`repro.store.audit` -- re-verify every stored object;
-* :mod:`repro.store.scrub` -- walk a backend re-verifying trailers,
-  quarantining corrupt objects and repairing them from healthy
-  replicas.
+* :mod:`repro.store.resilience` -- the retry policy behind the
+  runner's store guard.
 
 Corruption is always survivable: a failed trailer evicts the entry and
 the caller recomputes — the cache can cost time, never correctness.
 """
 
 from repro.store.audit import AuditReport, audit_run_store
-from repro.store.backends import (
-    Backend,
-    BackendCounters,
-    open_backend,
-    open_store_url,
-)
+from repro.store.backends import Backend, BackendCounters
 from repro.store.cache import ResultCache
 from repro.store.keys import SCHEMA_VERSION, experiment_key, shard_key
 from repro.store.objstore import (
@@ -46,7 +36,6 @@ from repro.store.objstore import (
     default_root,
 )
 from repro.store.runner import RunStore, run_sharded_splice
-from repro.store.scrub import ScrubReport, scrub_backend, scrub_run_store
 
 __all__ = [
     "AuditReport",
@@ -58,14 +47,9 @@ __all__ = [
     "ResultCache",
     "RunStore",
     "SCHEMA_VERSION",
-    "ScrubReport",
     "audit_run_store",
     "default_root",
     "experiment_key",
-    "open_backend",
-    "open_store_url",
     "run_sharded_splice",
-    "scrub_backend",
-    "scrub_run_store",
     "shard_key",
 ]

@@ -92,14 +92,6 @@ def audit_object_store(store, namespace="objects", evict=False, content_addresse
             blob = store.get_frame(digest)
         except KeyError:  # pragma: no cover - concurrent eviction
             continue
-        except IntegrityError as exc:
-            # Verifying backends (HTTP remote, multiplexer) refuse to
-            # serve a corrupt frame at all — same finding, earlier stop.
-            evicted = bool(evict and store.delete(digest))
-            report.findings.append(
-                AuditFinding(namespace, digest, str(exc), evicted=evicted)
-            )
-            continue
         except OSError as exc:
             report.findings.append(
                 AuditFinding(namespace, digest, "unreadable: %s" % exc)

@@ -1,170 +1,26 @@
-"""Pluggable object-store backends and the URL grammar naming them.
+"""Object-store backends: the frame-store interface and its two homes.
 
 The formal interface is :class:`repro.store.backends.base.Backend`:
 frame-level storage under hex keys, per-backend hit/miss/byte
 counters, and ``sub(namespace)`` derivation for the RunStore
 namespaces.  Implementations:
 
-==========  ========================================  ==================
-scheme      example                                   backend
-==========  ========================================  ==================
-(path)      ``/var/cache/repro`` / ``file:///...``    LocalBackend
-memory      ``memory://`` / ``memory://shared``       MemoryBackend
-http        ``http://127.0.0.1:8970``                 HTTPBackend
-==========  ========================================  ==================
-
-Composition is spelled in the ``--store-url`` grammar understood by
-:func:`open_store_url`:
-
-* ``URL,URL[,URL...]`` — a resilient :class:`MultiplexBackend`: reads
-  come from the first replica whose frame verifies, writes go through
-  to every replica, failing replicas are skipped with one RunHealth
-  warning each;
-* ``stripe:URL,URL`` — a :class:`StripingBackend`: each key owned by
-  exactly one child;
-* a ``readonly+`` prefix on any single URL wraps it in
-  :class:`ReadOnlyBackend` (e.g. ``readonly+http://host:8970`` as the
-  warm upstream replica of a multiplexer).
-
-Every multiplexer built here carries a
-:class:`~repro.store.resilience.ResilienceController` — per-replica
-circuit breakers that quarantine, probe, and reintegrate unhealthy
-replicas — and, whenever a replica is *remote* (``http://``), a
-degraded-mode :class:`~repro.store.spool.WriteSpool` so a total
-outage queues writes locally instead of dropping them.  A single
-remote URL is wrapped in a one-replica multiplexer for the same
-protection; single local/memory backends stay bare (pass
-``resilience=False`` to opt a composite out and get the PR 6
-behaviour).
+* :class:`LocalBackend` -- the pathsliced on-disk store under a root
+  directory (``--cache-dir``), atomic fsync-disciplined writes;
+* :class:`MemoryBackend` -- frames in a dict, for tests and scratch
+  runs.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from urllib.parse import urlsplit
-
-from repro.store.backends.base import (
-    Backend,
-    BackendCounters,
-    ReadOnlyError,
-)
+from repro.store.backends.base import Backend, BackendCounters
 from repro.store.backends.local import LocalBackend, atomic_write
-from repro.store.backends.memory import MemoryBackend, named_region
-from repro.store.backends.multiplex import (
-    MultiplexBackend,
-    ReadOnlyBackend,
-    StripingBackend,
-)
-from repro.store.backends.remote import HTTPBackend
+from repro.store.backends.memory import MemoryBackend
 
 __all__ = [
     "Backend",
     "BackendCounters",
-    "HTTPBackend",
     "LocalBackend",
     "MemoryBackend",
-    "MultiplexBackend",
-    "ReadOnlyBackend",
-    "ReadOnlyError",
-    "StripingBackend",
     "atomic_write",
-    "backend_schemes",
-    "named_region",
-    "open_backend",
-    "open_store_url",
 ]
-
-#: ``--store-url`` prefix selecting the striping composition.
-STRIPE_PREFIX = "stripe:"
-
-#: URL prefix wrapping a single backend read-only.
-READONLY_PREFIX = "readonly+"
-
-
-def backend_schemes():
-    """The URL schemes :func:`open_backend` understands, sorted."""
-    return ("file", "http", "memory")
-
-
-def open_backend(url=None, timeout=10.0):
-    """A single backend for ``url`` (path, ``file://``, ``memory://``,
-    ``http://``); ``None`` opens the default local store root."""
-    if url is None:
-        from repro.store.objstore import default_root
-
-        return LocalBackend(default_root())
-    if isinstance(url, Path):
-        return LocalBackend(url)
-    url = str(url).strip()
-    if url.startswith(READONLY_PREFIX):
-        return ReadOnlyBackend(
-            open_backend(url[len(READONLY_PREFIX):], timeout=timeout)
-        )
-    if "://" not in url:
-        return LocalBackend(Path(url).expanduser())
-    parts = urlsplit(url)
-    if parts.scheme == "file":
-        return LocalBackend(Path(parts.path or "/").expanduser())
-    if parts.scheme == "memory":
-        if parts.netloc:
-            return MemoryBackend(named_region(parts.netloc))
-        return MemoryBackend()
-    if parts.scheme == "http":
-        return HTTPBackend(url, timeout=timeout)
-    raise ValueError(
-        "unsupported store URL scheme %r (known: %s)"
-        % (parts.scheme, ", ".join(backend_schemes()))
-    )
-
-
-def _is_remote(backend):
-    """True when ``backend`` (or any wrapped child) talks to the network."""
-    if getattr(backend, "kind", "") == "http":
-        return True
-    return any(_is_remote(child)
-               for child in getattr(backend, "children", ()))
-
-
-def open_store_url(spec, timeout=10.0, health=None, resilience=None,
-                   spool_dir=None):
-    """Resolve a ``--store-url`` spec (see the module docstring).
-
-    ``resilience`` selects the fault-handling layer: ``None`` (the
-    default) builds a :class:`~repro.store.resilience
-    .ResilienceController` for any multiplexed or remote spec,
-    ``False`` opts out (legacy bare behaviour), and a ready-made
-    controller instance is used as-is.  ``spool_dir`` overrides where
-    degraded-mode writes queue (default: ``<store root>/spool``, only
-    wired up when a replica is remote).
-    """
-    spec = str(spec).strip()
-    striping = False
-    if spec.startswith(STRIPE_PREFIX):
-        striping = True
-        spec = spec[len(STRIPE_PREFIX):]
-    urls = [part.strip() for part in spec.split(",") if part.strip()]
-    if not urls:
-        raise ValueError("empty --store-url spec")
-    backends = [open_backend(url, timeout=timeout) for url in urls]
-    if striping:
-        return StripingBackend(backends, health=health)
-    remote = any(_is_remote(backend) for backend in backends)
-    if resilience is None and len(backends) == 1 and not remote:
-        # A lone local/memory backend: nothing to quarantine, nothing
-        # worth spooling — same disk, same failure domain.
-        return backends[0]
-    if resilience is False:
-        if len(backends) == 1:
-            return backends[0]
-        return MultiplexBackend(backends, health=health)
-    if resilience is None:
-        from repro.store.resilience import ResilienceController
-
-        spool = None
-        if remote:
-            from repro.store.spool import WriteSpool, default_spool_dir
-
-            spool = WriteSpool(spool_dir if spool_dir is not None
-                               else default_spool_dir())
-        resilience = ResilienceController(health=health, spool=spool)
-    return MultiplexBackend(backends, health=health, resilience=resilience)

@@ -3,8 +3,8 @@
 A *backend* stores and retrieves **frames** — integrity-trailed byte
 strings produced by :func:`repro.store.framing.frame_object` — under
 hex keys.  Backends never interpret payloads; verification happens at
-the unframe boundary (:meth:`repro.store.objstore.ObjectStore.get`,
-the resilient multiplexer, the HTTP server, the scrubber).
+the unframe boundary (:meth:`repro.store.objstore.ObjectStore.get`
+and the ``cache audit`` walk).
 
 The base class owns the bookkeeping every implementation shares:
 
@@ -29,19 +29,10 @@ from repro.telemetry.core import current as _telemetry
 __all__ = [
     "Backend",
     "BackendCounters",
-    "ReadOnlyError",
     "check_key",
 ]
 
 _HEX_DIGITS = set("0123456789abcdef")
-
-
-class ReadOnlyError(OSError):
-    """A write or delete reached a read-only backend filter.
-
-    An :class:`OSError` so the store degradation ladder treats it like
-    any other failing store: retry once, then carry on without it.
-    """
 
 
 def check_key(key):
@@ -82,8 +73,7 @@ class BackendCounters:
 class Backend:
     """Abstract frame store; subclasses implement the ``_``-hooks."""
 
-    #: Short scheme-like identifier (``local``, ``memory``, ``http``,
-    #: ``multiplex``, ``striping``, ``readonly``, ``faulty``).
+    #: Short identifier (``local``, ``memory``).
     kind = "abstract"
 
     def __init__(self):
@@ -92,13 +82,8 @@ class Backend:
     # -- identity -----------------------------------------------------------
 
     def describe(self):
-        """Human-readable identity (path, URL, or composition)."""
+        """Human-readable identity (a path, or a memory region)."""
         return self.kind
-
-    @property
-    def children(self):
-        """Component backends (multiplexer/striping layers); else ()."""
-        return ()
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.describe())
@@ -186,9 +171,6 @@ class Backend:
     def sub(self, namespace):
         """A derived backend scoped to ``namespace`` (``objects``, ...)."""
         raise NotImplementedError
-
-    def close(self):
-        """Release any held resources (connections); idempotent."""
 
     # -- subclass hooks -----------------------------------------------------
 

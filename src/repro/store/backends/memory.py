@@ -1,62 +1,35 @@
 """In-memory backend: dict-of-frames, for tests and scratch runs.
 
-``memory://`` URLs resolve here.  A *named* region
-(``memory://shared``) maps to a process-wide registry, so two
-``open_backend`` calls with the same name share storage — the cheap
-way to build multi-replica multiplexers and scrub fixtures without
-touching the filesystem.  ``memory://`` with no name is always a
-fresh, private region.
+Each :class:`MemoryBackend` built without a region gets a fresh,
+private one; the namespaces derived from it by ``sub()`` share that
+region, so a :class:`~repro.store.runner.RunStore` over memory keeps
+``objects/``, ``results/`` and ``shards/`` apart exactly as the local
+backend does.  Nothing outlives the process.
 """
 
 from __future__ import annotations
 
 from repro.store.backends.base import Backend
 
-__all__ = ["MemoryBackend", "named_region", "reset_regions"]
-
-
-class _Region:
-    """Shared storage: ``namespace -> {key -> frame}``."""
-
-    def __init__(self, name=""):
-        self.name = name
-        self.spaces = {}
-
-    def space(self, namespace):
-        return self.spaces.setdefault(namespace, {})
-
-
-#: Process-wide named regions (``memory://<name>``).
-_REGIONS = {}
-
-
-def named_region(name):
-    """The process-wide region ``name`` (created on first use)."""
-    region = _REGIONS.get(name)
-    if region is None:
-        region = _REGIONS[name] = _Region(name)
-    return region
-
-
-def reset_regions():
-    """Drop every named region (test isolation)."""
-    _REGIONS.clear()
+__all__ = ["MemoryBackend"]
 
 
 class MemoryBackend(Backend):
-    """Frames in a dict; namespaces share one region."""
+    """Frames in a dict; namespaces share one region.
+
+    A region is a ``namespace -> {key -> frame}`` dict.
+    """
 
     kind = "memory"
 
     def __init__(self, region=None, namespace="default"):
         super().__init__()
-        self._region = region if region is not None else _Region()
+        self._region = region if region is not None else {}
         self.namespace = namespace
-        self._frames = self._region.space(namespace)
+        self._frames = self._region.setdefault(namespace, {})
 
     def describe(self):
-        label = self._region.name or "<anonymous>"
-        return "memory://%s/%s" % (label, self.namespace)
+        return "memory://<anonymous>/%s" % self.namespace
 
     def sub(self, namespace):
         return MemoryBackend(self._region, namespace)

@@ -1,7 +1,7 @@
-"""Integrity-trailed object frames: the store's wire and disk format.
+"""Integrity-trailed object frames: the store's disk format.
 
-Every object the store subsystem persists or transmits — locally, in
-memory, or over the HTTP remote protocol — travels as a *frame*:
+Every object the store subsystem persists — on disk or in memory — is
+stored as a *frame*:
 ``payload || value || name || name_len(1) || value_len(1) || magic(4)``
 where ``value`` is the check value of one of the paper's own check
 codes (CRC-32/AAL5 unless the caller picks another).  The trailer

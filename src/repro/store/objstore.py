@@ -6,14 +6,11 @@ of the check codes the paper studies (CRC-32/AAL5 by default, any
 dogfoods its own subject matter: a flipped bit in a cached artifact is
 caught the same way a corrupted AAL5 frame would be.
 
-Since the backend split, :class:`ObjectStore` is the *framing* layer:
-it turns payloads into integrity-trailed frames (and back, verifying)
-and delegates frame storage to a
-:class:`~repro.store.backends.base.Backend` — the pathsliced local
-directory by default (``root/ab/cd/abcd...``, atomic fsync-disciplined
-writes, exactly the original on-disk layout), or any backend from
-:func:`repro.store.backends.open_backend`: in-memory, HTTP remote, a
-resilient multiplexer over replicas, a striped fan-out.
+:class:`ObjectStore` is the *framing* layer: it turns payloads into
+integrity-trailed frames (and back, verifying) and delegates frame
+storage to a :class:`~repro.store.backends.base.Backend` — the
+pathsliced local directory by default (``root/ab/cd/abcd...``, atomic
+fsync-disciplined writes), or the in-memory backend.
 
 Addresses are either the SHA-256 of the payload (:meth:`ObjectStore.put`
 — true content addressing) or a caller-chosen hex key
@@ -152,7 +149,7 @@ class ObjectStore:
     def get_frame(self, digest):
         """The raw stored frame (trailer included); ``KeyError`` if absent.
 
-        For integrity tooling (audit, scrub) that needs the trailer
+        For integrity tooling (the audit) that needs the trailer
         bytes themselves; payload readers use :meth:`get`.
         """
         return self.backend.get_frame(digest)

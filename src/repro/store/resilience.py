@@ -1,442 +1,52 @@
-"""Seeded, deterministic fault handling for the store data plane.
+"""The store's retry policy: a bounded, telemetry-counted retry loop.
 
-PR 6 made the store *detect* failures (CRC trailers, one-warning
-replica degradation); this module makes it *ride through* them — the
-gap the Jepsen-style burst-error studies point at between noticing
-corruption and surviving it.  Three cooperating pieces, all pure
-functions of their seeds and operation counts so chaos tests replay
-exactly:
-
-* :class:`RetryPolicy` — capped exponential backoff with **seeded
-  jitter** (the same sha256-of-coordinates derivation the fault plans
-  use, so two runs from one seed back off identically), a per-op
-  attempt budget, and per-op / per-request deadlines.  It replaces the
-  hand-rolled ``for _ in range(2)`` retry loops that used to live in
-  ``api/client.py`` and ``runner.py`` (now statically banned by
-  reprolint REP404); every attempt and backoff lands in telemetry as
-  ``resilience.<scope>.<metric>``.
-* :class:`CircuitBreaker` — the classic closed → open → half-open
-  machine, with the failure threshold and the cool-down expressed in
-  **operation counts**, not wall seconds: the multiplexer ticks every
-  breaker once per operation, so a replay with the same op sequence
-  transitions at exactly the same points regardless of host speed.
-  The injectable clock is used only for human-facing timestamps.
-* :class:`ResilienceController` — one per multiplexer stack: the
-  per-replica breaker registry (shared across ``sub()`` namespaces so
-  a replica's failures accumulate globally), the hedged-read
-  threshold, and the degraded-mode :class:`~repro.store.spool
-  .WriteSpool`.
-
-Determinism argument: backoff delays derive from ``(seed, scope, op,
-attempt)`` via sha256 — no shared RNG stream; breaker transitions
-derive from operation counts — no wall-clock reads; hedged reads may
-fire on real latency, but a hedge returns a frame for the same
-content-addressed key, so *results* are bit-identical whether or not
-the hedge won.  Faults cost time, never correctness.
+:class:`RetryPolicy` is the one place an ``OSError`` from the store is
+retried; the runner's store guard delegates to it, and reprolint
+REP404 bans hand-rolled ``for _ in range(n)`` retry loops everywhere
+else under :mod:`repro.store`.  Retries are immediate (no backoff):
+the guard's ladder is "try twice, then count the error", and every
+attempt lands in telemetry as ``resilience.<scope>.<metric>``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-
 from repro.telemetry.core import current as _telemetry
 
-__all__ = [
-    "CircuitBreaker",
-    "Clock",
-    "ManualClock",
-    "ResilienceController",
-    "RetryPolicy",
-]
-
-
-class Clock:
-    """Monotonic wall clock; the default timebase for deadlines."""
-
-    def now(self):
-        """Seconds on a monotonic timebase (never wall-clock time)."""
-        return time.monotonic()
-
-    def sleep(self, seconds):
-        if seconds > 0:
-            time.sleep(seconds)
-
-
-class ManualClock(Clock):
-    """A virtual clock for tests: time moves only when told to.
-
-    ``sleep`` advances the virtual time and records the request, so a
-    test can assert the exact deterministic backoff schedule a policy
-    produced without ever waiting for it.
-    """
-
-    def __init__(self, start=0.0):
-        self._now = float(start)
-        #: every sleep requested, in order.
-        self.sleeps = []
-
-    def now(self):
-        return self._now
-
-    def advance(self, seconds):
-        self._now += seconds
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self._now += seconds
+__all__ = ["RetryPolicy"]
 
 
 class RetryPolicy:
-    """Deterministic capped-exponential retry with seeded jitter.
-
-    ``run(op, call)`` drives ``call`` through at most ``max_attempts``
-    attempts, sleeping ``min(max_delay, base_delay * 2**k) * jitter``
-    between them, where ``jitter`` is a uniform [0.5, 1.0) factor
-    derived from ``(seed, scope, op, attempt)`` — the fault plans'
-    sha256 derivation, so one seed yields one backoff schedule.
-
-    Budgets:
-
-    * ``max_attempts`` — per-op attempt budget;
-    * ``op_deadline`` — seconds allowed per ``run()`` call: no retry is
-      *started* (nor slept toward) past it;
-    * ``request_deadline`` — a shared budget across every ``run()``
-      through this policy instance (one logical request / one sweep's
-      guard): once spent, every op gets exactly one attempt.
+    """Retry ``OSError`` up to ``max_attempts`` times, then re-raise.
 
     Telemetry (``resilience.<scope>.*``): ``attempts``, ``retries``,
-    ``backoff_seconds``, ``giveups``, ``deadline_exhausted``.
+    ``giveups``.
     """
 
-    def __init__(
-        self,
-        scope="store",
-        *,
-        max_attempts=2,
-        base_delay=0.0,
-        max_delay=2.0,
-        op_deadline=None,
-        request_deadline=None,
-        seed=0,
-        retry_on=(OSError,),
-        clock=None,
-    ):
+    def __init__(self, scope="store", *, max_attempts=2):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.scope = scope
         self.max_attempts = int(max_attempts)
-        self.base_delay = float(base_delay)
-        self.max_delay = float(max_delay)
-        self.op_deadline = op_deadline
-        self.request_deadline = request_deadline
-        self.seed = int(seed)
-        self.retry_on = tuple(retry_on)
-        self.clock = clock if clock is not None else Clock()
-        #: seconds of budget consumed across every run() so far.
-        self.spent = 0.0
-        #: ops driven through run() (the jitter op coordinate).
-        self._op_index = 0
-
-    # -- deterministic jitter ------------------------------------------------
-
-    def _jitter(self, op_index, attempt):
-        """A uniform [0.5, 1.0) factor, pure in (seed, scope, op, attempt)."""
-        material = "%d|%s|%d|%d" % (self.seed, self.scope, op_index, attempt)
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        return 0.5 + unit / 2.0
-
-    def backoff(self, op_index, attempt):
-        """The delay before retry ``attempt`` (1-based) of op ``op_index``."""
-        if self.base_delay <= 0:
-            return 0.0
-        raw = min(self.max_delay, self.base_delay * (2.0 ** (attempt - 1)))
-        return raw * self._jitter(op_index, attempt)
-
-    # -- driving -------------------------------------------------------------
 
     def run(self, op, call, on_error=None):
         """Drive ``call`` under this policy; re-raise the final failure.
 
-        ``op`` is a human-readable operation label (telemetry and
-        error context only — the jitter coordinate is the op *count*,
-        which is stable across label changes).  ``on_error`` is called
-        with each caught exception before the retry decision, so
-        callers like the store guard can keep their own error ledgers.
+        ``op`` is a human-readable operation label.  ``on_error`` is
+        called with each caught exception before the retry decision,
+        so callers like the store guard can keep their own error
+        ledgers.
         """
         telemetry = _telemetry()
-        op_index = self._op_index
-        self._op_index += 1
-        started = self.clock.now()
         last = None
         for attempt in range(self.max_attempts):
             telemetry.count("resilience.%s.attempts" % self.scope)
             try:
-                result = call()
-            except self.retry_on as exc:
+                return call()
+            except OSError as exc:
                 last = exc
                 if on_error is not None:
                     on_error(exc)
-            else:
-                self.spent += self.clock.now() - started
-                return result
-            if attempt + 1 >= self.max_attempts:
-                break
-            delay = self.backoff(op_index, attempt + 1)
-            if not self._within_budget(started, delay):
-                telemetry.count(
-                    "resilience.%s.deadline_exhausted" % self.scope
-                )
-                break
-            if delay > 0:
-                telemetry.count(
-                    "resilience.%s.backoff_seconds" % self.scope, delay
-                )
-                self.clock.sleep(delay)
-            telemetry.count("resilience.%s.retries" % self.scope)
+            if attempt + 1 < self.max_attempts:
+                telemetry.count("resilience.%s.retries" % self.scope)
         telemetry.count("resilience.%s.giveups" % self.scope)
-        self.spent += self.clock.now() - started
         raise last
-
-    def _within_budget(self, started, delay):
-        """True if a retry after ``delay`` still fits every deadline."""
-        elapsed = self.clock.now() - started
-        if self.op_deadline is not None \
-                and elapsed + delay >= self.op_deadline:
-            return False
-        if self.request_deadline is not None \
-                and self.spent + elapsed + delay >= self.request_deadline:
-            return False
-        return True
-
-
-#: Circuit breaker states.
-CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
-
-
-class CircuitBreaker:
-    """Closed → open → half-open, counted in operations, not seconds.
-
-    * **closed** — traffic flows; ``failure_threshold`` *consecutive*
-      failures trip the breaker open;
-    * **open** — the replica is quarantined: ``allow()`` is False, so
-      the multiplexer stops re-probing a dead replica on every read.
-      Every multiplexer operation :meth:`tick`\\ s the breaker; after
-      ``cooldown_ops`` ticks it moves to half-open;
-    * **half-open** — exactly one probe operation is let through:
-      success closes the breaker (the replica is reintegrated),
-      failure reopens it for another full cool-down.
-
-    Each state transition emits one ``RunHealth`` degradation note and
-    one ``resilience.breaker.<transition>`` telemetry count; the
-    transition ledger backs ``cache stats`` / ``store scrub`` output.
-    The clock is injectable and used for nothing but bookkeeping —
-    decisions depend only on operation counts, so a replayed op
-    sequence transitions identically on any host.
-    """
-
-    def __init__(self, name, *, failure_threshold=3, cooldown_ops=16,
-                 health=None, clock=None):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown_ops < 1:
-            raise ValueError("cooldown_ops must be >= 1")
-        self.name = name
-        self.failure_threshold = int(failure_threshold)
-        self.cooldown_ops = int(cooldown_ops)
-        self.health = health
-        self.clock = clock if clock is not None else Clock()
-        self.state = CLOSED
-        self.failures = 0            # consecutive, while closed
-        self.total_failures = 0
-        self.total_successes = 0
-        self.slow_reads = 0
-        self._ticks_while_open = 0
-        self._probe_inflight = False
-        #: ``(op_tick, from_state, to_state, reason)`` ledger.
-        self.transitions = []
-        self._ticks = 0
-
-    # -- traffic admission ---------------------------------------------------
-
-    def allow(self):
-        """May the guarded replica serve the next operation?"""
-        if self.state == CLOSED:
-            return True
-        if self.state == OPEN:
-            return False
-        # half-open: one probe at a time.
-        if self._probe_inflight:
-            return False
-        self._probe_inflight = True
-        return True
-
-    def tick(self):
-        """One multiplexer-level operation elapsed (the cool-down unit)."""
-        self._ticks += 1
-        if self.state == OPEN:
-            self._ticks_while_open += 1
-            if self._ticks_while_open >= self.cooldown_ops:
-                self._transition(HALF_OPEN, "cool-down of %d ops elapsed"
-                                 % self.cooldown_ops)
-
-    # -- outcomes ------------------------------------------------------------
-
-    def record_success(self):
-        self.total_successes += 1
-        self.failures = 0
-        if self.state == HALF_OPEN:
-            self._probe_inflight = False
-            self._transition(CLOSED, "half-open probe verified; "
-                             "replica reintegrated")
-
-    def record_failure(self, reason="error"):
-        self.total_failures += 1
-        if self.state == HALF_OPEN:
-            self._probe_inflight = False
-            self._transition(OPEN, "half-open probe failed (%s)" % reason)
-            return
-        if self.state == CLOSED:
-            self.failures += 1
-            if self.failures >= self.failure_threshold:
-                self._transition(
-                    OPEN,
-                    "%d consecutive failures (last: %s)"
-                    % (self.failures, reason),
-                )
-
-    def record_slow(self):
-        """A read slow enough to hedge counts toward the threshold."""
-        self.slow_reads += 1
-        self.record_failure(reason="slow read")
-
-    def reset(self, reason="manual reset"):
-        """Force the breaker closed (e.g. after a clean scrub pass)."""
-        self.failures = 0
-        self._probe_inflight = False
-        if self.state != CLOSED:
-            self._transition(CLOSED, reason)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _transition(self, to_state, reason):
-        from_state = self.state
-        self.state = to_state
-        if to_state == OPEN:
-            self._ticks_while_open = 0
-            self.failures = 0
-        _telemetry().count(
-            "resilience.breaker.%s_to_%s"
-            % (from_state.replace("-", "_"), to_state.replace("-", "_"))
-        )
-        self.transitions.append((self._ticks, from_state, to_state, reason))
-        if self.health is not None:
-            self.health.degrade(
-                "breaker %s: %s -> %s (%s)"
-                % (self.name, from_state, to_state, reason)
-            )
-
-    def as_dict(self):
-        """Stats-display snapshot (``cache stats`` / ``store scrub``)."""
-        return {
-            "name": self.name,
-            "state": self.state,
-            "consecutive_failures": self.failures,
-            "failures": self.total_failures,
-            "successes": self.total_successes,
-            "slow_reads": self.slow_reads,
-            "transitions": [
-                {"op": op, "from": f, "to": t, "reason": r}
-                for op, f, t, r in self.transitions
-            ],
-        }
-
-
-class ResilienceController:
-    """One per multiplexer stack: breakers, hedging, and the spool.
-
-    The controller is *shared* by a multiplexer and every namespace
-    child it derives (``sub()`` passes it down), so a replica's breaker
-    accumulates failures across ``objects/``, ``shards/``, ... — a dead
-    server is one dead server, not four.
-
-    ``hedge_threshold`` (seconds, or None to disable) is the slow-read
-    point past which the multiplexer issues the read to the next
-    healthy replica and takes the first trailer-verifying response.
-    ``spool`` (a :class:`repro.store.spool.WriteSpool`, or None) is
-    where PUTs land when every remote replica is open-circuit.
-    """
-
-    def __init__(self, *, health=None, clock=None, failure_threshold=3,
-                 cooldown_ops=16, hedge_threshold=None, spool=None, seed=0):
-        self.health = health
-        self.clock = clock if clock is not None else Clock()
-        self.failure_threshold = failure_threshold
-        self.cooldown_ops = cooldown_ops
-        self.hedge_threshold = hedge_threshold
-        self.spool = spool
-        self.seed = seed
-        self._breakers = {}
-
-    def breaker_for(self, backend, index=None):
-        """The (shared) breaker guarding ``backend``'s replica identity.
-
-        ``index`` is the replica's position in the multiplexer, which
-        is stable across ``sub()`` derivation — ``describe()`` is not
-        (namespaced children render as ``.../ns/objects`` vs
-        ``.../ns/shards``), so position is what keys the registry.
-        The display name is the first ``describe()`` seen, i.e. the
-        top-level replica identity.
-        """
-        key = index if index is not None else backend.describe()
-        breaker = self._breakers.get(key)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                backend.describe(),
-                failure_threshold=self.failure_threshold,
-                cooldown_ops=self.cooldown_ops,
-                health=self.health,
-                clock=self.clock,
-            )
-            self._breakers[key] = breaker
-        return breaker
-
-    def tick(self):
-        """One multiplexer operation: advance every cool-down."""
-        for breaker in self._breakers.values():
-            breaker.tick()
-
-    def attach_health(self, health):
-        self.health = health
-        for breaker in self._breakers.values():
-            breaker.health = health
-
-    def reintegrate(self, reason="replica verified healthy"):
-        """Close every breaker (a scrub pass proved the replicas out)."""
-        for breaker in self._breakers.values():
-            breaker.reset(reason)
-
-    def retry_policy(self, scope, **overrides):
-        """A policy wired to this controller's clock and seed."""
-        options = {"seed": self.seed, "clock": self.clock}
-        options.update(overrides)
-        return RetryPolicy(scope, **options)
-
-    @property
-    def breakers(self):
-        """``key -> CircuitBreaker``, insertion order (replica order)."""
-        return dict(self._breakers)
-
-    def stats(self):
-        """The ``resilience`` block of ``cache stats`` / scrub output."""
-        out = {
-            "breakers": [
-                breaker.as_dict()
-                for breaker in sorted(self._breakers.values(),
-                                      key=lambda b: b.name)
-            ],
-        }
-        if self.spool is not None:
-            out["spool"] = self.spool.stats()
-        return out

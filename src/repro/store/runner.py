@@ -19,15 +19,14 @@ independent, so the sweep shards naturally per file:
 Execution goes through :class:`repro.core.supervisor.SupervisedPool`
 (retry → pool respawn → in-process fallback), and store I/O goes
 through a **degradation ladder** of its own: an ``OSError`` from the
-cache root is retried under a deterministic
+cache root is retried once under
 :class:`~repro.store.resilience.RetryPolicy`, a persistently failing
 store demotes the run to store-less computation with a single
 warning, and every intervention lands in the run's
 :class:`RunHealth` record.  A full disk or a read-only cache can
 therefore never abort a sweep: a shard the store did not keep is
 recorded in the sweep journal when one is open, and otherwise costs
-only its own resumability.  Writes spooled during a remote-store
-outage are replayed opportunistically at end-of-sweep.
+only its own resumability.
 
 ``run_splice_experiment(..., store=RunStore(...))`` routes through
 :func:`run_sharded_splice`; results are bit-identical to the direct
@@ -37,6 +36,7 @@ path because shard merge is a sum of per-file counters either way.
 from __future__ import annotations
 
 import hashlib
+import shutil
 import time
 import warnings
 from pathlib import Path
@@ -51,6 +51,11 @@ from repro.store.objstore import DEFAULT_ALGORITHM, ObjectStore, default_root
 from repro.store.resilience import RetryPolicy
 
 __all__ = ["RunStore", "run_key_for", "run_sharded_splice"]
+
+#: Directories older versions of the store kept under a local root
+#: (write-only run manifests, a remote-outage write spool); nothing
+#: reads them, and ``cache clear`` removes them.
+RETIRED_DIRS = ("manifests", "spool")
 
 
 class RunStore:
@@ -89,13 +94,6 @@ class RunStore:
         """Human-readable identity of the backing store."""
         return self.backend.describe()
 
-    def attach_health(self, health):
-        """Route backend degradation warnings into a run's health record."""
-        for _, store in self.namespaces:
-            backend = store.backend
-            if hasattr(backend, "attach_health"):
-                backend.attach_health(health)
-
     @property
     def namespaces(self):
         """(name, ObjectStore) pairs, audit/statistics order."""
@@ -124,47 +122,29 @@ class RunStore:
         out = {}
         for name, store in self.namespaces:
             backend = store.backend
-            entry = {
+            out[name] = {
                 "kind": backend.kind,
                 "backend": backend.describe(),
                 "counters": backend.counters.as_dict(),
             }
-            children = getattr(backend, "children", ())
-            if children:
-                entry["children"] = [
-                    {
-                        "kind": child.kind,
-                        "backend": child.describe(),
-                        "counters": child.counters.as_dict(),
-                    }
-                    for child in children
-                ]
-            out[name] = entry
         return out
 
     def clear(self):
-        """Delete every stored object across all namespaces."""
-        return sum(store.clear() for _, store in self.namespaces)
+        """Delete every stored object across all namespaces.
 
-    def resilience_stats(self):
-        """Breaker/spool snapshot, or None for non-resilient backends."""
-        stats = getattr(self.backend, "resilience_stats", None)
-        if stats is None:
-            return None
-        return stats()
-
-    def drain_spool(self):
-        """Replay degraded-mode spooled writes; None without a spool."""
-        drain = getattr(self.backend, "drain_spool", None)
-        if drain is None:
-            return None
-        return drain()
-
-    def close(self):
-        """Release backend resources (HTTP connections); idempotent."""
-        self.backend.close()
-        for _, store in self.namespaces:
-            store.backend.close()
+        On a local root the :data:`RETIRED_DIRS` go too (their files
+        count as removed objects); the sweep journal stays.
+        """
+        removed = sum(store.clear() for _, store in self.namespaces)
+        if self.root is None:
+            return removed
+        for name in RETIRED_DIRS:
+            retired = self.root / name
+            if retired.is_dir():
+                removed += sum(1 for path in retired.rglob("*")
+                               if path.is_file())
+                shutil.rmtree(retired)
+        return removed
 
 
 def run_key_for(filesystem_name, shard_keys):
@@ -176,10 +156,9 @@ class _StoreGuard:
     """The store degradation ladder: retry, then go store-less.
 
     Every store operation the runner performs goes through
-    :meth:`_attempt`, driven by a deterministic
+    :meth:`_attempt`, driven by a
     :class:`~repro.store.resilience.RetryPolicy` (two attempts, no
-    backoff — the immediate-retry semantics the ladder has always
-    had, now centrally owned and telemetry-counted).  Each caught
+    backoff, telemetry-counted).  Each caught
     ``OSError`` is added to the run's store-error ledger; a final
     failure skips the operation (the run keeps its in-memory
     counters, and a shard the store did not keep goes to the sweep
@@ -191,18 +170,11 @@ class _StoreGuard:
     #: Cumulative store errors after which the run goes store-less.
     DEMOTE_AFTER = 6
 
-    def __init__(self, store, health, retry_policy=None):
+    def __init__(self, store, health):
         self.store = store
         self.health = health
         self.active = store is not None
-        self.policy = (
-            retry_policy if retry_policy is not None
-            else RetryPolicy("guard", max_attempts=2, base_delay=0.0)
-        )
-        if self.active and hasattr(store, "attach_health"):
-            # Resilient multiplexer backends report replica failures
-            # into the same health record as the ladder itself.
-            store.attach_health(health)
+        self.policy = RetryPolicy("guard", max_attempts=2)
 
     def _count_error(self, exc):
         self.health.store_errors += 1
@@ -253,15 +225,6 @@ class _StoreGuard:
             return True
 
         return self._attempt("shard write", put, default=False)
-
-    def drain_spool(self):
-        """Opportunistic end-of-sweep replay of degraded-mode writes."""
-        if not self.active:
-            return None
-        drain = getattr(self.store, "drain_spool", None)
-        if drain is None:
-            return None
-        return self._attempt("spool drain", drain)
 
 
 def run_sharded_splice(
@@ -385,11 +348,6 @@ def run_sharded_splice(
 
     if journal is not None and not stopped:
         journal.complete()  # a journal on disk always means "interrupted"
-    if not stopped:
-        # A replica may have healed since the outage that spooled the
-        # writes; replay them now so the sweep ends with a complete
-        # remote cache (no-op without a spool, or when it is empty).
-        guard.drain_spool()
 
     merged = SpliceCounters()
     for key in shard_keys:

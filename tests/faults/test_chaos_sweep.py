@@ -5,6 +5,8 @@ The acceptance test of the robustness layer, and the test-suite twin of
 crashes workers, flips stored bits, and fills the disk — then assert
 the merged counters equal a fault-free run's, that the plan replays
 deterministically, and that :class:`RunHealth` recorded the ride.
+The ``flaky-network`` plan's resets, timeouts, slow and stale reads
+hit the same local store.
 """
 
 from __future__ import annotations
@@ -50,22 +52,35 @@ def chaotic_run(fs, config, root, plan_name, fault_seed, workers=None):
     return result, plan, health
 
 
+#: Plans whose sweeps over a local store must match a clean run: the
+#: default diet, and network-style read faults (resets, timeouts,
+#: slow and stale reads) that the store guard absorbs.
+SWEEP_PLANS = ["monkey", "flaky-network"]
+
+
 class TestSequentialChaos:
-    def test_monkey_sweep_is_bit_identical(self, tmp_path, fs, config, clean_counters):
+    @pytest.mark.parametrize("plan_name", SWEEP_PLANS)
+    def test_sweep_is_bit_identical(
+        self, tmp_path, fs, config, clean_counters, plan_name
+    ):
         result, plan, health = chaotic_run(
-            fs, config, tmp_path / "store", "monkey", fault_seed=1
+            fs, config, tmp_path / "store", plan_name, fault_seed=1
         )
         assert result.counters == clean_counters
-        assert len(plan.log) > 0, "the monkey plan must actually inject"
+        assert len(plan.log) > 0, "the plan must actually inject"
         assert health.faults_injected > 0
+        assert health.store_errors > 0
         assert health.eventful
 
-    def test_same_seed_injects_identically(self, tmp_path, fs, config, clean_counters):
+    @pytest.mark.parametrize("plan_name", SWEEP_PLANS)
+    def test_same_seed_injects_identically(
+        self, tmp_path, fs, config, clean_counters, plan_name
+    ):
         a_result, a_plan, _ = chaotic_run(
-            fs, config, tmp_path / "a", "monkey", fault_seed=2
+            fs, config, tmp_path / "a", plan_name, fault_seed=2
         )
         b_result, b_plan, _ = chaotic_run(
-            fs, config, tmp_path / "b", "monkey", fault_seed=2
+            fs, config, tmp_path / "b", plan_name, fault_seed=2
         )
         # Sequential runs drive the plan in a deterministic op order,
         # so the *live* fault logs must replay move for move.

@@ -59,6 +59,33 @@ class TestReadFaults:
             faulty.get(digest)
         assert excinfo.value.errno == errno.EIO
 
+    def test_connreset_raises_disk_intact(self, store):
+        digest = store.put(b"reset payload")
+        faulty = FaultyObjectStore(store, plan_for("connreset"))
+        with pytest.raises(ConnectionResetError):
+            faulty.get(digest)
+        assert store.get(digest) == b"reset payload"
+
+    def test_conntimeout_raises_etimedout(self, store):
+        digest = store.put(b"timed-out payload")
+        faulty = FaultyObjectStore(store, plan_for("conntimeout"))
+        with pytest.raises(OSError) as excinfo:
+            faulty.get(digest)
+        assert excinfo.value.errno == errno.ETIMEDOUT
+
+    def test_slowread_returns_the_true_payload(self, store):
+        digest = store.put(b"late but correct")
+        faulty = FaultyObjectStore(store, plan_for("slowread",
+                                                   slow_seconds=0.001))
+        assert faulty.get(digest) == b"late but correct"
+        assert faulty.plan.log[-1].kind == "slowread"
+
+    def test_stale_is_a_plain_read_on_a_local_store(self, store):
+        digest = store.put(b"the only frame")
+        faulty = FaultyObjectStore(store, plan_for("stale"))
+        assert faulty.get(digest) == b"the only frame"
+        assert faulty.plan.log[-1].kind == "stale"
+
     def test_missing_object_still_keyerror(self, store):
         faulty = FaultyObjectStore(store, plan_for("bitflip"))
         with pytest.raises(KeyError):

@@ -128,6 +128,12 @@ class TestStoreDecisions:
         plan = FaultPlan(0, store_rates={"eio": 1.0})
         assert all(plan.store_fault("get") == "eio" for _ in range(20))
 
+    @pytest.mark.parametrize(
+        "kind", ["connreset", "conntimeout", "slowread", "stale"]
+    )
+    def test_network_kinds_are_read_side(self, kind):
+        assert KIND_TO_OP[kind] == "get"
+
 
 class TestNamedPlans:
     def test_plan_names_sorted_and_complete(self):

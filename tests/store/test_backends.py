@@ -1,39 +1,20 @@
 """Backend conformance: every implementation honours the same contract.
 
-One parametrized suite drives local, memory, HTTP, multiplexed, and
-striped backends through the frame-store contract (roundtrip, miss
-semantics, namespacing, counters, deterministic key walks), plus the
-behaviours only some kinds have: the HTTP server refusing corrupt
-frames at both ends, the resilient multiplexer degrading to a healthy
-replica with one warning, and the URL grammar that composes them.
+One parametrized suite drives the local and memory backends through
+the frame-store contract (roundtrip, miss semantics, namespacing,
+counters, deterministic key walks).
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import pytest
 
-from repro.store.backends import (
-    READONLY_PREFIX,
-    STRIPE_PREFIX,
-    backend_schemes,
-    open_backend,
-    open_store_url,
-)
-from repro.store.backends.base import Backend, ReadOnlyError, check_key
+from repro.store.backends.base import check_key
 from repro.store.backends.local import LocalBackend
-from repro.store.backends.memory import MemoryBackend, named_region, reset_regions
-from repro.store.backends.multiplex import (
-    MultiplexBackend,
-    ReadOnlyBackend,
-    StripingBackend,
-)
-from repro.store.backends.remote import HTTPBackend
-from repro.store.api.client import RemoteStoreError, StoreClient
-from repro.store.api.server import serve_store
-from repro.store.framing import IntegrityError, frame_object, unframe_object
+from repro.store.backends.memory import MemoryBackend
+from repro.store.framing import frame_object, unframe_object
 
 
 def key_for(payload):
@@ -44,44 +25,14 @@ def make_frame(payload=b"hello, frames"):
     return key_for(payload), frame_object(payload)
 
 
-@pytest.fixture
-def http_store(tmp_path):
-    """An in-thread store server over a local root; yields (url, root)."""
-    root = tmp_path / "served"
-    server = serve_store(backend=LocalBackend(root), port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server.url, root
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
-BACKEND_KINDS = ["local", "memory", "http", "multiplex", "striping"]
+BACKEND_KINDS = ["local", "memory"]
 
 
 @pytest.fixture(params=BACKEND_KINDS)
-def backend(request, tmp_path, http_store):
-    url, _ = http_store
+def backend(request, tmp_path):
     if request.param == "local":
-        made = LocalBackend(tmp_path / "local")
-    elif request.param == "memory":
-        made = MemoryBackend()
-    elif request.param == "http":
-        made = HTTPBackend(url)
-    elif request.param == "multiplex":
-        made = MultiplexBackend([
-            LocalBackend(tmp_path / "rep0"), LocalBackend(tmp_path / "rep1"),
-        ])
-    else:
-        made = StripingBackend([
-            LocalBackend(tmp_path / "stripe0"),
-            LocalBackend(tmp_path / "stripe1"),
-        ])
-    yield made
-    made.close()
+        return LocalBackend(tmp_path / "local")
+    return MemoryBackend()
 
 
 class TestConformance:
@@ -165,201 +116,11 @@ class TestConformance:
 
 
 class TestMemoryRegions:
-    def test_named_regions_share_contents(self):
-        reset_regions()
-        try:
-            key, frame = make_frame(b"shared")
-            MemoryBackend(named_region("alpha")).put_frame(key, frame)
-            assert MemoryBackend(named_region("alpha")).get_frame(key) == frame
-            assert not MemoryBackend(named_region("beta")).contains(key)
-        finally:
-            reset_regions()
-
     def test_anonymous_backends_are_isolated(self):
         key, frame = make_frame(b"private")
         MemoryBackend().put_frame(key, frame)
         assert not MemoryBackend().contains(key)
 
 
-class TestHTTPBoundary:
-    def test_server_refuses_corrupt_put(self, http_store):
-        url, _ = http_store
-        backend = HTTPBackend(url)
-        key, frame = make_frame(b"to corrupt")
-        mangled = bytearray(frame)
-        mangled[0] ^= 0xFF
-        with pytest.raises(IntegrityError):
-            backend.put_frame(key, bytes(mangled))
-        assert not backend.contains(key)
-
-    def test_server_refuses_to_serve_rotted_frames(self, http_store):
-        url, root = http_store
-        backend = HTTPBackend(url)
-        key, frame = make_frame(b"rots on disk")
-        backend.put_frame(key, frame)
-        path = LocalBackend(root).sub("default").path_for(key)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0x10
-        path.write_bytes(bytes(blob))
-        with pytest.raises(IntegrityError):
-            backend.get_frame(key)
-        assert backend.counters.errors >= 1
-
-    def test_ping_and_describe(self, http_store):
-        url, _ = http_store
-        backend = HTTPBackend(url)
-        assert backend.ping()["protocol"] == "repro-store/1"
-        assert url in backend.describe()
-
-    def test_client_maps_transport_failures(self):
-        client = StoreClient("http://127.0.0.1:9", timeout=0.2)
-        with pytest.raises(RemoteStoreError):
-            client.ping()
-        assert issubclass(RemoteStoreError, OSError)
-
-
-class _BrokenBackend(Backend):
-    kind = "broken"
-
-    def describe(self):
-        return "broken()"
-
-    def sub(self, namespace):
-        return self
-
-    def _get_frame(self, key):
-        raise OSError("replica down")
-
-    def _put_frame(self, key, frame):
-        raise OSError("replica down")
-
-    def _delete(self, key):
-        raise OSError("replica down")
-
-    def _contains(self, key):
-        raise OSError("replica down")
-
-    def _keys(self):
-        return iter(())
-
-    def _size(self, key):
-        raise OSError("replica down")
-
-
-class TestResilientMultiplexer:
-    def test_reads_degrade_to_the_healthy_replica(self, tmp_path):
-        healthy = LocalBackend(tmp_path / "healthy")
-        key, frame = make_frame(b"resilient")
-        healthy.put_frame(key, frame)
-        mux = MultiplexBackend([_BrokenBackend(), healthy])
-        with pytest.warns(RuntimeWarning, match="replica"):
-            assert mux.get_frame(key) == frame
-        # The second read stays quiet: one warning per failing replica.
-        assert mux.get_frame(key) == frame
-
-    def test_corrupt_replica_falls_through_to_clean_one(self, tmp_path):
-        first = LocalBackend(tmp_path / "first")
-        second = LocalBackend(tmp_path / "second")
-        key, frame = make_frame(b"one replica rots")
-        mux = MultiplexBackend([first, second])
-        mux.put_frame(key, frame)
-        path = first.path_for(key)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0x10
-        path.write_bytes(bytes(blob))
-        assert mux.get_frame(key) == frame
-
-    def test_all_replicas_absent_is_a_miss(self, tmp_path):
-        mux = MultiplexBackend([
-            LocalBackend(tmp_path / "a"), LocalBackend(tmp_path / "b"),
-        ])
-        with pytest.raises(KeyError):
-            mux.get_frame("deadbeef" * 4)
-
-    def test_writes_reach_every_replica(self, tmp_path):
-        first = LocalBackend(tmp_path / "a")
-        second = LocalBackend(tmp_path / "b")
-        key, frame = make_frame(b"fan out")
-        MultiplexBackend([first, second]).put_frame(key, frame)
-        assert first.get_frame(key) == frame
-        assert second.get_frame(key) == frame
-
-
-class TestStriping:
-    def test_each_key_lives_on_exactly_one_stripe(self, tmp_path):
-        stripes = [LocalBackend(tmp_path / ("s%d" % i)) for i in range(3)]
-        striped = StripingBackend(stripes)
-        keys = []
-        for i in range(24):
-            key, frame = make_frame(b"striped-%d" % i)
-            striped.put_frame(key, frame)
-            keys.append(key)
-        copies = [sum(1 for s in stripes if s.contains(k)) for k in keys]
-        assert copies == [1] * len(keys)
-        assert sum(len(list(s.keys())) for s in stripes) == len(set(keys))
-        assert list(striped.keys()) == sorted(set(keys))
-
-
-class TestReadOnly:
-    def test_reads_pass_and_writes_fail(self, tmp_path):
-        inner = LocalBackend(tmp_path / "ro")
-        key, frame = make_frame(b"frozen")
-        inner.put_frame(key, frame)
-        guard = ReadOnlyBackend(inner)
-        assert guard.get_frame(key) == frame
-        with pytest.raises(ReadOnlyError):
-            guard.put_frame(key, frame)
-        with pytest.raises(ReadOnlyError):
-            guard.delete(key)
-        assert inner.contains(key)
-
-
-class TestURLGrammar:
-    def test_schemes_are_enumerable(self):
-        assert backend_schemes() == ("file", "http", "memory")
-
-    def test_plain_path_opens_local(self, tmp_path):
-        backend = open_backend(str(tmp_path / "plain"))
-        assert backend.kind == "local"
-
-    def test_file_url_opens_local(self, tmp_path):
-        backend = open_backend("file://" + str(tmp_path / "via-url"))
-        assert backend.kind == "local"
-
-    def test_memory_url_opens_memory(self):
-        reset_regions()
-        try:
-            backend = open_backend("memory://grammar-test")
-            assert backend.kind == "memory"
-        finally:
-            reset_regions()
-
-    def test_http_url_opens_remote(self, http_store):
-        url, _ = http_store
-        backend = open_backend(url)
-        assert backend.kind == "http"
-        backend.close()
-
-    def test_readonly_prefix_wraps(self, tmp_path):
-        backend = open_backend(READONLY_PREFIX + str(tmp_path / "ro"))
-        assert backend.kind == "readonly"
-
-    def test_unknown_scheme_is_rejected(self):
-        with pytest.raises(ValueError):
-            open_backend("ftp://nope")
-
-    def test_comma_list_builds_a_multiplexer(self, tmp_path):
-        backend = open_store_url(
-            "%s,%s" % (tmp_path / "r0", tmp_path / "r1")
-        )
-        assert backend.kind == "multiplex"
-        assert len(backend.children) == 2
-
-    def test_stripe_prefix_builds_striping(self, tmp_path):
-        backend = open_store_url(
-            STRIPE_PREFIX + "%s,%s" % (tmp_path / "s0", tmp_path / "s1")
-        )
-        assert backend.kind == "striping"
-
-    def test_key_check_normalizes_case(self):
-        assert check_key("DEADBEEF") == "deadbeef"
+def test_key_check_normalizes_case():
+    assert check_key("DEADBEEF") == "deadbeef"

@@ -148,7 +148,8 @@ class TestCodeDigest:
     def test_warm_cache_hit_imports_no_engine(self, tmp_path, capsys):
         # The warm-start contract (REP303) with the code digest in
         # every key: a result-cache hit in a fresh process reads the
-        # code's bytes but never imports the engine or the packetizer.
+        # code's bytes but never imports the engine, the packetizer or
+        # an HTTP stack (the store is local).
         import subprocess
         import sys
 
@@ -161,7 +162,8 @@ class TestCodeDigest:
         code = (
             "import sys; from repro.cli import main; code = main(%r); "
             "hot = [m for m in ('repro.core.engine', "
-            "'repro.protocols.packetizer') if m in sys.modules]; "
+            "'repro.protocols.packetizer', 'http.client') "
+            "if m in sys.modules]; "
             "sys.exit(code or (1 if hot else 0))" % (argv,)
         )
         proc = subprocess.run(

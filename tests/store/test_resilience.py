@@ -1,44 +1,17 @@
-"""The seeded fault-handling layer: retries, breakers, quarantine.
+"""The store's retry policy: immediate retries, counted in telemetry.
 
-Unit coverage for :mod:`repro.store.resilience` — the deterministic
-backoff schedule of :class:`RetryPolicy`, the operation-counted state
-machine of :class:`CircuitBreaker`, and the multiplexer integration:
-quarantined replicas are not re-probed, half-open probes reintegrate
-them, and breakers are shared across ``sub()`` namespaces so a dead
-server is one dead server, not four.
+Unit coverage for :class:`repro.store.resilience.RetryPolicy`, the
+loop behind the runner's store guard: ``OSError`` is retried up to
+the attempt budget and then re-raised, anything else propagates at
+once, and every attempt lands in ``resilience.<scope>.*`` telemetry.
 """
 
 from __future__ import annotations
 
-import hashlib
-import warnings
-
 import pytest
 
-from repro.faults.plan import FaultPlan
-from repro.faults.injector import FaultyBackend
-from repro.core.supervisor import RunHealth
-from repro.store.backends.memory import MemoryBackend
-from repro.store.backends.multiplex import MultiplexBackend
-from repro.store.framing import frame_object
-from repro.store.resilience import (
-    CircuitBreaker,
-    ManualClock,
-    ResilienceController,
-    RetryPolicy,
-)
+from repro.store.resilience import RetryPolicy
 from repro.telemetry.core import collect
-
-
-def stored(backend, payload=b"resilience payload"):
-    key = hashlib.sha256(payload).hexdigest()
-    backend.put_frame(key, frame_object(payload))
-    return key
-
-
-def always(kind, max_faults=1000, slow_seconds=0.05):
-    return FaultPlan(0, store_rates={kind: 1.0}, max_faults=max_faults,
-                     slow_seconds=slow_seconds)
 
 
 class Flaky:
@@ -56,106 +29,35 @@ class Flaky:
         return "ok"
 
 
-class TestManualClock:
-    def test_time_moves_only_when_told(self):
-        clock = ManualClock()
-        assert clock.now() == 0.0
-        clock.advance(2.5)
-        assert clock.now() == 2.5
-
-    def test_sleep_advances_and_records(self):
-        clock = ManualClock(start=1.0)
-        clock.sleep(0.25)
-        assert clock.now() == 1.25
-        assert clock.sleeps == [0.25]
-
-
 class TestRetryPolicy:
     def test_success_needs_one_attempt(self):
         call = Flaky(0)
-        policy = RetryPolicy("t", max_attempts=3, clock=ManualClock())
+        policy = RetryPolicy("t", max_attempts=3)
         assert policy.run("op", call) == "ok"
         assert call.calls == 1
 
     def test_transient_failure_is_retried(self):
         call = Flaky(2)
-        policy = RetryPolicy("t", max_attempts=3, clock=ManualClock())
+        policy = RetryPolicy("t", max_attempts=3)
         assert policy.run("op", call) == "ok"
         assert call.calls == 3
 
     def test_budget_exhaustion_reraises_the_last_error(self):
         boom = OSError("persistent")
-        policy = RetryPolicy("t", max_attempts=2, clock=ManualClock())
+        policy = RetryPolicy("t", max_attempts=2)
         with pytest.raises(OSError, match="persistent"):
             policy.run("op", Flaky(10, boom))
 
     def test_non_retryable_exceptions_propagate_immediately(self):
         call = Flaky(1, KeyError("not transport"))
-        policy = RetryPolicy("t", max_attempts=3, clock=ManualClock())
+        policy = RetryPolicy("t", max_attempts=3)
         with pytest.raises(KeyError):
             policy.run("op", call)
         assert call.calls == 1
 
-    def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy("t", max_attempts=5, base_delay=0.1,
-                             max_delay=0.3, seed=9, clock=ManualClock())
-        raw = [0.1, 0.2, 0.3, 0.3]  # doubling, then the cap
-        for attempt, expected in enumerate(raw, start=1):
-            delay = policy.backoff(0, attempt)
-            jitter = delay / expected
-            assert 0.5 <= jitter < 1.0
-
-    def test_backoff_schedule_is_a_pure_function_of_the_seed(self):
-        a = RetryPolicy("t", base_delay=0.1, seed=42)
-        b = RetryPolicy("t", base_delay=0.1, seed=42)
-        c = RetryPolicy("t", base_delay=0.1, seed=43)
-        schedule_a = [a.backoff(op, k) for op in range(4) for k in (1, 2)]
-        schedule_b = [b.backoff(op, k) for op in range(4) for k in (1, 2)]
-        schedule_c = [c.backoff(op, k) for op in range(4) for k in (1, 2)]
-        assert schedule_a == schedule_b
-        assert schedule_a != schedule_c
-
-    def test_sleeps_follow_the_declared_schedule(self):
-        clock = ManualClock()
-        policy = RetryPolicy("t", max_attempts=3, base_delay=0.1,
-                             seed=7, clock=clock)
-        expected = [policy.backoff(0, 1), policy.backoff(0, 2)]
-        with pytest.raises(OSError):
-            policy.run("op", Flaky(10))
-        assert clock.sleeps == expected
-
-    def test_op_deadline_stops_retries(self):
-        clock = ManualClock()
-        # Backoff of ~0.05-0.1s against a 0.01s op deadline: the retry
-        # would start past the deadline, so exactly one attempt runs.
-        policy = RetryPolicy("t", max_attempts=5, base_delay=0.1,
-                             op_deadline=0.01, clock=clock)
-        call = Flaky(10)
-        with pytest.raises(OSError):
-            policy.run("op", call)
-        assert call.calls == 1
-        assert clock.sleeps == []
-
-    def test_request_deadline_is_shared_across_ops(self):
-        clock = ManualClock()
-        policy = RetryPolicy("t", max_attempts=5, base_delay=0.0,
-                             request_deadline=1.0, clock=clock)
-
-        def slow_failure():
-            clock.advance(0.4)
-            raise OSError("slow failure")
-
-        with pytest.raises(OSError):
-            policy.run("op-0", slow_failure)  # burns the whole budget
-        call = Flaky(10)
-        with pytest.raises(OSError):
-            policy.run("op-1", call)
-        assert call.calls == 1  # no budget left: single attempt
-
     def test_attempts_and_retries_land_in_telemetry(self):
         with collect() as telemetry:
-            policy = RetryPolicy("unit", max_attempts=3,
-                                 clock=ManualClock())
+            policy = RetryPolicy("unit", max_attempts=3)
             policy.run("op", Flaky(2))
         counters = telemetry.snapshot()["counters"]
         assert counters["resilience.unit.attempts"] == 3
@@ -164,15 +66,14 @@ class TestRetryPolicy:
 
     def test_giveup_lands_in_telemetry(self):
         with collect() as telemetry:
-            policy = RetryPolicy("unit", max_attempts=2,
-                                 clock=ManualClock())
+            policy = RetryPolicy("unit", max_attempts=2)
             with pytest.raises(OSError):
                 policy.run("op", Flaky(10))
         assert telemetry.snapshot()["counters"]["resilience.unit.giveups"] == 1
 
     def test_on_error_sees_every_caught_exception(self):
         seen = []
-        policy = RetryPolicy("t", max_attempts=3, clock=ManualClock())
+        policy = RetryPolicy("t", max_attempts=3)
         policy.run("op", Flaky(2), on_error=seen.append)
         assert len(seen) == 2
         assert all(isinstance(exc, OSError) for exc in seen)
@@ -180,314 +81,3 @@ class TestRetryPolicy:
     def test_rejects_empty_attempt_budget(self):
         with pytest.raises(ValueError):
             RetryPolicy("t", max_attempts=0)
-
-
-class TestCircuitBreaker:
-    def make(self, **kwargs):
-        kwargs.setdefault("failure_threshold", 3)
-        kwargs.setdefault("cooldown_ops", 4)
-        return CircuitBreaker("replica-a", **kwargs)
-
-    def test_starts_closed_and_admits(self):
-        breaker = self.make()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_consecutive_failures_trip_it_open(self):
-        breaker = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_a_success_resets_the_consecutive_count(self):
-        breaker = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # never 3 in a row
-
-    def test_cooldown_is_counted_in_operations(self):
-        breaker = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        for _ in range(3):
-            breaker.tick()
-        assert breaker.state == "open"  # 3 of 4 cool-down ops
-        breaker.tick()
-        assert breaker.state == "half-open"
-
-    def test_half_open_admits_exactly_one_probe(self):
-        breaker = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        for _ in range(4):
-            breaker.tick()
-        assert breaker.allow()       # the probe slot
-        assert not breaker.allow()   # no second concurrent probe
-
-    def test_verified_probe_reintegrates(self):
-        breaker = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        for _ in range(4):
-            breaker.tick()
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_failed_probe_reopens_for_a_full_cooldown(self):
-        breaker = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        for _ in range(4):
-            breaker.tick()
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        for _ in range(4):
-            breaker.tick()
-        assert breaker.state == "half-open"  # a fresh cool-down ran
-
-    def test_transitions_are_ledgered_with_reasons(self):
-        breaker = self.make()
-        for _ in range(3):
-            breaker.record_failure(reason="ConnectionResetError")
-        assert len(breaker.transitions) == 1
-        _, from_state, to_state, reason = breaker.transitions[0]
-        assert (from_state, to_state) == ("closed", "open")
-        assert "ConnectionResetError" in reason
-
-    def test_transitions_degrade_health(self):
-        health = RunHealth()
-        breaker = self.make(health=health)
-        for _ in range(3):
-            breaker.record_failure()
-        assert any("closed -> open" in note
-                   for note in health.degradations)
-
-    def test_transitions_count_into_telemetry(self):
-        with collect() as telemetry:
-            breaker = self.make()
-            for _ in range(3):
-                breaker.record_failure()
-        counters = telemetry.snapshot()["counters"]
-        assert counters["resilience.breaker.closed_to_open"] == 1
-
-    def test_reset_closes_from_any_state(self):
-        breaker = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        breaker.reset("clean scrub pass")
-        assert breaker.state == "closed"
-        assert breaker.allow()
-        assert breaker.transitions[-1][3] == "clean scrub pass"
-
-    def test_reset_while_closed_is_silent(self):
-        breaker = self.make()
-        breaker.reset()
-        assert breaker.transitions == []
-
-    def test_replay_transitions_at_identical_operation_counts(self):
-        """Same op sequence, any host speed: identical transitions."""
-        def drive(breaker):
-            for _ in range(3):
-                breaker.tick()
-                breaker.record_failure()
-            for _ in range(5):
-                breaker.tick()
-            breaker.tick()
-            if breaker.allow():
-                breaker.record_success()
-            return [(op, f, t) for op, f, t, _ in breaker.transitions]
-
-        assert drive(self.make()) == drive(self.make())
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", cooldown_ops=0)
-
-
-class TestResilienceController:
-    def test_breakers_are_keyed_by_replica_position(self):
-        """``sub()`` children share their parent replica's breaker."""
-        controller = ResilienceController()
-        mux = MultiplexBackend(
-            [MemoryBackend(), MemoryBackend()], resilience=controller
-        )
-        objects = mux.sub("objects")
-        shards = mux.sub("shards")
-        breaker = controller.breaker_for(objects.children[0], 0)
-        assert controller.breaker_for(shards.children[0], 0) is breaker
-        assert controller.breaker_for(shards.children[1], 1) is not breaker
-
-    def test_tick_advances_every_registered_breaker(self):
-        controller = ResilienceController(failure_threshold=1,
-                                          cooldown_ops=2)
-        breaker = controller.breaker_for(MemoryBackend(), 0)
-        breaker.record_failure()
-        controller.tick()
-        controller.tick()
-        assert breaker.state == "half-open"
-
-    def test_attach_health_reaches_existing_breakers(self):
-        controller = ResilienceController(failure_threshold=1)
-        breaker = controller.breaker_for(MemoryBackend(), 0)
-        health = RunHealth()
-        controller.attach_health(health)
-        breaker.record_failure()
-        assert health.degradations
-
-    def test_reintegrate_closes_every_breaker(self):
-        controller = ResilienceController(failure_threshold=1)
-        a = controller.breaker_for(MemoryBackend(), 0)
-        b = controller.breaker_for(MemoryBackend(), 1)
-        a.record_failure()
-        b.record_failure()
-        controller.reintegrate("scrub verified")
-        assert a.state == b.state == "closed"
-
-    def test_retry_policy_inherits_seed_and_clock(self):
-        clock = ManualClock()
-        controller = ResilienceController(clock=clock, seed=11)
-        policy = controller.retry_policy("guard", max_attempts=4)
-        assert policy.seed == 11
-        assert policy.clock is clock
-        assert policy.max_attempts == 4
-
-    def test_stats_lists_breakers_and_spool(self, tmp_path):
-        from repro.store.spool import WriteSpool
-
-        controller = ResilienceController(
-            spool=WriteSpool(tmp_path / "spool"), failure_threshold=1
-        )
-        controller.breaker_for(MemoryBackend(), 0).record_failure()
-        stats = controller.stats()
-        assert stats["breakers"][0]["state"] == "open"
-        assert stats["spool"]["entries"] == 0
-
-
-class TestMultiplexerQuarantine:
-    """The breaker layer threaded through the read/write paths."""
-
-    def make_mux(self, dead_kind="eio", **controller_kwargs):
-        controller_kwargs.setdefault("failure_threshold", 3)
-        controller_kwargs.setdefault("cooldown_ops", 4)
-        controller = ResilienceController(**controller_kwargs)
-        healthy = MemoryBackend()
-        flaky_inner = MemoryBackend()
-        key = stored(healthy)
-        stored(flaky_inner)
-        dead = FaultyBackend(flaky_inner, always(dead_kind))
-        mux = MultiplexBackend([dead, healthy], resilience=controller)
-        return mux, controller, dead, healthy, key
-
-    def test_reads_fall_through_and_trip_the_breaker(self):
-        mux, controller, dead, _, key = self.make_mux()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(3):
-                assert mux.get_frame(key)  # healthy replica serves
-        assert controller.breaker_for(dead, 0).state == "open"
-
-    def test_quarantined_replica_is_not_reprobed(self):
-        mux, controller, dead, _, key = self.make_mux()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(3):
-                mux.get_frame(key)
-        injected_so_far = len(dead.plan.log)
-        mux.get_frame(key)  # quarantined: the dead replica sees nothing
-        assert len(dead.plan.log) == injected_so_far
-
-    def test_cooldown_probe_reintegrates_a_healed_replica(self):
-        # The fault plan dries up after 3 injections: the replica
-        # "heals" exactly when the probe arrives.
-        mux, controller, dead, _, key = self.make_mux()
-        dead.plan.max_faults = 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(3):
-                mux.get_frame(key)
-        breaker = controller.breaker_for(dead, 0)
-        assert breaker.state == "open"
-        for _ in range(3):
-            mux.get_frame(key)  # each op ticks the cool-down
-        assert breaker.state == "open"  # 3 of 4 cool-down ops
-        # The 4th op completes the cool-down (half-open) and spends
-        # the probe in the same read: healed, verifies, closes.
-        mux.get_frame(key)
-        assert breaker.state == "closed"
-        states = [(f, t) for _, f, t, _ in breaker.transitions]
-        assert states == [("closed", "open"), ("open", "half-open"),
-                          ("half-open", "closed")]
-
-    def test_failed_probe_requarantines(self):
-        mux, controller, dead, _, key = self.make_mux()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(3):
-                mux.get_frame(key)
-            for _ in range(4):
-                mux.get_frame(key)
-            mux.get_frame(key)  # probe fails: still injecting
-        breaker = controller.breaker_for(dead, 0)
-        assert breaker.state == "open"
-
-    def test_writes_trip_the_breaker_too(self):
-        controller = ResilienceController(failure_threshold=3)
-        dead = FaultyBackend(MemoryBackend(), always("erofs"))
-        healthy = MemoryBackend()
-        mux = MultiplexBackend([dead, healthy], resilience=controller)
-        frame = frame_object(b"written payload")
-        key = hashlib.sha256(b"written payload").hexdigest()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(3):
-                mux.put_frame(key, frame, overwrite=True)
-        assert controller.breaker_for(dead, 0).state == "open"
-        assert healthy.contains(key)  # the healthy replica kept every copy
-
-    def test_without_a_controller_behaviour_is_legacy(self):
-        healthy = MemoryBackend()
-        key = stored(healthy)
-        dead = FaultyBackend(MemoryBackend(), always("eio"))
-        stored(dead.inner)
-        mux = MultiplexBackend([dead, healthy])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(5):
-                assert mux.get_frame(key)
-        # No breaker: the dead replica was probed on every read.
-        assert len(dead.plan.log) == 5
-
-    def test_namespace_children_share_breakers(self):
-        """Failures across namespaces accumulate on one breaker."""
-        mux, controller, dead, _, key = self.make_mux()
-        objects = mux.sub("objects")
-        shards = mux.sub("shards")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(KeyError):
-                objects.get_frame(key)   # failure 1 on replica 0
-            with pytest.raises(KeyError):
-                shards.get_frame(key)    # failure 2, same breaker
-            with pytest.raises(KeyError):
-                objects.get_frame(key)   # failure 3: open
-        assert len(controller.breakers) == 2  # one per replica, not per ns
-        assert controller.breaker_for(dead, 0).state == "open"
-
-    def test_resilience_stats_surface_through_the_mux(self):
-        mux, controller, dead, _, key = self.make_mux()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(3):
-                mux.get_frame(key)
-        stats = mux.resilience_stats()
-        assert any(entry["state"] == "open" for entry in stats["breakers"])
-        assert MultiplexBackend([MemoryBackend()]).resilience_stats() is None

@@ -14,13 +14,9 @@ class TestFacadeSurface:
             "ChannelPlan",
             "ChannelReport",
             "ChecksumPlacement",
-            "CircuitBreaker",
             "EngineKind",
             "IndependentLoss",
-            "ManualClock",
             "PacketizerConfig",
-            "ResilienceController",
-            "RetryPolicy",
             "RunAborted",
             "RunHealth",
             "ShardJournal",
@@ -28,7 +24,6 @@ class TestFacadeSurface:
             "Telemetry",
             "TraceError",
             "TransferReport",
-            "WriteSpool",
             "activate_telemetry",
             "algorithm_names",
             "algorithm_summaries",
@@ -42,15 +37,12 @@ class TestFacadeSurface:
             "current_telemetry",
             "deactivate_telemetry",
             "default_journal_dir",
-            "default_spool_dir",
-            "drain_spool",
             "experiment_ids",
             "generate_markdown_report",
             "latest_bench_snapshot",
             "lint_rules",
             "named_channel_plan",
             "named_plan",
-            "open_backend",
             "open_journal",
             "open_store",
             "plan_names",
@@ -64,8 +56,6 @@ class TestFacadeSurface:
             "run_experiment",
             "run_lint",
             "run_splice_experiment",
-            "scrub_run_store",
-            "serve_store",
             "simulate_file_transfer",
             "sum_file",
             "supports_batch",

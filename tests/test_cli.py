@@ -161,20 +161,6 @@ class TestCacheCommands:
         args = build_parser().parse_args(["run", "table1"])
         assert args.cache is False
 
-    def test_store_url_specs_parse(self):
-        parser = build_parser()
-        for spec in ("/tmp/cache", "file:///tmp/cache", "memory://shared",
-                     "http://localhost:8970", "a,b", "stripe:a,b",
-                     "readonly+/shared/ref,http://localhost:8970"):
-            args = parser.parse_args(["run", "table1", "--store-url", spec])
-            assert args.store_url == spec
-
-    def test_store_url_rejects_bad_specs_at_parse_time(self):
-        parser = build_parser()
-        for spec in ("ftp://nope", "a,,b", "stripe:", "a,gopher://x"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["run", "table1", "--store-url", spec])
-
     def test_run_cached_twice_is_byte_identical(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "store")
         argv = ["run", "table5", "--bytes", "60000", "--seed", "2",
@@ -221,6 +207,22 @@ class TestCacheCommands:
         out = capsys.readouterr().out
         total_line = next(l for l in out.splitlines() if l.startswith("total"))
         assert "0 objects" in total_line
+
+    def test_cache_clear_removes_retired_directories(self, tmp_path, capsys):
+        # Older stores kept write-only run manifests and a remote-outage
+        # write spool under the root; nothing reads either any more.
+        cache_dir = tmp_path / "store"
+        retired = [cache_dir / "manifests" / "ab" / "cd" / "abcdef0123",
+                   cache_dir / "spool" / "shards" / "abcdef0123"]
+        journal = cache_dir / "journal" / "sweep.journal"
+        for path in retired + [journal]:
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"left behind")
+        assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert "removed 2 objects" in capsys.readouterr().out
+        assert not (cache_dir / "manifests").exists()
+        assert not (cache_dir / "spool").exists()
+        assert journal.read_bytes() == b"left behind"
 
     def test_report_with_cache(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "store")

@@ -1,6 +1,6 @@
 """README.md and docs/*.md claim only what the tree contains.
 
-Four checks over the user-facing docs:
+Five checks over the user-facing docs:
 
 * every ``BENCH_<n>.json`` they name exists at the repository root;
 * every repository path they name in inline code under ``src/``,
@@ -9,7 +9,11 @@ Four checks over the user-facing docs:
 * every ``make <target>`` in a code block or inline code span is a
   Makefile target;
 * every option on a ``repro-checksums ...`` or ``python -m repro.cli
-  ...`` line of a code block is accepted by that subcommand's parser.
+  ...`` line of a code block is accepted by that subcommand's parser;
+* every inline code span in the meaning column of an exit-code table
+  names a subcommand path the parser accepts (``channel replay``), an
+  option some subcommand accepts (``--rules``), or a
+  ``repro.api`` name (``RunAborted``).
 
 Other command lines (perfbench, pytest, pip) are not checked: their
 options belong to other programs.
@@ -20,6 +24,7 @@ import re
 import shlex
 from pathlib import Path
 
+import repro.api
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +43,8 @@ _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _REPO_PATH = re.compile(
     r"(?<![\w./-])((?:src|tests|benchmarks|perfbench|examples)/[\w./*-]*)"
 )
+_TABLE_ROW = re.compile(r"^\s*\|(?P<cells>.*)\|\s*$")
+_TABLE_RULE = re.compile(r"^[\s|:-]+$")
 
 
 def code_block_lines(path):
@@ -68,6 +75,50 @@ def _subparsers(parser):
         if isinstance(action, argparse._SubParsersAction):
             return action.choices
     return None
+
+
+def exit_table_meanings(path):
+    """``(line_number, cell)`` of every meaning cell of an exit-code table.
+
+    An exit-code table is a Markdown table whose header has a column
+    starting with "exit" (``exit``, ``exit code``); every other column
+    of its body rows is a meaning column.
+    """
+    meanings, exit_column, in_table = [], None, False
+    for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1):
+        row = _TABLE_ROW.match(line)
+        if row is None:
+            in_table = False
+            continue
+        cells = [cell.strip() for cell in row.group("cells").split("|")]
+        if not in_table:  # the header row
+            in_table = True
+            exit_column = next((index for index, cell in enumerate(cells)
+                                if cell.lower().startswith("exit")), None)
+        elif exit_column is not None and not _TABLE_RULE.match(line):
+            meanings += [(number, cell) for index, cell in enumerate(cells)
+                         if index != exit_column]
+    return meanings
+
+
+def _all_options(parser):
+    options = set(parser._option_string_actions)
+    for child in (_subparsers(parser) or {}).values():
+        options |= _all_options(child)
+    return options
+
+
+def is_subcommand_path(words):
+    """True if ``words`` is a path of subcommands ``build_parser()``
+    accepts (``channel replay``, ``transfer``)."""
+    parser = build_parser()
+    for word in words:
+        choices = _subparsers(parser)
+        if choices is None or word not in choices:
+            return False
+        parser = choices[word]
+    return bool(words)
 
 
 def unknown_options(args):
@@ -133,4 +184,21 @@ def test_cli_options_exist():
             for problem in unknown_options(match.group("args")):
                 problems.append("%s: %s: %s" % (where(path, number), problem, line))
     assert checked >= 20
+    assert not problems, "\n".join(problems)
+
+
+def test_exit_code_tables_name_real_commands():
+    options, checked, problems = _all_options(build_parser()), 0, []
+    for path in DOCS:
+        for number, cell in exit_table_meanings(path):
+            for span in _CODE_SPAN.findall(cell):
+                checked += 1
+                if span.startswith("-"):
+                    known = span in options
+                else:
+                    known = span in repro.api.__all__ \
+                        or is_subcommand_path(span.split())
+                if not known:
+                    problems.append("%s: %r" % (where(path, number), span))
+    assert checked >= 5
     assert not problems, "\n".join(problems)
