@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-compare microbench report figures quicktest chaos channel-check cache-stats cache-audit lint bless clean
+.PHONY: install test bench microbench report figures quicktest chaos channel-check cache-stats cache-audit lint bless clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -45,15 +45,9 @@ channel-check:
 # of sweep time on those four files and 11% on the 12-file nsc05 table
 # corpus, against 28% and 41% for the earlier whole-file rewrite per
 # shard (medians of 7 runs), so the journaling bound fails there.
-bench: bench-compare
+bench:
 	$(PYTHON) -m repro.cli bench --quick
 	$(PYTHON) -m pytest benchmarks/test_telemetry_overhead.py benchmarks/test_journal_overhead.py -q -s
-
-# Scalar-vs-batch engine comparison: bit-identical counters (the
-# conformance half) and the advertised >=5x batch speedup floor on the
-# bench smoke corpus (the performance half), both asserted.
-bench-compare:
-	$(PYTHON) -m pytest benchmarks/test_engine_kinds.py -q -s
 
 # The full pytest-benchmark suite (regenerates every table & figure).
 microbench:

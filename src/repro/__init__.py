@@ -64,7 +64,6 @@ _FACADE_EXPORTS = (
     "ChannelPlan",
     "ChannelReport",
     "ChecksumPlacement",
-    "EngineKind",
     "IndependentLoss",
     "PacketizerConfig",
     "RunAborted",

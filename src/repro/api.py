@@ -37,7 +37,6 @@ __all__ = [
     # splice runs and their configuration
     "BatchChecksumAlgorithm",
     "ChecksumPlacement",
-    "EngineKind",
     "PacketizerConfig",
     "RunAborted",
     "RunHealth",
@@ -97,7 +96,6 @@ _LAZY = {
     "BatchChecksumAlgorithm": (
         "repro.checksums.batch", "BatchChecksumAlgorithm"),
     "ChecksumPlacement": ("repro.protocols.packetizer", "ChecksumPlacement"),
-    "EngineKind": ("repro.checksums.batch", "EngineKind"),
     "supports_batch": ("repro.checksums.registry", "supports_batch"),
     "ArqConfig": ("repro.channel.arq", "ArqConfig"),
     "ChannelPlan": ("repro.channel.plan", "ChannelPlan"),
@@ -148,17 +146,13 @@ _LAZY = {
 }
 
 
-def run_experiment(
-    experiment_id, cache=None, workers=None, store=None, engine=None, **kwargs
-):
+def run_experiment(experiment_id, cache=None, workers=None, store=None, **kwargs):
     """Run a registered experiment; returns its ``ExperimentReport``.
 
     ``cache`` may be a ``ResultCache`` or a ``RunStore`` (from
     :func:`open_store`); ``workers`` fans splice runs over a process
-    pool; ``store`` makes them resumable; ``engine`` selects the
-    splice evaluation path (``"batch"``/``"scalar"``/``"auto"``) for
-    experiments that run the splice engine -- results are bit-identical
-    either way.  See :func:`repro.experiments.registry.run_experiment`.
+    pool; ``store`` makes them resumable.  See
+    :func:`repro.experiments.registry.run_experiment`.
     """
     from repro.experiments.registry import run_experiment as _run
 
@@ -167,7 +161,6 @@ def run_experiment(
         cache=cache,
         workers=workers,
         store=store,
-        engine=engine,
         **kwargs,
     )
 

@@ -21,7 +21,6 @@ import time
 from repro.channel.arq import ArqConfig, ChannelReport, run_channel_transfer
 from repro.core.checkpoint import current_controller
 from repro.core.codedigest import code_digest
-from repro.core.engine import EngineOptions
 from repro.core.experiment import _check_stop
 from repro.core.supervisor import RunHealth, SupervisedPool
 from repro.protocols.packetizer import PacketizerConfig

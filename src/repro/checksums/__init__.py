@@ -16,13 +16,12 @@ candidate splices without re-summing bytes:
   zero-feed operators that combine per-cell CRC images in O(1) per cell.
 - :mod:`repro.checksums.batch` -- the optional batch capability tier
   (``compute_many`` / ``prefix_state`` / ``combine``) behind the
-  vectorized splice engine, plus :class:`EngineKind`.
+  vectorized splice engine.
 - :mod:`repro.checksums.registry` -- name-based lookup of algorithms.
 """
 
 from repro.checksums.batch import (
     BatchChecksumAlgorithm,
-    EngineKind,
     block_matrix,
     swap16,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "CRCEngine",
     "CRCSpec",
     "ChecksumAlgorithm",
-    "EngineKind",
     "Fletcher8",
     "FletcherSums",
     "InternetChecksum",

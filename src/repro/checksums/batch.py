@@ -23,10 +23,8 @@ tractable with three extra capabilities:
 
 Algorithms advertise the capability *structurally*: there is no base
 class to inherit, :func:`supports_batch` simply checks the methods are
-present, and the registry re-exports the check so ``SpliceEngine`` can
-auto-select the batch path when every algorithm in play provides it.
-:class:`EngineKind` names that choice on CLI flags, telemetry counters
-and bench rows.
+present, and the registry re-exports the check so callers can ask it
+of a registered name.
 
 This module sits at the very bottom of the checksums layer and imports
 nothing else from the project, so any layer can talk about the batch
@@ -37,35 +35,16 @@ Python).
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Iterable, Protocol, Union, runtime_checkable
 
 import numpy as np
 
 __all__ = [
     "BatchChecksumAlgorithm",
-    "EngineKind",
     "block_matrix",
     "supports_batch",
     "swap16",
 ]
-
-
-class EngineKind(str, enum.Enum):
-    """Which splice-evaluation path a sweep runs on.
-
-    ``BATCH`` is the vectorized production path; ``SCALAR`` is the
-    byte-at-a-time reference receiver retained for conformance;
-    ``AUTO`` resolves to ``BATCH`` exactly when every algorithm in play
-    supports the batch tier.
-    """
-
-    SCALAR = "scalar"
-    BATCH = "batch"
-    AUTO = "auto"
-
-    def __str__(self) -> str:  # argparse-friendly
-        return self.value
 
 
 @runtime_checkable

@@ -32,15 +32,14 @@ Algorithms may additionally implement the optional *batch* tier
 (:class:`~repro.checksums.batch.BatchChecksumAlgorithm`:
 ``compute_many`` / ``prefix_state`` / ``combine`` / ``state_value``);
 :func:`supports_batch` reports whether a registered name or instance
-advertises it, which is how ``SpliceEngine`` auto-selects its
-vectorized path.
+advertises it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Protocol, Union, runtime_checkable
 
-from repro.checksums.batch import BatchChecksumAlgorithm, EngineKind
+from repro.checksums.batch import BatchChecksumAlgorithm
 from repro.checksums.batch import supports_batch as _instance_supports_batch
 from repro.checksums.crc import (
     CRC10_ATM,
@@ -58,7 +57,6 @@ __all__ = [
     "BatchChecksumAlgorithm",
     "ByteSource",
     "ChecksumAlgorithm",
-    "EngineKind",
     "available_algorithms",
     "get_algorithm",
     "supports_batch",

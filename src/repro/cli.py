@@ -182,18 +182,6 @@ def _sweep_parent(journal=True):
     return parent
 
 
-def _engine_parent():
-    """``--engine``: the splice evaluation path."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--engine", default="batch",
-                        choices=["batch", "scalar", "auto"],
-                        help="splice evaluation path: 'batch' (vectorized "
-                             "kernels, the default), 'scalar' (byte-at-a-"
-                             "time reference receiver, bit-identical and "
-                             "far slower), or 'auto'")
-    return parent
-
-
 def _metrics_parent():
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--metrics", metavar="DEST", default=None,
@@ -231,8 +219,7 @@ def build_parser():
     p_run = sub.add_parser(
         "run", help="regenerate a paper table or figure",
         parents=[_corpus_parent(None, None), _cache_parent(),
-                 _workers_parent(), _engine_parent(), _metrics_parent(),
-                 _sweep_parent()],
+                 _workers_parent(), _metrics_parent(), _sweep_parent()],
     )
     p_run.add_argument("experiment", choices=sorted(experiment_ids()))
     p_run.add_argument("--svg", metavar="PATH", default=None,
@@ -252,7 +239,7 @@ def build_parser():
         parents=[_profile_parent("stanford-u1"), _corpus_parent(500_000, 3),
                  _cache_parent(),
                  _workers_parent(help_text="fan files out over N processes"),
-                 _engine_parent(), _metrics_parent(), _sweep_parent()],
+                 _metrics_parent(), _sweep_parent()],
     )
     p_splice.add_argument("--mss", type=_mss, default=256)
     p_splice.add_argument("--algorithm", default="tcp",
@@ -352,7 +339,6 @@ def build_parser():
     p_bench = sub.add_parser(
         "bench",
         help="run the benchmark workload matrix, write BENCH_<n>.json",
-        parents=[_engine_parent()],
     )
     p_bench.add_argument("--quick", action="store_true",
                          help="smaller matrix for CI smoke runs")
@@ -442,7 +428,6 @@ def _cmd_run(args):
         args.experiment,
         cache=_make_store(args),
         workers=args.workers,
-        engine=args.engine,
         **kwargs,
     )
     print(report)
@@ -491,15 +476,13 @@ def _cmd_splice(args):
         return 2
     fs = build_filesystem(args.profile, args.bytes, args.seed)
     result = run_splice_experiment(
-        fs, config, workers=args.workers, store=_make_store(args),
-        engine=args.engine,
+        fs, config, workers=args.workers, store=_make_store(args)
     )
     c = result.counters
     print("filesystem         %s (%d bytes, %d files)" % (
         fs.name, fs.total_bytes, len(fs)))
     print("transport          %s (%s placement)" % (
         args.algorithm, args.placement))
-    print("engine             %s" % result.options.engine)
     print("total splices      %d" % c.total)
     print("caught by header   %d (%.2f%%)" % (c.caught_by_header,
                                               c.caught_by_header_pct))
@@ -795,7 +778,7 @@ def _cmd_bench(args):
         return 0
 
     previous, previous_path = latest_bench_snapshot(args.out)
-    payload = run_bench(quick=args.quick, engine=args.engine)
+    payload = run_bench(quick=args.quick)
     path = write_bench_snapshot(payload, args.out)
     print("wrote %s (schema %s, %s matrix)" % (
         path, payload["schema"], "quick" if args.quick else "full"))

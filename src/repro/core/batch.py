@@ -1,7 +1,7 @@
 """Vectorized batch kernels behind the splice hot path.
 
-This module is the numerical core of the ``--engine batch`` path: the
-engine proper (:mod:`repro.core.engine`) stays an orchestrator and every
+This module is the numerical core of the splice engine: the engine
+proper (:mod:`repro.core.engine`) stays an orchestrator and every
 per-cell reduction lives here, built on the checksums layer's batch tier
 (:mod:`repro.checksums.batch`).
 
@@ -27,19 +27,12 @@ Three families of machinery:
   Every verdict is a sum, XOR or AND over slots, so it splits at the
   frame boundary, and the engine judges each splice with one combine
   of two partials instead of one gather per slot.
-
-:func:`resolve_engine_kind` maps an options record's ``engine`` field
-(``"auto"``/``"scalar"``/``"batch"``) to the concrete
-:class:`~repro.checksums.batch.EngineKind`, consulting the registry's
-batch capability advertisement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.checksums.batch import EngineKind
-from repro.checksums.registry import supports_batch
 from repro.protocols.aal5 import CELL_PAYLOAD
 
 __all__ = [
@@ -48,7 +41,6 @@ __all__ = [
     "part_partials",
     "range_fletcher",
     "range_word_sums",
-    "resolve_engine_kind",
 ]
 
 
@@ -113,28 +105,6 @@ def part_partials(per_slot, parts, reduce):
             for start in range(0, len(parts), step)
         ]
     )
-
-
-def resolve_engine_kind(options):
-    """Concrete :class:`EngineKind` for an options record.
-
-    ``auto`` resolves to ``batch`` exactly when the transport
-    algorithm, the AAL5 CRC-32 and every auxiliary CRC advertise the
-    registry's batch capability; anything else falls back to the
-    scalar reference receiver.  Names the registry does not know count
-    as not batch-capable here -- ``SpliceEngine`` raises its own
-    (clearer) error for them.
-    """
-    kind = EngineKind(getattr(options, "engine", EngineKind.AUTO))
-    if kind is not EngineKind.AUTO:
-        return kind
-    names = {options.algorithm, "crc32-aal5", *options.aux_crcs}
-    try:
-        if all(supports_batch(name) for name in names):
-            return EngineKind.BATCH
-    except KeyError:
-        pass
-    return EngineKind.SCALAR
 
 
 class CellCrcFold:

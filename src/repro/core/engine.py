@@ -38,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.checksums.batch import EngineKind
 from repro.checksums.crc import CRCEngine
 from repro.checksums.registry import get_algorithm
 from repro.core.batch import (
@@ -46,14 +45,9 @@ from repro.core.batch import (
     part_partials as _part_partials,
     range_fletcher as _range_fletcher,
     range_word_sums as _range_word_sums,
-    resolve_engine_kind,
 )
 from repro.core.checks import candidate_header_validity, candidate_pseudo_sums
-from repro.core.enumeration import (
-    enumerate_splices,
-    sample_splices,
-    structural_splice_count,
-)
+from repro.core.enumeration import splice_enumeration
 from repro.core.results import SpliceCounters
 from repro.protocols.aal5 import CELL_PAYLOAD, aal5_crc_engine
 from repro.protocols.packetizer import ChecksumPlacement
@@ -89,11 +83,6 @@ class EngineOptions:
     #: exceeds this are evaluated over a uniform sample of this size
     #: (rates stay unbiased; totals reflect the sample).
     sample_splices: int = 0
-    #: ``"batch"`` (vectorized kernels), ``"scalar"`` (byte-at-a-time
-    #: reference receiver, bit-identical and ~100x slower), or
-    #: ``"auto"`` -- batch whenever every algorithm in play advertises
-    #: the registry's batch capability.
-    engine: str = "auto"
 
     @classmethod
     def from_packetizer(cls, config, **overrides):
@@ -112,20 +101,14 @@ class EngineOptions:
 class SpliceEngine:
     """Evaluates every splice of adjacent AAL5 frame pairs.
 
-    The evaluation path is selected per :attr:`EngineOptions.engine`
-    (see :func:`repro.core.batch.resolve_engine_kind`): ``batch`` runs
-    the vectorized kernels of :mod:`repro.core.batch`; ``scalar`` runs
-    the byte-at-a-time reference receiver of
-    :mod:`repro.core.reference` over the *same* enumeration, producing
-    bit-identical counters at a fraction of the speed -- it exists as
-    the conformance baseline ``--engine scalar`` exposes.  It judges
-    every row: the header pruning of :meth:`evaluate_batch` applies to
-    the batch kernels only.
+    Every verdict comes from the vectorized kernels of
+    :mod:`repro.core.batch`.  The tests hold the counters to
+    :func:`repro.core.reference.count_splices`, which judges the same
+    enumeration one byte-materialised splice at a time.
     """
 
     def __init__(self, options=None):
         self.options = options or EngineOptions()
-        self.engine_kind = resolve_engine_kind(self.options)
         self._crc32 = aal5_crc_engine()
         self._residue32 = np.uint32(self._crc32.residue_register("big"))
         self._folds = {}
@@ -146,15 +129,9 @@ class SpliceEngine:
 
     def _enumeration(self, n1, n2):
         """Exact enumeration, or a uniform sample when configured."""
-        limit = self.options.sample_splices
-        if (
-            limit
-            and n1 >= 2
-            and n2 >= 2
-            and structural_splice_count(n1, n2) > limit
-        ):
-            return sample_splices(n1, n2, limit)
-        return enumerate_splices(n1, n2, self.options.max_splices)
+        return splice_enumeration(
+            n1, n2, self.options.sample_splices, self.options.max_splices
+        )
 
     def evaluate_stream(self, wire):
         """Evaluate every adjacent pair of one file's frames.
@@ -276,11 +253,11 @@ class SpliceEngine:
         for name, valid_aux in verdicts["aux"].items():
             counters.missed_aux[name] = int(np.count_nonzero(remaining & valid_aux))
 
-        # Engine-kind throughput accounting happens parent-side in
-        # ``experiment._account_shard`` (``engine.<kind>.splices`` and
-        # its rate meter): worker pools keep their own registries, so
-        # anything emitted here would vanish under ``--workers N`` and
-        # break counter-total identity across execution layouts.
+        # Throughput accounting happens parent-side in
+        # ``experiment._account_shard``: worker pools keep their own
+        # registries, so anything emitted here would vanish under
+        # ``--workers N`` and break counter-total identity across
+        # execution layouts.
         return counters
 
     # -- verdict evaluation ---------------------------------------------
@@ -290,8 +267,8 @@ class SpliceEngine:
 
         Each verdict is a ``(rows, B)`` boolean array over the
         enumeration rows ``rows``, where ``None`` means every row.  With
-        ``prune``, the batch kernels judge only the rows whose leading
-        cell passes the header checks for at least one pair.
+        ``prune``, only the rows whose leading cell passes the header
+        checks for at least one pair are judged.
         """
         telemetry = _telemetry()
         cells1 = np.asarray(cells1, dtype=np.uint8)
@@ -302,12 +279,6 @@ class SpliceEngine:
             enum = self._enumeration(n1, n2)
         if enum.splices == 0:
             return enum, None, self._no_verdicts(batch)
-        if self.engine_kind is EngineKind.SCALAR:
-            with telemetry.span("engine.scalar"):
-                verdicts = self._scalar_verdicts(
-                    enum, cells1, cells2, iplen1, iplen2
-                )
-            return enum, None, verdicts
 
         # Cell-major copy of the batch: frame 1's candidates, then all of
         # frame 2 (candidates in the enumeration's layout, its trailer at
@@ -357,11 +328,11 @@ class SpliceEngine:
         }
         return enum, rows, verdicts
 
-    def _no_verdicts(self, batch, rows=0):
-        """All-False verdicts of shape ``(rows, batch)``."""
-        verdicts = {key: np.zeros((rows, batch), dtype=bool) for key in _VERDICTS}
+    def _no_verdicts(self, batch):
+        """Empty verdicts of shape ``(0, batch)``."""
+        verdicts = {key: np.zeros((0, batch), dtype=bool) for key in _VERDICTS}
         verdicts["aux"] = {
-            name: np.zeros((rows, batch), dtype=bool) for name, _ in self._aux
+            name: np.zeros((0, batch), dtype=bool) for name, _ in self._aux
         }
         return verdicts
 
@@ -520,46 +491,6 @@ class SpliceEngine:
         first = np.bitwise_or.reduce(first.view(np.uint8) << bits, axis=1)
         second = np.bitwise_or.reduce(second.view(np.uint8) << bits, axis=1)
         return _combine(first, second, split, np.bitwise_and).astype(bool)
-
-    # -- scalar conformance path ----------------------------------------
-
-    def _scalar_verdicts(self, enum, cells1, cells2, iplen1, iplen2):
-        """Judge the same enumeration with the reference receiver.
-
-        Fills verdict matrices of the exact shape the batch kernels
-        produce, one byte-materialised splice at a time, so
-        :meth:`evaluate_batch` shares all counter accounting between
-        the two engine kinds and bit-identity holds by construction.
-        """
-        from repro.core.reference import judge_splice_cells
-
-        batch = cells1.shape[0]
-        verdicts = self._no_verdicts(batch, enum.splices)
-        aux_engines = self._aux
-        for b in range(batch):
-            frame2 = b"".join(bytes(c) for c in cells2[b])
-            aux_targets = {
-                # One target per pair, amortized over every splice of
-                # the pair.  reprolint: disable=REP304
-                name: engine.compute(frame2[:-_CRC_FIELD_LEN])
-                for name, engine in aux_engines
-            }
-            for s, selection in enumerate(enum.selection):
-                verdict = judge_splice_cells(  # reprolint: disable=REP304
-                    cells1[b],
-                    cells2[b],
-                    iplen1,
-                    iplen2,
-                    selection,
-                    self.options,
-                    aux_engines=aux_engines,
-                    aux_targets=aux_targets,
-                )
-                for key in _VERDICTS:
-                    verdicts[key][s, b] = verdict[key]
-                for name, ok in verdict["aux"].items():
-                    verdicts["aux"][name][s, b] = ok
-        return verdicts
 
 
 _VERDICTS = ("header_pass", "transport", "crc32", "identical")

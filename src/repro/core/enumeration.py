@@ -36,6 +36,7 @@ __all__ = [
     "SpliceEnumeration",
     "enumerate_splices",
     "splice_count",
+    "splice_enumeration",
     "structural_splice_count",
 ]
 
@@ -221,3 +222,16 @@ def sample_splices(n1, n2, count, seed=0):
             rows.add(draw)
     matrix = np.array(sorted(rows), dtype=np.int16)
     return _finish_enumeration(n1, n2, matrix)
+
+
+def splice_enumeration(n1, n2, sample=0, max_splices=2_000_000):
+    """The rows a pair is judged over: exact, or a uniform sample.
+
+    ``sample`` is 0 for the exact enumeration; otherwise a pair with
+    more than ``sample`` splices is judged over :func:`sample_splices`
+    of that size.  The engine and the reference counter of
+    :mod:`repro.core.reference` both enumerate through here.
+    """
+    if sample and n1 >= 2 and n2 >= 2 and structural_splice_count(n1, n2) > sample:
+        return sample_splices(n1, n2, sample)
+    return enumerate_splices(n1, n2, max_splices)

@@ -7,11 +7,9 @@ all possible splices of two adjacent TCP segments".
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
-from repro.core.batch import resolve_engine_kind
 from repro.core.checkpoint import current_controller
 from repro.core.engine import EngineOptions, SpliceEngine
 from repro.core.results import SpliceCounters
@@ -147,7 +145,6 @@ def run_splice_experiment(
     journal=None,
     resume=None,
     shard_timeout=None,
-    engine=None,
 ):
     """Run the paper's splice simulation over ``filesystem``.
 
@@ -183,16 +180,9 @@ def run_splice_experiment(
     bit-identical to an uninterrupted one.  Both default to the
     ambient :func:`~repro.core.checkpoint.current_controller` (the
     CLI's ``--journal``/``--resume``), as does ``shard_timeout``.
-
-    ``engine`` (``"batch"``/``"scalar"``/``"auto"``) overrides the
-    evaluation path of :attr:`EngineOptions.engine`; it rides inside
-    the options record, so it reaches pool workers and store shard
-    keys alike.
     """
     config = config or PacketizerConfig()
     options = options or EngineOptions.from_packetizer(config)
-    if engine is not None:
-        options = dataclasses.replace(options, engine=str(engine))
     health = health if health is not None else RunHealth()
     telemetry = _telemetry()
     controller = current_controller()
@@ -231,17 +221,13 @@ def run_splice_experiment(
     counters = SpliceCounters()
     pool = _make_pool(workers, health, faults, shard_timeout)
     jobs = [(file.data, config, options) for file in files]
-    engine_kind = resolve_engine_kind(options).value
     with telemetry.span("experiment.run"):
         last = time.perf_counter()
         done = 0
         if not _check_stop(controller, health, telemetry, done, len(jobs)):
             for index, part in pool.run(jobs):
                 now = time.perf_counter()
-                _account_shard(
-                    telemetry, part, len(jobs[index][0]), now - last,
-                    engine_kind=engine_kind,
-                )
+                _account_shard(telemetry, part, len(jobs[index][0]), now - last)
                 last = now
                 counters += part
                 done += 1
@@ -259,15 +245,12 @@ def run_splice_experiment(
     )
 
 
-def _account_shard(telemetry, counters, nbytes, elapsed, engine_kind=None):
+def _account_shard(telemetry, counters, nbytes, elapsed):
     """Parent-side accounting for one resolved shard.
 
     Counter/meter *amounts* come from the returned counters, so totals
     are bit-identical across ``--workers`` settings; only the elapsed
     seconds (and hence derived rates) depend on the execution layout.
-    ``engine_kind`` tags the splice throughput with the evaluation
-    path (``engine.batch.splices`` / ``engine.scalar.splices``) so
-    engine-kind comparisons read straight off the metrics.
     """
     telemetry.count("splice.files", counters.files or 1)
     telemetry.count("splice.packets", counters.packets)
@@ -275,9 +258,4 @@ def _account_shard(telemetry, counters, nbytes, elapsed, engine_kind=None):
     telemetry.count("splice.missed_transport", counters.missed_transport)
     telemetry.meter("splice.splices_rate", counters.total, elapsed)
     telemetry.meter("splice.bytes_rate", nbytes, elapsed)
-    if engine_kind is not None:
-        telemetry.count("engine.%s.splices" % engine_kind, counters.total)
-        telemetry.meter(
-            "engine.%s.splices_rate" % engine_kind, counters.total, elapsed
-        )
     telemetry.observe("experiment.shard_seconds", elapsed)

@@ -20,15 +20,13 @@ direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from repro.checksums.batch import EngineKind
-from repro.checksums.fletcher import Fletcher8, fletcher8
-from repro.checksums.internet import fold_carries, word_sums
+from repro.checksums.fletcher import fletcher8
+from repro.checksums.internet import word_sums
 from repro.core.batch import fold16
-from repro.protocols.fragmentation import fragment_packet, reassemble_fragments
+from repro.protocols.fragmentation import fragment_packet
 from repro.protocols.ftpsim import FileTransferSimulator
 from repro.protocols.ip import IP_HEADER_LEN
 from repro.protocols.tcp import pseudo_header_word_sum
@@ -64,18 +62,6 @@ class FragmentSpliceCounters:
         return merged
 
 
-def _verify(algorithm, packet):
-    """Receiver-side transport verification of a reassembled packet."""
-    segment = packet[IP_HEADER_LEN:]
-    if algorithm == "tcp":
-        src = int.from_bytes(packet[12:16], "big")
-        dst = int.from_bytes(packet[16:20], "big")
-        total = pseudo_header_word_sum(src, dst, len(segment))
-        total += word_sums(segment)
-        return int(fold_carries(total)) == 0xFFFF
-    return Fletcher8(int(algorithm[-3:])).verify(segment)
-
-
 def run_fragment_splice_experiment(
     filesystem,
     config,
@@ -83,7 +69,6 @@ def run_fragment_splice_experiment(
     algorithms=("tcp", "fletcher255", "fletcher256"),
     max_positions=8,
     max_files=None,
-    engine="auto",
 ):
     """Run the fragment-interchange error model over a filesystem.
 
@@ -92,20 +77,12 @@ def run_fragment_splice_experiment(
     both packets are fragmented at ``mtu`` and every non-empty,
     non-total subset of same-offset fragment substitutions is applied
     to the first packet.  ``max_positions`` caps the number of
-    fragment positions considered (2^k subsets).
-
-    ``engine`` selects the evaluation path: ``batch`` (the default
-    that ``auto`` resolves to here -- every algorithm this model
-    accepts decomposes) judges all subsets of a pair at once from
-    per-position partial sums; ``scalar`` reassembles and verifies
-    each subset byte-at-a-time, bit-identically.
+    fragment positions considered (2^k subsets).  All subsets of a
+    pair are judged at once from per-position partial sums
+    (:func:`_judge_pair`).
 
     Returns ``{algorithm: FragmentSpliceCounters}``.
     """
-    kind = EngineKind(engine)
-    if kind is EngineKind.AUTO:
-        kind = EngineKind.BATCH
-    judge = _judge_pair_scalar if kind is EngineKind.SCALAR else _judge_pair
     results = {}
     for algorithm in algorithms:
         simulator = FileTransferSimulator(config.with_overrides(algorithm=algorithm))
@@ -123,7 +100,7 @@ def run_fragment_splice_experiment(
                 if positions < 2:
                     continue
                 counters.pairs += 1
-                counters += judge(
+                counters += _judge_pair(
                     frags1[:positions] + frags1[positions:],
                     frags2,
                     positions,
@@ -162,8 +139,9 @@ def _judge_pair(frags1, frags2, positions, algorithm):
     TCP sum into per-payload word sums, Fletcher into per-payload
     ``(A, B)`` pairs with the positional shift ``B + D * A`` for a
     payload ending ``D`` bytes before the segment end.  One mask-matrix
-    product then judges all ``2^k - 2`` subsets at once, bit-identical
-    to :func:`_judge_pair_scalar` (the conformance suite asserts it).
+    product then judges all ``2^k - 2`` subsets at once.
+    tests/core/test_fragsplice.py holds it bit-identical to a receiver
+    that reassembles and verifies each subset byte-at-a-time.
     """
     counters = FragmentSpliceCounters()
     masks = _subset_masks(positions)
@@ -212,33 +190,4 @@ def _judge_pair(frags1, frags2, positions, algorithm):
     missed = int((changed & ok).sum())
     if missed:
         counters.missed[algorithm] = missed
-    return counters
-
-
-def _judge_pair_scalar(frags1, frags2, positions, algorithm):
-    """Byte-at-a-time reference: reassemble and verify every subset."""
-    counters = FragmentSpliceCounters()
-    original = reassemble_fragments(frags1, check_header=False)
-    for count in range(1, positions):
-        for subset in combinations(range(positions), count):
-            mixed = list(frags1)
-            changed = False
-            for position in subset:
-                if frags1[position][IP_HEADER_LEN:] != frags2[position][IP_HEADER_LEN:]:
-                    changed = True
-                mixed[position] = (
-                    mixed[position][:IP_HEADER_LEN]
-                    + frags2[position][IP_HEADER_LEN:]
-                )
-            counters.total += 1
-            if not changed:
-                counters.identical += 1
-                continue
-            counters.remaining += 1
-            spliced = reassemble_fragments(mixed, check_header=False)
-            assert len(spliced) == len(original)
-            # The scalar conformance reference *is* the byte-at-a-time
-            # path --engine scalar selects.  reprolint: disable=REP304
-            if _verify(algorithm, spliced):
-                counters.missed[algorithm] = counters.missed.get(algorithm, 0) + 1
     return counters

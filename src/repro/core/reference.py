@@ -3,7 +3,8 @@
 The vectorized engine in :mod:`repro.core.engine` is validated against
 this module: for a given splice it materialises the actual frame bytes
 and applies each check exactly as a receiver would, one packet at a
-time.  It is hundreds of times slower and exists for correctness
+time, and :func:`count_splices` tallies a whole transfer's counters
+that way.  It is hundreds of times slower and exists for correctness
 cross-checks, debugging, and as executable documentation of the error
 model.
 """
@@ -12,12 +13,16 @@ from __future__ import annotations
 
 from repro.checksums.fletcher import Fletcher8
 from repro.checksums.internet import fold_carries, word_sums
+from repro.checksums.registry import get_algorithm
+from repro.core.enumeration import splice_enumeration
+from repro.core.results import SpliceCounters
 from repro.protocols.aal5 import aal5_crc_engine
 from repro.protocols.ip import IP_HEADER_LEN, parse_ipv4_header
 from repro.protocols.packetizer import ChecksumPlacement
 from repro.protocols.tcp import pseudo_header_word_sum
 
 __all__ = [
+    "count_splices",
     "judge_splice",
     "judge_splice_cells",
     "splice_cell_bytes",
@@ -60,17 +65,13 @@ def judge_splice_cells(
     selection,
     options,
     aux_engines=(),
-    aux_targets=None,
 ):
     """Judge one splice from cell matrices, byte-at-a-time.
 
-    The scalar conformance path of the splice engine: materialises the
-    reassembled frame and applies every check exactly as
-    :func:`judge_splice` does, plus the auxiliary CRC verdicts (an
-    auxiliary code accepts the splice when it reproduces the intact
-    second frame's check value).  ``aux_targets`` may carry those
-    per-pair reference values precomputed; otherwise they are derived
-    here from ``cells2``.
+    Materialises the reassembled frame and applies every check exactly
+    as :func:`judge_splice` does, plus the verdict of each
+    ``(name, engine)`` in ``aux_engines``: an auxiliary CRC accepts the
+    splice when it reproduces the intact second frame's check value.
     """
     data = splice_cell_bytes(cells1, cells2, selection)
     cmp_end = (
@@ -82,13 +83,10 @@ def judge_splice_cells(
     else:
         frame1_prefix = None
     identical = data[:cmp_end] in (frame1_prefix, frame2_bytes[:cmp_end])
-    aux = {}
-    for name, engine in aux_engines:
-        if aux_targets is not None and name in aux_targets:
-            target = aux_targets[name]
-        else:
-            target = engine.compute(frame2_bytes[:-4])
-        aux[name] = engine.compute(data[:-4]) == target
+    aux = {
+        name: engine.compute(data[:-4]) == engine.compute(frame2_bytes[:-4])
+        for name, engine in aux_engines
+    }
     return {
         "header_pass": _header_ok(
             data, iplen2, require_ip_checksum=options.require_ip_checksum
@@ -113,6 +111,60 @@ def _header_ok(frame_bytes, expected_iplen, require_ip_checksum=True):
         return False
     flags = frame_bytes[33]
     return bool(flags & 0x10) and not (flags & 0x07)
+
+
+def count_splices(frames, options):
+    """:class:`SpliceCounters` of a transfer, one splice at a time.
+
+    The oracle of :meth:`SpliceEngine.evaluate_stream`: ``frames`` are
+    one file's AAL5 frames in transfer order.  Every adjacent pair is
+    judged over the engine's enumeration
+    (:func:`~repro.core.enumeration.splice_enumeration`), each splice
+    through :func:`judge_splice_cells`, and every counter is tallied
+    here from those verdicts.
+    """
+    aux_engines = [(name, get_algorithm(name)) for name in options.aux_crcs]
+    counters = SpliceCounters(packets=len(frames))
+    for frame1, frame2 in zip(frames, frames[1:]):
+        counters.pairs += 1
+        cells1, cells2 = frame1.cells(), frame2.cells()
+        enum = splice_enumeration(
+            len(cells1), len(cells2), options.sample_splices, options.max_splices
+        )
+        rows = zip(enum.selection, enum.substitution_len, enum.has_second_header)
+        for selection, length, second_header in rows:
+            verdict = judge_splice_cells(
+                cells1,
+                cells2,
+                len(frame1.payload),
+                len(frame2.payload),
+                selection,
+                options,
+                aux_engines,
+            )
+            counters.total += 1
+            if not verdict["header_pass"]:
+                counters.caught_by_header += 1
+                continue
+            if verdict["identical"]:
+                counters.identical += 1
+                if not verdict["transport"]:
+                    counters.identical_rejected += 1
+                continue
+            length, second_header = int(length), int(second_header)
+            counters.remaining += 1
+            counters.remaining_by_len[length] += 1
+            counters.remaining_with_hdr2 += second_header
+            if verdict["transport"]:
+                counters.missed_transport += 1
+                counters.missed_by_len[length] += 1
+                counters.missed_with_hdr2 += second_header
+            if verdict["crc32"]:
+                counters.missed_crc32 += 1
+            for name, missed in verdict["aux"].items():
+                if missed:
+                    counters.missed_aux[name] += 1
+    return counters
 
 
 def judge_splice(frame1, frame2, selection, options):

@@ -248,9 +248,7 @@ def monte_carlo_crosscheck(
     )
 
 
-def fragment_splices(
-    fs_bytes=150_000, seed=DEFAULT_SEED, system="sics-opt", mtu=92, engine=None
-):
+def fragment_splices(fs_bytes=150_000, seed=DEFAULT_SEED, system="sics-opt", mtu=92):
     """The fragmentation-and-reassembly error model vs the cell model.
 
     Same-offset fragment substitutions do not shift any byte, so
@@ -263,14 +261,12 @@ def fragment_splices(
 
     fs = build_filesystem(system, fs_bytes, seed)
     base = PacketizerConfig()
-    fragment_results = run_fragment_splice_experiment(
-        fs, base, mtu=mtu, engine=engine or "auto"
-    )
+    fragment_results = run_fragment_splice_experiment(fs, base, mtu=mtu)
 
     cell_rates = {}
     for algorithm in ("tcp", "fletcher255", "fletcher256"):
         counters = run_splice_experiment(
-            fs, base.with_overrides(algorithm=algorithm), engine=engine
+            fs, base.with_overrides(algorithm=algorithm)
         ).counters
         cell_rates[algorithm] = counters.miss_rate_transport
 

@@ -99,20 +99,15 @@ def _accepts(function, name):
         return False
 
 
-def run_experiment(
-    experiment_id, cache=None, workers=None, store=None, engine=None, **kwargs
-):
+def run_experiment(experiment_id, cache=None, workers=None, store=None, **kwargs):
     """Run a registered experiment and return its report.
 
     ``cache`` is a :class:`repro.store.cache.ResultCache` (or a
     :class:`repro.store.runner.RunStore`, whose ``results`` cache and
     ``store`` hook are both used).  ``workers`` fans splice runs over a
-    process pool; ``store`` makes them resumable at shard granularity;
-    ``engine`` selects the splice evaluation path
-    (``batch``/``scalar``/``auto``).  None of the three enters the
-    cache key — cached, direct, scalar and batch runs are all
-    bit-identical by construction (the conformance suite asserts the
-    engine half).
+    process pool; ``store`` makes them resumable at shard granularity.
+    Neither enters the cache key — cached and direct runs are
+    bit-identical by construction.
     """
     if experiment_id not in EXPERIMENTS:
         raise KeyError(
@@ -150,8 +145,6 @@ def run_experiment(
         call_kwargs["workers"] = workers
     if store is not None and _accepts(function, "store"):
         call_kwargs["store"] = store
-    if engine is not None and _accepts(function, "engine"):
-        call_kwargs["engine"] = engine
 
     health = None
     if _accepts(function, "health"):

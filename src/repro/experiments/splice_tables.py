@@ -43,11 +43,11 @@ FLETCHER_SYSTEMS = (
 )
 
 
-def _splice_rows(systems, fs_bytes, seed, config, workers=None, store=None, health=None, engine=None):
+def _splice_rows(systems, fs_bytes, seed, config, workers=None, store=None, health=None):
     rows = []
     for name in systems:
         fs = build_filesystem(name, fs_bytes, seed)
-        result = run_splice_experiment(fs, config, workers=workers, store=store, health=health, engine=engine)
+        result = run_splice_experiment(fs, config, workers=workers, store=store, health=health)
         rows.append((name, result.counters))
     return rows
 
@@ -91,41 +91,41 @@ def _render_splice_table(rows):
 
 
 def _splice_table_report(
-    experiment_id, title, systems, fs_bytes, seed, workers=None, store=None, health=None, engine=None
+    experiment_id, title, systems, fs_bytes, seed, workers=None, store=None, health=None
 ):
     rows = _splice_rows(
         systems, fs_bytes, seed, PacketizerConfig(),
-        workers=workers, store=store, health=health, engine=engine,
+        workers=workers, store=store, health=health,
     )
     text, data = _render_splice_table(rows)
     return ExperimentReport(experiment_id, title, text, {"rows": data})
 
 
-def table1_nsc(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None, engine=None):
+def table1_nsc(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None):
     """Table 1: CRC and TCP checksum results, NSC-profile systems."""
     return _splice_table_report(
         "table1", "Splice results, 256-byte packets (NSC profiles)",
-        TABLE1_SYSTEMS, fs_bytes, seed, workers=workers, store=store, health=health, engine=engine,
+        TABLE1_SYSTEMS, fs_bytes, seed, workers=workers, store=store, health=health,
     )
 
 
-def table2_sics(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None, engine=None):
+def table2_sics(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None):
     """Table 2: CRC and TCP checksum results, SICS-profile systems."""
     return _splice_table_report(
         "table2", "Splice results, 256-byte packets (SICS profiles)",
-        TABLE2_SYSTEMS, fs_bytes, seed, workers=workers, store=store, health=health, engine=engine,
+        TABLE2_SYSTEMS, fs_bytes, seed, workers=workers, store=store, health=health,
     )
 
 
-def table3_stanford(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None, engine=None):
+def table3_stanford(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None):
     """Table 3: CRC and TCP checksum results, Stanford-profile systems."""
     return _splice_table_report(
         "table3", "Splice results, 256-byte packets (Stanford profiles)",
-        TABLE3_SYSTEMS, fs_bytes, seed, workers=workers, store=store, health=health, engine=engine,
+        TABLE3_SYSTEMS, fs_bytes, seed, workers=workers, store=store, health=health,
     )
 
 
-def table7_compressed(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None, engine=None):
+def table7_compressed(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None):
     """Table 7: the Section 5.1 compression counterfactual.
 
     Compressing the worst filesystem (sics-opt) restores a near-uniform
@@ -133,10 +133,10 @@ def table7_compressed(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None
     """
     fs = build_filesystem("sics-opt", fs_bytes, seed)
     config = PacketizerConfig()
-    before = run_splice_experiment(fs, config, workers=workers, store=store, health=health, engine=engine).counters
+    before = run_splice_experiment(fs, config, workers=workers, store=store, health=health).counters
     after = run_splice_experiment(
         compress_filesystem(fs), config,
-        workers=workers, store=store, health=health, engine=engine,
+        workers=workers, store=store, health=health,
     ).counters
     table = TextTable(["corpus", "remaining", "TCP misses", "TCP miss %"])
     for label, c in (("sics-opt", before), ("sics-opt compressed", after)):
@@ -160,7 +160,7 @@ def table7_compressed(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None
     )
 
 
-def table8_fletcher(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None, engine=None):
+def table8_fletcher(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None):
     """Table 8: Fletcher mod-255 / mod-256 vs the TCP checksum."""
     base = PacketizerConfig()
     configs = [
@@ -175,7 +175,7 @@ def table8_fletcher(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, 
         for label, config in configs:
             c = run_splice_experiment(
                 fs, config,
-                workers=workers, store=store, health=health, engine=engine,
+                workers=workers, store=store, health=health,
             ).counters
             table.add_row(
                 name if label == "TCP" else "",
@@ -199,7 +199,7 @@ def table8_fletcher(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, 
     )
 
 
-def table9_trailer(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None, engine=None):
+def table9_trailer(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None):
     """Table 9: trailer-placed TCP checksum vs the header placement."""
     base = PacketizerConfig()
     trailer = base.with_overrides(placement=ChecksumPlacement.TRAILER)
@@ -209,8 +209,8 @@ def table9_trailer(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, s
     data = []
     for name in FLETCHER_SYSTEMS:
         fs = build_filesystem(name, fs_bytes, seed)
-        header_c = run_splice_experiment(fs, base, workers=workers, store=store, health=health, engine=engine).counters
-        trailer_c = run_splice_experiment(fs, trailer, workers=workers, store=store, health=health, engine=engine).counters
+        header_c = run_splice_experiment(fs, base, workers=workers, store=store, health=health).counters
+        trailer_c = run_splice_experiment(fs, trailer, workers=workers, store=store, health=health).counters
         ratio = (
             header_c.miss_rate_transport / trailer_c.miss_rate_transport
             if trailer_c.miss_rate_transport
@@ -238,15 +238,15 @@ def table9_trailer(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, s
 
 
 def table10_header_vs_trailer(
-    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None, engine=None
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None
 ):
     """Table 10: false positives/negatives, header vs trailer placement."""
     fs = build_filesystem("stanford-u1", fs_bytes, seed)
     base = PacketizerConfig()
-    header_c = run_splice_experiment(fs, base, workers=workers, store=store, health=health, engine=engine).counters
+    header_c = run_splice_experiment(fs, base, workers=workers, store=store, health=health).counters
     trailer_c = run_splice_experiment(
         fs, base.with_overrides(placement=ChecksumPlacement.TRAILER),
-        workers=workers, store=store, health=health, engine=engine,
+        workers=workers, store=store, health=health,
     ).counters
 
     def pct(count, total):

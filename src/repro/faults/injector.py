@@ -98,9 +98,9 @@ class FaultyObjectStore:
     def get(self, digest, verify=True):
         kind = self._injected("get")
         if kind == "eio":
-            raise OSError(
-                errno.EIO, "injected I/O error", str(self.inner.path_for(digest))
-            )
+            # Name the object, not its path: the store guard quotes this
+            # error in RunHealth notes, which must not depend on the root.
+            raise OSError(errno.EIO, "injected I/O error", digest)
         if kind == "connreset":
             raise ConnectionResetError(
                 errno.ECONNRESET, "injected: connection reset by peer"

@@ -264,7 +264,6 @@ def run_sharded_splice(
     """
     # Import here: core.experiment lazily imports this module, so the
     # pool construction is shared without a load-time cycle.
-    from repro.core.batch import resolve_engine_kind
     from repro.core.checkpoint import current_controller
     from repro.core.experiment import _account_shard, _check_stop, _make_pool
 
@@ -332,8 +331,7 @@ def run_sharded_splice(
             for index, counters in pool.run([job for _, job in jobs]):
                 now = time.perf_counter()
                 _account_shard(
-                    telemetry, counters, len(jobs[index][1][0]), now - last,
-                    engine_kind=resolve_engine_kind(options).value,
+                    telemetry, counters, len(jobs[index][1][0]), now - last
                 )
                 last = now
                 key = jobs[index][0]

@@ -192,12 +192,7 @@ _ENGINE_MATRIX_FULL = _ENGINE_MATRIX_QUICK + (
 )
 
 
-#: Corpus for the scalar-vs-batch comparison rows: small enough that
-#: the byte-at-a-time reference receiver finishes in seconds.
-_COMPARE_BYTES = 8_000
-
-
-def _engine_row(fs, algorithm, placement, corpus_bytes, engine):
+def _engine_row(fs, algorithm, placement, corpus_bytes):
     from repro.core.experiment import run_splice_experiment
     from repro.protocols.packetizer import ChecksumPlacement, PacketizerConfig
 
@@ -205,20 +200,19 @@ def _engine_row(fs, algorithm, placement, corpus_bytes, engine):
         algorithm=algorithm, placement=ChecksumPlacement(placement)
     )
     t0 = time.perf_counter()
-    result = run_splice_experiment(fs, config, engine=engine)
+    result = run_splice_experiment(fs, config)
     dt = max(time.perf_counter() - t0, 1e-9)
     return {
         "algorithm": algorithm,
         "placement": placement,
         "corpus_bytes": corpus_bytes,
-        "engine": result.options.engine,
         "splices": result.counters.total,
         "seconds": round(dt, 6),
         "splices_per_sec": round(result.counters.total / dt, 1),
     }
 
 
-def _engine_section(quick, engine="batch"):
+def _engine_section(quick):
     from repro.corpus.profiles import build_filesystem
 
     sizes = (60_000,) if quick else (120_000, 400_000)
@@ -228,16 +222,8 @@ def _engine_section(quick, engine="batch"):
     for corpus_bytes in sizes:
         fs = build_filesystem("stanford-u1", corpus_bytes, _SEED)
         for algorithm, placement in matrix:
-            rows.append(
-                _engine_row(fs, algorithm, placement, corpus_bytes, engine)
-            )
-    # Scalar-vs-batch comparison pair on a corpus the reference
-    # receiver can finish: the snapshot itself records the delta the
-    # CI bench-smoke gate asserts (batch >= 5x scalar).
-    fs = build_filesystem("stanford-u1", _COMPARE_BYTES, _SEED)
-    for kind in ("batch", "scalar"):
-        rows.append(_engine_row(fs, "tcp", "header", _COMPARE_BYTES, kind))
-    return rows, {"corpus_sizes": list(sizes), "engine": engine}
+            rows.append(_engine_row(fs, algorithm, placement, corpus_bytes))
+    return rows, {"corpus_sizes": list(sizes)}
 
 
 def _overhead_section(quick):
@@ -334,14 +320,10 @@ def _channel_section(quick):
 # ----------------------------------------------------------------------
 # snapshot assembly, persistence, validation, deltas
 
-def run_bench(quick=False, engine="batch"):
-    """Run the workload matrix; return the snapshot dict.
-
-    ``engine`` selects the splice evaluation path of the engine-matrix
-    rows (the scalar-vs-batch comparison pair is measured regardless).
-    """
+def run_bench(quick=False):
+    """Run the workload matrix; return the snapshot dict."""
     algorithms, algo_meta = _algorithm_section(quick)
-    engine, engine_meta = _engine_section(quick, engine)
+    engine, engine_meta = _engine_section(quick)
     overhead = _overhead_section(quick)
     channel = _channel_section(quick)
     workload = {"seed": _SEED, "cell_bytes": _CELL}
@@ -490,19 +472,19 @@ def delta_table(previous, current_payload):
                     _pct_delta(entry[key], old),
                 )
             )
+    # Older snapshots may hold ``"engine": "scalar"`` rows, which timed
+    # the byte-at-a-time receiver; only batch rows are comparable.
     prev_engine = {
-        (r["algorithm"], r["placement"], r["corpus_bytes"],
-         r.get("engine", "batch")): r
+        (r["algorithm"], r["placement"], r["corpus_bytes"]): r
         for r in (previous or {}).get("engine", [])
+        if r.get("engine", "batch") == "batch"
     }
     for row in current_payload["engine"]:
-        kind = row.get("engine", "batch")
-        key = (row["algorithm"], row["placement"], row["corpus_bytes"], kind)
+        key = (row["algorithm"], row["placement"], row["corpus_bytes"])
         old = prev_engine.get(key, {}).get("splices_per_sec")
         lines.append(
-            "| engine[%s] %s/%s @%d splices/s | %.0f | %s | %s |"
+            "| engine %s/%s @%d splices/s | %.0f | %s | %s |"
             % (
-                kind,
                 row["algorithm"],
                 row["placement"],
                 row["corpus_bytes"],

@@ -19,7 +19,6 @@ import pytest
 
 from repro.checksums.batch import (
     BatchChecksumAlgorithm,
-    EngineKind,
     block_matrix,
     supports_batch,
 )
@@ -152,14 +151,3 @@ class TestBlockMatrix:
         matrix = block_matrix([b"\x01\x02", b"\x03\x04"])
         assert matrix.dtype == np.uint8
         assert matrix.tolist() == [[1, 2], [3, 4]]
-
-
-class TestEngineKind:
-    def test_values_are_the_cli_choices(self):
-        assert {k.value for k in EngineKind} == {"scalar", "batch", "auto"}
-
-    def test_str_is_argparse_friendly(self):
-        assert str(EngineKind.BATCH) == "batch"
-
-    def test_constructible_from_flag_value(self):
-        assert EngineKind("scalar") is EngineKind.SCALAR

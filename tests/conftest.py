@@ -44,6 +44,26 @@ def make_filesystem(kinds_and_sizes, seed=7, name="test-fs"):
     return fs
 
 
+def reference_run(filesystem, config):
+    """Counters of a splice run over ``filesystem``, from the reference
+    receiver (:func:`repro.core.reference.count_splices`), merged file
+    by file as the experiment driver merges its shards."""
+    from repro.core.engine import EngineOptions
+    from repro.core.reference import count_splices
+    from repro.core.results import SpliceCounters
+    from repro.protocols.ftpsim import FileTransferSimulator
+
+    options = EngineOptions.from_packetizer(config)
+    simulator = FileTransferSimulator(config)
+    counters = SpliceCounters()
+    for file in filesystem:
+        frames = [unit.frame for unit in simulator.transfer(file.data)]
+        part = count_splices(frames, options)
+        part.files = 1
+        counters += part
+    return counters
+
+
 @pytest.fixture
 def small_mixed_fs():
     return make_filesystem(

@@ -108,6 +108,21 @@ class TestSequentialChaos:
         assert result.counters == clean_counters
         assert health.store_errors > 0
 
+    def test_replica_outage_notes_do_not_depend_on_the_root(
+        self, tmp_path, fs, config, clean_counters
+    ):
+        # The demotion note quotes the injected error; two sweeps over
+        # different store roots must record the same notes.
+        a_result, _, a_health = chaotic_run(
+            fs, config, tmp_path / "a", "replica-outage", fault_seed=0
+        )
+        b_result, _, b_health = chaotic_run(
+            fs, config, tmp_path / "elsewhere" / "b", "replica-outage", fault_seed=0
+        )
+        assert a_result.counters == b_result.counters == clean_counters
+        assert a_health.storeless and a_health.degradations
+        assert a_health.degradations == b_health.degradations
+
 
 class TestPooledChaos:
     def test_flaky_workers_with_pool(self, tmp_path, fs, config, clean_counters):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.experiment import run_splice_experiment
 from repro.corpus.profiles import build_filesystem
 from repro.store.runner import RunStore
@@ -90,3 +92,42 @@ class TestResume:
         assert retried.counters == complete.counters
         assert retry_store.shards.stats.corrupt == 1
         assert retry_store.shards.stats.puts == 1
+
+
+def _table9_via_report(root, tmp_path):
+    from repro.cli import main
+
+    assert main([
+        "report", "--only", "table9", "-o", str(tmp_path / "report.md"),
+        "--bytes", "30000", "--seed", "3", "--cache", "--cache-dir", str(root),
+    ]) == 0
+
+
+def _table9_via_api(root, tmp_path):
+    from repro.api import open_store, run_experiment
+
+    run_experiment("table9", cache=open_store(root), fs_bytes=30_000, seed=3)
+
+
+class TestShardsSharedAcrossCommands:
+    @pytest.mark.parametrize(
+        "table9", [_table9_via_report, _table9_via_api], ids=["report", "api"]
+    )
+    def test_table9_hits_the_shards_run_table8_wrote(
+        self, cache_root, tmp_path, table9, capsys
+    ):
+        # A shard's key depends on its bytes and configuration, never on
+        # the command that computed it: table9's header-placement TCP
+        # sweep is table8's TCP sweep.
+        from repro.cli import main
+        from repro.telemetry.core import collect
+
+        assert main([
+            "run", "table8", "--bytes", "30000", "--seed", "3",
+            "--cache", "--cache-dir", str(cache_root),
+        ]) == 0
+        with collect() as telemetry:
+            table9(cache_root, tmp_path)
+            counters = telemetry.snapshot()["counters"]
+        assert counters["store.shard_hits"] > 0
+        assert counters["store.shard_hits"] == counters["store.shard_misses"]

@@ -14,7 +14,6 @@ class TestFacadeSurface:
             "ChannelPlan",
             "ChannelReport",
             "ChecksumPlacement",
-            "EngineKind",
             "IndependentLoss",
             "PacketizerConfig",
             "RunAborted",

@@ -93,32 +93,25 @@ class TestCommands:
         ]) == 0
         assert "fletcher256" in capsys.readouterr().out
 
-    def test_engine_flag_parses_and_defaults_to_batch(self):
-        parser = build_parser()
-        for command in ("run", "splice", "bench"):
-            args = parser.parse_args(
-                [command, "table1"] if command == "run" else [command]
-            )
-            assert args.engine == "batch", command
-        args = parser.parse_args(["splice", "--engine", "scalar"])
-        assert args.engine == "scalar"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["splice", "--engine", "simd"])
+    def test_splice_prints_reference_counters(self, capsys):
+        from repro.api import PacketizerConfig, build_filesystem
+        from tests.conftest import reference_run
 
-    def test_splice_engines_print_identical_counters(self, capsys):
-        lines = {}
-        for engine in ("scalar", "batch"):
-            assert main([
-                "splice", "--profile", "uniform", "--bytes", "6000",
-                "--engine", engine,
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "engine             %s" % engine in out
-            lines[engine] = [
-                line for line in out.splitlines()
-                if "engine  " not in line and "splices/sec" not in line
-            ]
-        assert lines["scalar"] == lines["batch"]
+        assert main(["splice", "--profile", "uniform", "--bytes", "6000"]) == 0
+        out = capsys.readouterr().out
+        c = reference_run(build_filesystem("uniform", 6000, 3), PacketizerConfig())
+        assert c.total > 0
+        for line in (
+            "total splices      %d" % c.total,
+            "caught by header   %d (%.2f%%)" % (
+                c.caught_by_header, c.caught_by_header_pct),
+            "identical data     %d" % c.identical,
+            "remaining          %d" % c.remaining,
+            "missed (transport) %d (%.4f%% of remaining)" % (
+                c.missed_transport, c.miss_rate_transport),
+            "missed (CRC-32)    %d" % c.missed_crc32,
+        ):
+            assert line in out.splitlines(), line
 
 
 class TestNewCommands:
