@@ -13,12 +13,14 @@ test:
 quicktest:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
 
-# Rewrite the committed corpus and report digests (tests/golden/) after
-# a deliberate output change; prints the profiles, generator kinds and
-# experiments whose digest moved.
+# Rewrite the committed corpus, report and channel trace digests
+# (tests/golden/) after a deliberate output change; prints the
+# profiles, generator kinds, experiments and plan/ARQ pairs whose
+# digest moved.
 bless:
 	PYTHONPATH=src $(PYTHON) -m tests.golden.corpus
 	PYTHONPATH=src $(PYTHON) -m tests.golden.reports
+	PYTHONPATH=src $(PYTHON) -m tests.golden.traces
 
 # Fault-injection verification: the chaos-marked tests (crash
 # consistency at every shard boundary, chaotic sweeps) plus the CLI
@@ -28,11 +30,13 @@ chaos:
 	$(PYTHON) -m pytest tests/ -q -m chaos
 	$(PYTHON) -m repro.cli chaos --bytes 120000
 
-# Channel simulator verification: the conformance + replay suite, then
-# a traced run over the burst channel replayed bit-identically from
-# its own recording.
+# Channel simulator verification: the conformance + replay suite and
+# the pinned event streams of every plan and ARQ kind, then a traced
+# run over the burst channel replayed bit-identically from its own
+# recording.
 channel-check:
-	$(PYTHON) -m pytest tests/channel -q
+	$(PYTHON) -m pytest tests/channel tests/test_sim.py \
+		tests/golden/test_trace_digests.py -q
 	$(PYTHON) -m repro.cli channel run --plan bursty-link --bytes 120000 \
 		--trace channel.trace
 	$(PYTHON) -m repro.cli channel replay channel.trace

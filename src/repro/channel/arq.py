@@ -2,14 +2,17 @@
 
 The sender runs one of three classic ARQ disciplines -- stop-and-wait,
 go-back-N, or selective-repeat -- over a
-:class:`~repro.channel.link.ChannelLink`.  The receiver reassembles
-AAL5 frames from whatever arrives and applies the *paper's* full check
-stack (:func:`repro.sim.transfer.frame_acceptable`): a frame that
-fails any check is silently discarded, so retransmission is triggered
-by the sender's timeout -- the checksum verdict IS the recovery
-decision.  A frame that *passes* every check but carries the wrong
-bytes is silent corruption delivered to the application, counted and
-ACKed like any clean frame (the receiver cannot know).
+:class:`~repro.channel.link.ChannelLink`, handing it each transmission
+as one frame of cells (:meth:`~repro.channel.link.ChannelLink.send_frame`).
+The receiver reassembles AAL5 frames from whatever arrives and applies
+the *paper's* full check stack
+(:func:`repro.core.reference.frame_acceptable`, the scalar receiver
+every simulator shares): a frame that fails any check is silently
+discarded, so retransmission is triggered by the sender's timeout --
+the checksum verdict IS the recovery decision.  A frame that *passes*
+every check but carries the wrong bytes is silent corruption delivered
+to the application, counted and ACKed like any clean frame (the
+receiver cannot know).
 
 Robustness contract (the reason this module exists in a reproduction
 about surviving corruption):
@@ -35,10 +38,11 @@ from dataclasses import dataclass, field, fields
 from repro.channel.events import EventQueue
 from repro.channel.link import ChannelLink
 from repro.core.engine import EngineOptions
-from repro.protocols.cellstream import AAL5Reassembler, MarkedCell
+from repro.core.reference import frame_acceptable
+from repro.protocols.aal5 import CELL_PAYLOAD
+from repro.protocols.cellstream import AAL5Reassembler
 from repro.protocols.ftpsim import FileTransferSimulator
 from repro.protocols.packetizer import PacketizerConfig
-from repro.sim.transfer import frame_acceptable
 
 __all__ = [
     "ARQ_KINDS",
@@ -236,10 +240,22 @@ class ChannelReport:
         return cls.from_dict(json.loads(text))
 
 
-class ArqSession:
-    """One file's transfer: sender, link, receiver, event loop."""
+def _tcp_seq(frame):
+    """The TCP sequence number of a frame (bytes 24-27, after the IP header)."""
+    return int.from_bytes(frame[24:28], "big")
 
-    def __init__(self, units, link, arq, options, use_crc=True, trace=None):
+
+class ArqSession:
+    """One file's transfer: sender, link, receiver, event loop.
+
+    ``wire`` holds the file's frames, grouped by length as
+    :meth:`~repro.protocols.packetizer.Packetizer.wire` builds them.
+    The sender sends each frame's cells; the receiver places a frame
+    by its TCP sequence number and compares what it delivers with the
+    IP packet the sender framed.
+    """
+
+    def __init__(self, wire, link, arq, options, use_crc=True, trace=None):
         self.link = link
         self.arq = arq
         self.options = options
@@ -247,19 +263,24 @@ class ArqSession:
         self.trace = trace
         self.window = 1 if arq.kind == "stop-and-wait" else arq.window
 
-        self.cells = []      # per frame: [(payload, last), ...]
-        self.expected = []   # per frame: the exact bytes the sender framed
+        self.cells = []      # per frame: ((payload, last), ...)
+        self.expected = []   # per frame: the IP packet the sender framed
         self.seq_to_index = {}
-        for index, unit in enumerate(units):
-            payloads = unit.frame.cells()
-            final = len(payloads) - 1
-            self.cells.append(
-                [(p.tobytes(), c == final) for c, p in enumerate(payloads)]
-            )
-            self.expected.append(unit.packet.ip_packet)
-            self.seq_to_index[unit.packet.seq] = index
+        for group in wire:
+            count, cell_count, _ = group.frames.shape
+            size = cell_count * CELL_PAYLOAD
+            final = size - CELL_PAYLOAD
+            frames = group.frames.tobytes()
+            for start in range(0, count * size, size):
+                frame = frames[start:start + size]
+                self.seq_to_index[_tcp_seq(frame)] = len(self.cells)
+                self.cells.append(tuple(
+                    (frame[at:at + CELL_PAYLOAD], at == final)
+                    for at in range(0, size, CELL_PAYLOAD)
+                ))
+                self.expected.append(frame[:group.iplen])
 
-        count = len(units)
+        count = len(self.cells)
         self.report = ChannelReport(files=1, frames=count)
         self.queue = EventQueue()
         self.now = 0.0
@@ -289,9 +310,6 @@ class ArqSession:
     def _resolved(self, index):
         return self.acked[index] or self.failed[index]
 
-    def _done(self):
-        return self.base >= len(self.cells)
-
     def _note(self, note):
         if note not in self.report.notes:
             self.report.notes.append(note)
@@ -303,12 +321,10 @@ class ArqSession:
     # -- sender -------------------------------------------------------------
 
     def _send_frame(self, index):
-        start = max(self.now, self.tx_busy_until)
-        t = start
-        for payload, last in self.cells[index]:
-            for arrival, data, data_last in self.link.send(payload, last, t):
-                self.queue.push(arrival, "cell", data, data_last)
-            t += self.link.plan.cell_interval
+        deliveries, t = self.link.send_frame(
+            self.cells[index], max(self.now, self.tx_busy_until)
+        )
+        self.queue.push_all("cell", deliveries)
         self.tx_busy_until = t
         self.tx_count[index] += 1
         self.report.transmissions += 1
@@ -403,11 +419,9 @@ class ArqSession:
             self.report.delivered_corrupted += 1
         self._record("deliver", frame=index, clean=clean)
 
-    def _on_cell(self, payload, last):
-        frame = self.reassembler.feed(MarkedCell(payload, last))
-        if frame is None:
-            return
-        frame_bytes = b"".join(frame)
+    def _on_frame(self, cells):
+        """Judge one reassembled frame and act on the verdict."""
+        frame_bytes = b"".join(cells)
         ok, length = frame_acceptable(frame_bytes, self.options, self.use_crc)
         if not ok:
             # The checksum verdict: discard in silence; the sender's
@@ -415,8 +429,7 @@ class ArqSession:
             self.report.frames_rejected += 1
             self._record("reject")
             return
-        seq = int.from_bytes(frame_bytes[24:28], "big")
-        index = self.seq_to_index.get(seq)
+        index = self.seq_to_index.get(_tcp_seq(frame_bytes))
         if index is None:
             self.report.alien_frames += 1
             self._record("alien")
@@ -469,24 +482,28 @@ class ArqSession:
         """
         guard = self._event_guard()
         self._advance_and_fill()
-        while not self._done():
-            if not self.queue:
+        count, pop, report = len(self.cells), self.queue.pop, self.report
+        reassemble = self.reassembler.feed_payload
+        while self.base < count:
+            try:
+                self.now, _, kind, payload = pop()
+            except IndexError:
                 self._abandon_unresolved(NOTE_STALLED)
                 break
-            event = self.queue.pop()
-            self.now = event.time
-            self.report.events += 1
-            if self.report.events > guard:
+            report.events += 1
+            if report.events > guard:
                 self._abandon_unresolved(NOTE_EVENT_GUARD)
                 break
-            if event.kind == "cell":
-                self._on_cell(*event.payload)
-            elif event.kind == "timeout":
-                self._on_timeout(*event.payload)
-            elif event.kind == "ack":
-                self._on_ack(*event.payload)
-            elif event.kind == "skip":
-                self._on_skip(*event.payload)
+            if kind == "cell":
+                frame = reassemble(*payload)
+                if frame is not None:
+                    self._on_frame(frame)
+            elif kind == "timeout":
+                self._on_timeout(*payload)
+            elif kind == "ack":
+                self._on_ack(*payload)
+            elif kind == "skip":
+                self._on_skip(*payload)
         self.report.ticks = self.now
         stats = self.link.stats
         self.report.cells_sent = stats.cells_sent
@@ -523,10 +540,9 @@ def run_channel_transfer(
     arq = arq or ArqConfig()
     config = config or PacketizerConfig()
     options = EngineOptions.from_packetizer(config, aux_crcs=())
-    units = FileTransferSimulator(config).transfer(data)
     session = ArqSession(
-        units, ChannelLink(plan), arq, options,
-        use_crc=use_crc, trace=trace_events,
+        FileTransferSimulator(config).wire(data), ChannelLink(plan), arq,
+        options, use_crc=use_crc, trace=trace_events,
     )
     report = session.run()
     if health is not None:

@@ -19,11 +19,18 @@ Processes that draw only uniforms take them from :func:`_uniforms`,
 which draws ``_UNIFORM_BLOCK`` at a time: ``Generator.random(k)`` yields
 the same doubles as ``k`` scalar ``random()`` calls, so every decision
 is what per-cell calls would give.
+
+Each process's methods decide one cell at a time.
+:meth:`repro.channel.link.ChannelLink.send_frame` makes the same
+decisions for a whole frame in one loop: it steps the chains inline
+and reads the same ``draws`` streams, so a process's state is the same
+whichever way its cells went through.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -41,8 +48,9 @@ _UNIFORM_BLOCK = 256
 
 def _uniforms(rng):
     """``rng.random()``, one ``next()`` at a time, drawn in blocks."""
-    while True:
-        yield from rng.random(_UNIFORM_BLOCK).tolist()
+    return chain.from_iterable(
+        iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
+    )
 
 
 class GilbertChain:
@@ -55,14 +63,14 @@ class GilbertChain:
     """
 
     def __init__(self, rng, p_enter_bad, p_exit_bad):
-        self._uniforms = _uniforms(rng)
+        self.draws = _uniforms(rng)
         self.p_enter_bad = float(p_enter_bad)
         self.p_exit_bad = float(p_exit_bad)
         self.bad = False
 
     def step(self):
         current = self.bad
-        roll = next(self._uniforms)
+        roll = next(self.draws)
         if self.bad:
             if roll < self.p_exit_bad:
                 self.bad = False
@@ -82,19 +90,19 @@ class CellLoss:
 
     def __init__(self, plan):
         self.loss_rate = plan.loss_rate
-        self._uniforms = _uniforms(np.random.default_rng(plan.derive("loss")))
-        self._burst = None
+        self.draws = _uniforms(np.random.default_rng(plan.derive("loss")))
+        self.burst = None
         if plan.burst_loss is not None:
-            self._burst = GilbertChain(
+            self.burst = GilbertChain(
                 np.random.default_rng(plan.derive("burst-loss")),
                 *plan.burst_loss,
             )
 
     def lost(self):
         """Is the current cell lost?  (Steps both processes.)"""
-        burst_lost = self._burst.step() if self._burst is not None else False
+        burst_lost = self.burst.step() if self.burst is not None else False
         independent_lost = (
-            self.loss_rate > 0.0 and next(self._uniforms) < self.loss_rate
+            self.loss_rate > 0.0 and next(self.draws) < self.loss_rate
         )
         return burst_lost or independent_lost
 
@@ -111,7 +119,7 @@ class GilbertElliottBitErrors:
 
     def __init__(self, plan):
         p_enter, p_exit, ber_good, ber_bad = plan.bit_errors
-        self._chain = GilbertChain(
+        self.chain = GilbertChain(
             np.random.default_rng(plan.derive("bit-error-state")),
             p_enter, p_exit,
         )
@@ -121,10 +129,14 @@ class GilbertElliottBitErrors:
 
     def corrupt(self, payload):
         """``(payload', flipped_bits)`` for the current cell."""
-        bad = self._chain.step()
+        bad = self.chain.step()
         ber = self.ber_bad if bad else self.ber_good
         if ber <= 0.0:
             return payload, 0
+        return self.flip(payload, ber)
+
+    def flip(self, payload, ber):
+        """``(payload', flipped_bits)`` at bit-error rate ``ber`` > 0."""
         nbits = len(payload) * 8
         flips = int(self._rng.binomial(nbits, ber))
         if not flips:
@@ -184,18 +196,18 @@ class DelayProcess:
         self.jitter = plan.jitter
         self.reorder_rate = plan.reorder_rate
         self.reorder_span = plan.reorder_span
-        self._jitter_draws = _uniforms(np.random.default_rng(plan.derive("jitter")))
-        self._reorder_draws = _uniforms(np.random.default_rng(plan.derive("reorder")))
+        self.jitter_draws = _uniforms(np.random.default_rng(plan.derive("jitter")))
+        self.reorder_draws = _uniforms(np.random.default_rng(plan.derive("reorder")))
 
     def arrival(self, depart):
         """``(arrival_time, reordered?)`` for a cell leaving at ``depart``."""
         arrival = depart + self.latency
         if self.jitter > 0.0:
-            arrival += next(self._jitter_draws) * self.jitter
+            arrival += next(self.jitter_draws) * self.jitter
         reordered = False
         if self.reorder_rate > 0.0:
-            if next(self._reorder_draws) < self.reorder_rate:
-                arrival += next(self._reorder_draws) * self.reorder_span
+            if next(self.reorder_draws) < self.reorder_rate:
+                arrival += next(self.reorder_draws) * self.reorder_span
                 reordered = True
         return arrival, reordered
 
@@ -206,8 +218,8 @@ class DuplicateProcess:
     def __init__(self, plan):
         self.rate = plan.duplicate_rate
         self.lag = plan.duplicate_lag
-        self._uniforms = _uniforms(np.random.default_rng(plan.derive("duplicate")))
+        self.draws = _uniforms(np.random.default_rng(plan.derive("duplicate")))
 
     def duplicated(self):
         """Does the current delivered cell get a second copy?"""
-        return self.rate > 0.0 and next(self._uniforms) < self.rate
+        return self.rate > 0.0 and next(self.draws) < self.rate

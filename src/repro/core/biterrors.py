@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.reference import _transport_ok
-from repro.protocols.aal5 import aal5_crc_engine
+from repro.core.reference import _crc32_ok, _transport_ok
 from repro.protocols.ftpsim import FileTransferSimulator
 from repro.protocols.ip import IP_HEADER_LEN
 
@@ -199,7 +198,6 @@ def error_detection_experiment(
 
     options = EngineOptions.from_packetizer(config, aux_crcs=())
     simulator = FileTransferSimulator(config)
-    crc = aal5_crc_engine()
     rng = np.random.default_rng(seed)
     rows = {injector.name: DetectionRow(injector.name) for injector in injectors}
 
@@ -221,9 +219,8 @@ def error_detection_experiment(
                         continue
                     row = rows[injector.name]
                     row.trials += 1
-                    if not _transport_ok(bytes(buf), iplen, options):
+                    if not _transport_ok(buf, iplen, options):
                         row.transport_detected += 1
-                    stored = int.from_bytes(buf[-4:], "big")
-                    if crc.compute(bytes(buf[:-4])) != stored:
+                    if not _crc32_ok(buf):
                         row.crc32_detected += 1
     return rows

@@ -21,8 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.reference import _header_ok, _transport_ok
-from repro.protocols.aal5 import AAL5_TRAILER_LEN, CELL_PAYLOAD, aal5_crc_engine
+from repro.core.reference import (
+    _aal5_length,
+    _crc32_ok,
+    _header_ok,
+    _transport_ok,
+)
 from repro.protocols.cellstream import (
     AAL5Reassembler,
     apply_loss,
@@ -120,21 +124,15 @@ def judge_received_frame(frame_cells, options, originals):
         # Cheapest oracle check first: byte-identical frame.
         return "delivered_intact"
 
-    # AAL5 length check.
-    length = int.from_bytes(data[-6:-4], "big")
-    max_payload = len(data) - AAL5_TRAILER_LEN
-    if not max_payload - (CELL_PAYLOAD - 1) <= length <= max_payload:
+    # The receiver's checks, as :func:`frame_acceptable` applies them,
+    # but every verdict kept: length, headers, then both check codes.
+    length = _aal5_length(data)
+    if length is None:
         return "detected_length"
-
-    # IP/TCP header checks against the AAL5-consistent length.
-    if len(data) < 40 or not _header_ok(
-        data, length, require_ip_checksum=options.require_ip_checksum
-    ):
+    if not _header_ok(data, length, options.require_ip_checksum):
         return "detected_header"
-
     transport_ok = _transport_ok(data, length, options)
-    engine = aal5_crc_engine()
-    crc_ok = engine.compute(data[:-4]) == int.from_bytes(data[-4:], "big")
+    crc_ok = _crc32_ok(data)
 
     # Delivered-data region: with trailer placement the final two bytes
     # of the packet are the check value, not user data (mirrors the

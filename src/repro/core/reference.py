@@ -1,33 +1,141 @@
-"""Slow-but-obvious reference implementation of splice judgment.
+"""The scalar receiver, and the splice oracle built on it.
+
+:func:`frame_acceptable` is a receiver's integrity stack over one
+reassembled AAL5 frame: :func:`_aal5_length`, :func:`_header_ok`,
+:func:`_transport_ok` and :func:`_crc32_ok`.  The channel simulator's
+ARQ receiver, :mod:`repro.sim`, the Monte Carlo classifier and the
+error-model experiments all judge frames with these checks, so every
+simulation accepts exactly the same frames.  They read header fields
+by index and sum 16-bit words without NumPy: as ``2**16 % 0xFFFF ==
+1``, ``int.from_bytes(buf, "big")`` is congruent to the word sum of
+``buf`` modulo 0xFFFF, and a positive sum folds to ``(x - 1) % 0xFFFF
++ 1``.  The CRC streams the whole frame to the spec's residue.
 
 The vectorized engine in :mod:`repro.core.engine` is validated against
-this module: for a given splice it materialises the actual frame bytes
-and applies each check exactly as a receiver would, one packet at a
-time, and :func:`count_splices` tallies a whole transfer's counters
-that way.  It is hundreds of times slower and exists for correctness
-cross-checks, debugging, and as executable documentation of the error
-model.
+the same checks: :func:`judge_splice_cells` materialises a splice's
+frame bytes and judges them as a receiver would, and
+:func:`count_splices` tallies a whole transfer's counters that way --
+hundreds of times slower than the engine, for cross-checks, debugging,
+and as executable documentation of the error model.
 """
 
 from __future__ import annotations
 
 from repro.checksums.fletcher import Fletcher8
-from repro.checksums.internet import fold_carries, word_sums
 from repro.checksums.registry import get_algorithm
 from repro.core.enumeration import splice_enumeration
 from repro.core.results import SpliceCounters
-from repro.protocols.aal5 import aal5_crc_engine
-from repro.protocols.ip import IP_HEADER_LEN, parse_ipv4_header
+from repro.protocols.aal5 import AAL5_TRAILER_LEN, CELL_PAYLOAD, aal5_crc_engine
+from repro.protocols.ip import IP_HEADER_LEN
 from repro.protocols.packetizer import ChecksumPlacement
-from repro.protocols.tcp import pseudo_header_word_sum
+from repro.protocols.tcp import TCP_HEADER_LEN
 
 __all__ = [
     "count_splices",
+    "frame_acceptable",
     "judge_splice",
     "judge_splice_cells",
     "splice_cell_bytes",
     "splice_frame_bytes",
 ]
+
+_AAL5_CRC = aal5_crc_engine()
+
+
+def frame_acceptable(data, options, use_crc=True):
+    """The receiver's integrity stack over one reassembled frame.
+
+    Returns ``(acceptable, payload_length)``.  The stack, in order:
+    AAL5 length plausibility (cell-aligned size, encoded length within
+    the last cell's window), the IP and TCP header checks, the
+    transport checksum per ``options``, and -- unless ``use_crc`` is
+    False -- the AAL5 CRC-32 over the whole frame.
+    """
+    length = _aal5_length(data)
+    if (
+        length is None
+        or not _header_ok(data, length, options.require_ip_checksum)
+        or not _transport_ok(data, length, options)
+        or (use_crc and not _crc32_ok(data))
+    ):
+        return False, 0
+    return True, length
+
+
+def _aal5_length(data):
+    """The trailer's Length field, or None when the frame's size rules it out.
+
+    A frame must be whole cells, and its Length must place the payload
+    end inside the last cell, ahead of the trailer.
+    """
+    size = len(data)
+    if size < CELL_PAYLOAD or size % CELL_PAYLOAD:
+        return None
+    length = data[-6] << 8 | data[-5]
+    max_payload = size - AAL5_TRAILER_LEN
+    if not max_payload - (CELL_PAYLOAD - 1) <= length <= max_payload:
+        return None
+    return length
+
+
+def _ones_sum(buf):
+    """``fold_carries(word_sums(buf))``, from one big-endian integer."""
+    value = int.from_bytes(buf, "big")
+    if len(buf) & 1:
+        value <<= 8  # RFC 1071 pads odd data with a zero byte
+    return (value - 1) % 0xFFFF + 1 if value else 0
+
+
+def _header_ok(frame_bytes, expected_iplen, require_ip_checksum=True):
+    """The IP and TCP header checks of a frame whose IP length is known.
+
+    IPv4 with a 20-byte header, total length ``expected_iplen`` (at
+    least both headers), protocol TCP, a header sum of 0xFFFF unless
+    the Section 6.2 ablation waives it; then a 20-byte TCP header with
+    ACK set and none of FIN, SYN or RST.
+    """
+    if expected_iplen < IP_HEADER_LEN + TCP_HEADER_LEN:
+        return False
+    if frame_bytes[0] != 0x45 or frame_bytes[9] != 6:
+        return False
+    if frame_bytes[2] << 8 | frame_bytes[3] != expected_iplen:
+        return False
+    if require_ip_checksum and _ones_sum(frame_bytes[:IP_HEADER_LEN]) != 0xFFFF:
+        return False
+    if (frame_bytes[32] >> 4) != 5:
+        return False
+    flags = frame_bytes[33]
+    return bool(flags & 0x10) and not (flags & 0x07)
+
+
+def _transport_ok(frame_bytes, iplen, options):
+    """The transport checksum over the first ``iplen`` bytes, per ``options``."""
+    if options.legacy_coverage:
+        # Section 6.2 legacy mode: whole-packet sum, no pseudo-header.
+        return _ones_sum(frame_bytes[:iplen]) == 0xFFFF
+    if options.algorithm in ("tcp", "internet"):
+        # The pseudo-header is the source and destination addresses
+        # (bytes 12-19, just ahead of the segment), protocol 6 and the
+        # segment length; it is never zero, so the sum folds by residue.
+        covered = frame_bytes[12:iplen]
+        total = int.from_bytes(covered, "big")
+        if len(covered) & 1:
+            total <<= 8
+        total += 6 + len(covered) - 8
+        if options.invert or options.placement is ChecksumPlacement.TRAILER:
+            return total % 0xFFFF == 0
+        # Non-inverted header field: the sum of everything else, with
+        # the field zeroed, is stored as is.  Its word sits at an even
+        # offset, so taking it out of the residue is one subtraction.
+        stored = frame_bytes[36] << 8 | frame_bytes[37]
+        return (total - stored - 1) % 0xFFFF + 1 == stored
+    modulus = int(options.algorithm[-3:])
+    return Fletcher8(modulus).verify(frame_bytes[IP_HEADER_LEN:iplen])
+
+
+def _crc32_ok(frame_bytes):
+    """The AAL5 CRC-32: the whole frame streams to the spec's residue."""
+    return _AAL5_CRC.verify(frame_bytes)
 
 
 def splice_frame_bytes(frame1, frame2, selection):
@@ -96,21 +204,6 @@ def judge_splice_cells(
         "transport": _transport_ok(data, iplen2, options),
         "aux": aux,
     }
-
-
-def _header_ok(frame_bytes, expected_iplen, require_ip_checksum=True):
-    if frame_bytes[0] != 0x45:
-        return False
-    header = parse_ipv4_header(frame_bytes)
-    if header.total_length != expected_iplen or header.protocol != 6:
-        return False
-    if require_ip_checksum:
-        if fold_carries(word_sums(frame_bytes[:IP_HEADER_LEN])) != 0xFFFF:
-            return False
-    if (frame_bytes[32] >> 4) != 5:
-        return False
-    flags = frame_bytes[33]
-    return bool(flags & 0x10) and not (flags & 0x07)
 
 
 def count_splices(frames, options):
@@ -192,30 +285,3 @@ def judge_splice(frame1, frame2, selection, options):
         "transport": _transport_ok(data, iplen, options),
     }
     return verdict
-
-
-def _crc32_ok(frame_bytes):
-    engine = aal5_crc_engine()
-    stored = int.from_bytes(frame_bytes[-4:], "big")
-    return engine.compute(frame_bytes[:-4]) == stored
-
-
-def _transport_ok(frame_bytes, iplen, options):
-    segment = frame_bytes[IP_HEADER_LEN:iplen]
-    if getattr(options, "legacy_coverage", False):
-        # Section 6.2 legacy mode: whole-packet sum, no pseudo-header.
-        return fold_carries(word_sums(frame_bytes[:iplen])) == 0xFFFF
-    if options.algorithm in ("tcp", "internet"):
-        header = parse_ipv4_header(frame_bytes)
-        total = pseudo_header_word_sum(header.src, header.dst, len(segment))
-        total += word_sums(segment)
-        if options.invert or options.placement is ChecksumPlacement.TRAILER:
-            return fold_carries(total) == 0xFFFF
-        stored = int.from_bytes(segment[16:18], "big")
-        rest = bytearray(segment)
-        rest[16:18] = b"\x00\x00"
-        total = pseudo_header_word_sum(header.src, header.dst, len(segment))
-        total += word_sums(rest)
-        return fold_carries(total) == stored
-    modulus = int(options.algorithm[-3:])
-    return Fletcher8(modulus).verify(segment)

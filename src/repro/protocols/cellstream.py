@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.protocols.aal5 import CELL_PAYLOAD
-
 __all__ = [
     "AAL5Reassembler",
     "EarlyPacketDiscard",
@@ -150,14 +148,19 @@ class AAL5Reassembler:
 
     def feed(self, cell):
         """Feed one delivered cell; returns a frame's cells or None."""
-        self._pending.append(cell.payload)
-        if len(self._pending) > self.max_cells:
-            self._pending.clear()
+        return self.feed_payload(cell.payload, cell.last)
+
+    def feed_payload(self, payload, last):
+        """:meth:`feed` for a bare cell payload and its end-of-frame mark."""
+        pending = self._pending
+        pending.append(payload)
+        if len(pending) > self.max_cells:
+            pending.clear()
             self.oversized_discards += 1
             return None
-        if cell.last:
-            frame, self._pending = self._pending, []
-            return frame
+        if last:
+            self._pending = []
+            return pending
         return None
 
     def feed_all(self, cells):
@@ -172,16 +175,3 @@ class AAL5Reassembler:
     @property
     def pending_cells(self):
         return len(self._pending)
-
-
-def frame_bytes(frame_cells):
-    """Concatenate a reassembled frame's cell payloads."""
-    return b"".join(frame_cells)
-
-
-def frame_cell_count(frame_cells):
-    return len(frame_cells)
-
-
-def frame_is_whole_cells(frame_cells):
-    return all(len(c) == CELL_PAYLOAD for c in frame_cells)

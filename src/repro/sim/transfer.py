@@ -16,10 +16,13 @@ exists to prevent -- and its probability per transferred file is the
 bottom line.  Disabling the CRC (``use_crc=False``) shows what the
 transport checksum alone would let through.
 
-:func:`frame_acceptable` is the receiver's whole integrity stack over
-one reassembled frame; the timed channel simulator
-(:mod:`repro.channel`) drives its ARQ recovery decisions through the
-same function, so both simulations accept exactly the same frames.
+The receiver judges each frame with
+:func:`repro.core.reference.frame_acceptable`, the scalar check stack
+the timed channel simulator (:mod:`repro.channel`) also drives its ARQ
+recovery decisions through, so both simulations accept exactly the
+same frames.  That simulator covers this one with timing, windows and
+burst errors; this module stays as the untimed stop-and-wait behind
+the ``transfer`` command and :func:`repro.api.simulate_file_transfer`.
 
 Retry exhaustion is a *degradation*, not a silent counter: a transfer
 that gave up on any packet marks its report's :class:`RunHealth`
@@ -33,9 +36,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.core.engine import EngineOptions
+from repro.core.reference import frame_acceptable
 from repro.core.supervisor import RunHealth
-from repro.protocols.aal5 import AAL5_TRAILER_LEN, CELL_PAYLOAD, aal5_crc_engine
-from repro.core.reference import _header_ok, _transport_ok
 from repro.protocols.cellstream import AAL5Reassembler, MarkedCell, apply_loss
 from repro.protocols.ftpsim import FileTransferSimulator
 from repro.protocols.packetizer import PacketizerConfig
@@ -94,34 +96,6 @@ class TransferReport:
     def degraded(self):
         """Did delivery fall short (packets abandoned or corrupted)?"""
         return self.gave_up > 0 or self.delivered_corrupted > 0
-
-
-def frame_acceptable(data, options, use_crc=True):
-    """The receiver's integrity stack over one reassembled frame.
-
-    Returns ``(acceptable, payload_length)``.  The stack, in order:
-    AAL5 length plausibility (cell-aligned size, encoded length within
-    the last cell's window), the IP header checks, the transport
-    checksum per ``options``, and -- unless ``use_crc`` is False -- the
-    AAL5 CRC-32 over the whole frame.
-    """
-    if len(data) < CELL_PAYLOAD or len(data) % CELL_PAYLOAD:
-        return False, 0
-    length = int.from_bytes(data[-6:-4], "big")
-    max_payload = len(data) - AAL5_TRAILER_LEN
-    if not max_payload - (CELL_PAYLOAD - 1) <= length <= max_payload:
-        return False, 0
-    if length < 40 or not _header_ok(
-        data, length, require_ip_checksum=options.require_ip_checksum
-    ):
-        return False, 0
-    if not _transport_ok(data, length, options):
-        return False, 0
-    if use_crc:
-        engine = aal5_crc_engine()
-        if engine.compute(data[:-4]) != int.from_bytes(data[-4:], "big"):
-            return False, 0
-    return True, length
 
 
 def simulate_file_transfer(

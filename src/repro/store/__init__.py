@@ -5,7 +5,7 @@ The persistence layer behind cached and resumable experiments:
 * :mod:`repro.store.framing` -- the integrity-trailed frame format
   every backend stores (CRC-32/AAL5 by default);
 * :mod:`repro.store.backends` -- the frame-backend interface and its
-  two implementations (pathsliced local directory, in-memory);
+  implementation, a pathsliced local directory;
 * :mod:`repro.store.objstore` -- the framing layer over a backend:
   content-addressed payload storage with self-checking objects;
 * :mod:`repro.store.keys` -- canonical cache keys over experiment

@@ -73,7 +73,7 @@ class BackendCounters:
 class Backend:
     """Abstract frame store; subclasses implement the ``_``-hooks."""
 
-    #: Short identifier (``local``, ``memory``).
+    #: Short identifier (``local``).
     kind = "abstract"
 
     def __init__(self):
@@ -82,7 +82,7 @@ class Backend:
     # -- identity -----------------------------------------------------------
 
     def describe(self):
-        """Human-readable identity (a path, or a memory region)."""
+        """Human-readable identity (for a local store, its path)."""
         return self.kind
 
     def __repr__(self):

@@ -9,8 +9,8 @@ caught the same way a corrupted AAL5 frame would be.
 :class:`ObjectStore` is the *framing* layer: it turns payloads into
 integrity-trailed frames (and back, verifying) and delegates frame
 storage to a :class:`~repro.store.backends.base.Backend` — the
-pathsliced local directory by default (``root/ab/cd/abcd...``, atomic
-fsync-disciplined writes), or the in-memory backend.
+pathsliced local directory (``root/ab/cd/abcd...``, atomic
+fsync-disciplined writes).
 
 Addresses are either the SHA-256 of the payload (:meth:`ObjectStore.put`
 — true content addressing) or a caller-chosen hex key

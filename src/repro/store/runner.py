@@ -74,17 +74,13 @@ class RunStore:
     cache audit`` can verify the whole tree uniformly.
     """
 
-    def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM, backend=None):
-        if backend is None:
-            root = Path(root) if root is not None else default_root()
-            backend = LocalBackend(root)
-        self.backend = backend
-        #: Filesystem root when local-backed, else None (use describe()).
-        self.root = getattr(backend, "root", None)
+    def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM):
+        self.root = Path(root) if root is not None else default_root()
+        self.backend = LocalBackend(self.root)
         self.algorithm = algorithm
 
         def namespace(name):
-            return ObjectStore(algorithm=algorithm, backend=backend.sub(name))
+            return ObjectStore(algorithm=algorithm, backend=self.backend.sub(name))
 
         self.objects = namespace("objects")
         self.results = ResultCache(namespace("results"))
@@ -105,8 +101,7 @@ class RunStore:
 
     def stats(self):
         """Per-namespace object counts and byte totals."""
-        out = {"root": str(self.root) if self.root is not None
-                       else self.describe()}
+        out = {"root": str(self.root)}
         for name, store in self.namespaces:
             out[name] = store.stats()
         return out
@@ -132,12 +127,10 @@ class RunStore:
     def clear(self):
         """Delete every stored object across all namespaces.
 
-        On a local root the :data:`RETIRED_DIRS` go too (their files
+        The :data:`RETIRED_DIRS` under the root go too (their files
         count as removed objects); the sweep journal stays.
         """
         removed = sum(store.clear() for _, store in self.namespaces)
-        if self.root is None:
-            return removed
         for name in RETIRED_DIRS:
             retired = self.root / name
             if retired.is_dir():

@@ -28,22 +28,34 @@ class TestOrdering:
         assert q.pop().kind == "x"
         assert q.pop().kind == "y"
 
-    def test_heap_never_compares_events(self, monkeypatch):
-        # The heap orders (time, seq, event) tuples; the unique
-        # (time, seq) prefix settles every comparison in C.
-        def refuse(self, other):
-            raise AssertionError("Event.__lt__ called")
+    def test_heap_never_compares_events(self):
+        # The heap holds Event tuples; the unique (time, seq) prefix
+        # settles every comparison in C.  Every event here has the same
+        # kind and a payload that refuses comparison, so a comparison
+        # that got past (time, seq) would raise.
+        class Incomparable:
+            def __init__(self, label):
+                self.label = label
 
-        monkeypatch.setattr(Event, "__lt__", refuse)
+            def __eq__(self, other):
+                raise AssertionError("event payload compared")
+
+            __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__
+            __hash__ = object.__hash__
+
         q = EventQueue()
         schedule = [(3.0, "c"), (1.0, "a"), (3.0, "d"), (0.5, "z"),
                     (1.0, "b"), (2.0, "m"), (0.5, "y")]
-        seqs = {kind: q.push(time, kind) for time, kind in schedule}
+        seqs = {label: q.push(time, "same", Incomparable(label))
+                for time, label in schedule}
         popped = [q.pop() for _ in range(len(schedule))]
+        assert all(isinstance(e, Event) for e in popped)
         assert [(e.time, e.seq) for e in popped] == sorted(
-            (time, seqs[kind]) for time, kind in schedule
+            (time, seqs[label]) for time, label in schedule
         )
-        assert [e.kind for e in popped] == ["z", "y", "a", "b", "m", "c", "d"]
+        assert [e.payload[0].label for e in popped] == [
+            "z", "y", "a", "b", "m", "c", "d"
+        ]
 
     def test_peek_and_len(self):
         q = EventQueue()
@@ -66,3 +78,21 @@ class TestOrdering:
         q.push(1.0, "cell", b"data", True)
         event = q.pop()
         assert event.payload == (b"data", True)
+
+    def test_push_all_is_one_push_per_pair(self):
+        one, many = EventQueue(), EventQueue()
+        one.push(0.5, "timeout", 3, 1)
+        many.push(0.5, "timeout", 3, 1)
+        timed = [(2.0, (b"a", False)), (1.0, (b"b", True)), (2.0, (b"c", False))]
+        for time, payload in timed:
+            one.push(time, "cell", *payload)
+        many.push_all("cell", timed)
+        assert many.push(9.0, "ack") == one.push(9.0, "ack") == 4
+        assert [many.pop() for _ in range(5)] == [one.pop() for _ in range(5)]
+
+    def test_push_all_rejects_negative_time(self):
+        q = EventQueue()
+        with pytest.raises(ValueError):
+            q.push_all("cell", [(1.0, ()), (-1.0, ())])
+        assert len(q) == 1
+        assert q.push(3.0, "next") == 1

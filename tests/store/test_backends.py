@@ -1,7 +1,7 @@
 """Backend conformance: every implementation honours the same contract.
 
-One parametrized suite drives the local and memory backends through
-the frame-store contract (roundtrip, miss semantics, namespacing,
+One parametrized suite drives the local backend through the
+frame-store contract (roundtrip, miss semantics, namespacing,
 counters, deterministic key walks).
 """
 
@@ -13,7 +13,6 @@ import pytest
 
 from repro.store.backends.base import check_key
 from repro.store.backends.local import LocalBackend
-from repro.store.backends.memory import MemoryBackend
 from repro.store.framing import frame_object, unframe_object
 
 
@@ -25,14 +24,12 @@ def make_frame(payload=b"hello, frames"):
     return key_for(payload), frame_object(payload)
 
 
-BACKEND_KINDS = ["local", "memory"]
+BACKEND_KINDS = ["local"]
 
 
 @pytest.fixture(params=BACKEND_KINDS)
 def backend(request, tmp_path):
-    if request.param == "local":
-        return LocalBackend(tmp_path / "local")
-    return MemoryBackend()
+    return LocalBackend(tmp_path / request.param)
 
 
 class TestConformance:
@@ -113,13 +110,6 @@ class TestConformance:
         assert stats["objects"] == 1
         assert stats["bytes"] == len(frame)
         assert stats["backend"]
-
-
-class TestMemoryRegions:
-    def test_anonymous_backends_are_isolated(self):
-        key, frame = make_frame(b"private")
-        MemoryBackend().put_frame(key, frame)
-        assert not MemoryBackend().contains(key)
 
 
 def test_key_check_normalizes_case():
