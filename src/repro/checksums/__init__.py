@@ -18,76 +18,69 @@ candidate splices without re-summing bytes:
   (``compute_many`` / ``prefix_state`` / ``combine``) behind the
   vectorized splice engine.
 - :mod:`repro.checksums.registry` -- name-based lookup of algorithms.
+
+Exports resolve lazily (PEP 562), like :mod:`repro.core`, and the
+modules behind them import NumPy only inside the functions that build
+or reduce arrays, when they run.  So the registry and a CRC engine's
+scalar ``compute``/``verify`` -- the store's CRC-32 trailer check --
+load no NumPy, and neither does a warm ``--cache`` hit.
 """
 
-from repro.checksums.batch import (
-    BatchChecksumAlgorithm,
-    block_matrix,
-    swap16,
-)
-from repro.checksums.internet import (
-    InternetChecksum,
-    fold_carries,
-    internet_checksum,
-    internet_checksum_field,
-    ones_complement_add,
-    ones_complement_sum,
-    update_checksum_field,
-    word_sums,
-)
-from repro.checksums.fletcher import (
-    Fletcher8,
-    FletcherSums,
-    fletcher8,
-    fletcher8_cells,
-    fletcher_check_bytes,
-    fletcher_combine,
-)
-from repro.checksums.crc import (
-    CRC10_ATM,
-    CRC16_ARC,
-    CRC16_CCITT,
-    CRC32_AAL5,
-    CRCEngine,
-    CRCSpec,
-    ZeroFeedOperator,
-    crc_combine,
-)
-from repro.checksums.registry import (
-    ChecksumAlgorithm,
-    available_algorithms,
-    get_algorithm,
-    supports_batch,
-)
+from __future__ import annotations
 
-__all__ = [
-    "BatchChecksumAlgorithm",
-    "CRC10_ATM",
-    "CRC16_ARC",
-    "CRC16_CCITT",
-    "CRC32_AAL5",
-    "CRCEngine",
-    "CRCSpec",
-    "ChecksumAlgorithm",
-    "Fletcher8",
-    "FletcherSums",
-    "InternetChecksum",
-    "ZeroFeedOperator",
-    "available_algorithms",
-    "block_matrix",
-    "crc_combine",
-    "fletcher8",
-    "fletcher8_cells",
-    "fletcher_check_bytes",
-    "fletcher_combine",
-    "fold_carries",
-    "get_algorithm",
-    "internet_checksum",
-    "internet_checksum_field",
-    "ones_complement_add",
-    "ones_complement_sum",
-    "supports_batch",
-    "swap16",
-    "update_checksum_field",
-    "word_sums",
-]
+import importlib
+from typing import Any, List
+
+#: Public name -> defining submodule, resolved on first attribute use.
+_EXPORTS = {
+    "BatchChecksumAlgorithm": "repro.checksums.batch",
+    "CRC10_ATM": "repro.checksums.crc",
+    "CRC16_ARC": "repro.checksums.crc",
+    "CRC16_CCITT": "repro.checksums.crc",
+    "CRC32_AAL5": "repro.checksums.crc",
+    "CRCEngine": "repro.checksums.crc",
+    "CRCSpec": "repro.checksums.crc",
+    "ChecksumAlgorithm": "repro.checksums.registry",
+    "Fletcher8": "repro.checksums.fletcher",
+    "FletcherSums": "repro.checksums.fletcher",
+    "InternetChecksum": "repro.checksums.internet",
+    "ZeroFeedOperator": "repro.checksums.crc",
+    "available_algorithms": "repro.checksums.registry",
+    "block_matrix": "repro.checksums.batch",
+    "crc_combine": "repro.checksums.crc",
+    "fletcher8": "repro.checksums.fletcher",
+    "fletcher8_cells": "repro.checksums.fletcher",
+    "fletcher_check_bytes": "repro.checksums.fletcher",
+    "fletcher_combine": "repro.checksums.fletcher",
+    "fold_carries": "repro.checksums.internet",
+    "get_algorithm": "repro.checksums.registry",
+    "internet_checksum": "repro.checksums.internet",
+    "internet_checksum_field": "repro.checksums.internet",
+    "ones_complement_add": "repro.checksums.internet",
+    "ones_complement_sum": "repro.checksums.internet",
+    "supports_batch": "repro.checksums.registry",
+    "swap16": "repro.checksums.batch",
+    "update_checksum_field": "repro.checksums.internet",
+    "word_sums": "repro.checksums.internet",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        # ``from repro.checksums import crc`` style submodule access.
+        try:
+            return importlib.import_module("%s.%s" % (__name__, name))
+        except ModuleNotFoundError:
+            raise AttributeError(
+                "module %r has no attribute %r" % (__name__, name)
+            ) from None
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: resolve each name at most once
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_EXPORTS})

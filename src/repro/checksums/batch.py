@@ -29,15 +29,17 @@ of a registered name.
 This module sits at the very bottom of the checksums layer and imports
 nothing else from the project, so any layer can talk about the batch
 capability without cycles.  NumPy is a hard dependency of the batch
-tier (and only of the batch tier -- the scalar protocol remains pure
-Python).
+tier; every module of the package imports it inside the functions
+that use it, so loading the registry, or computing a CRC one buffer
+at a time, loads none.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol, Union, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, Union, runtime_checkable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BatchChecksumAlgorithm",
@@ -110,6 +112,8 @@ def block_matrix(blocks: Union[np.ndarray, Iterable[bytes]]) -> np.ndarray:
     any iterable of equal-length bytes-likes.  Raises ``ValueError`` on
     ragged input -- the batch tier is defined over rectangular matrices.
     """
+    import numpy as np
+
     if isinstance(blocks, np.ndarray):
         if blocks.dtype != np.uint8:
             raise ValueError("block matrices must be uint8")

@@ -42,6 +42,11 @@ Two kernels do the byte-serial work:
   rows are also the slicing-by-8 tables of
   :meth:`CRCEngine.compute_many`.
 
+NumPy serves these vector forms and the zero-feed tables, imported
+where they run: an engine whose caller only computes, frames and
+verifies (the store's integrity trailers, the receiver's frame check)
+never loads it.
+
 The specific CRCs the paper relies on are provided as specs:
 
 * :data:`CRC32_AAL5` -- the AAL5 CPCS CRC-32 (the non-reflected,
@@ -58,8 +63,6 @@ import binascii
 import warnings
 import zlib
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.checksums.batch import block_matrix
 
@@ -143,7 +146,6 @@ class CRCEngine:
         #: Legacy alias of :attr:`width` (pre-protocol name).
         self.bits: int = spec.width
         self._table = self._build_table()
-        self._table_np = np.asarray(self._table, dtype=np.uint32)
         self._feed = _c_feed(spec)
         self._zero_ops = {}
         self._cell_tables: dict = {}
@@ -326,6 +328,8 @@ class CRCEngine:
         array of register values.  Slicing-by-``L``: column ``j`` enters
         through the per-offset table ``T_{L-1-j}``.
         """
+        import numpy as np
+
         cells = np.asarray(cells, dtype=np.uint8)
         length = cells.shape[-1]
         if length not in self._cell_tables:
@@ -364,6 +368,8 @@ class CRCEngine:
         which is exactly what the body evaluates.  The byte tail goes
         through :meth:`process_cells`.
         """
+        import numpy as np
+
         blocks = np.asarray(blocks, dtype=np.uint8)
         length = blocks.shape[-1]
         head = length - length % 8
@@ -381,6 +387,8 @@ class CRCEngine:
 
     def finalize_many(self, regs):
         """Vectorized :meth:`finalize` over a uint32 register array."""
+        import numpy as np
+
         regs = np.asarray(regs, dtype=np.uint32)
         if self.spec.refout != self.spec.refin:
             regs = _reflect_many(regs, self.spec.width)
@@ -394,6 +402,8 @@ class CRCEngine:
         external CRC values, bit-identical to mapping :meth:`compute`
         over the rows.
         """
+        import numpy as np
+
         blocks = block_matrix(blocks)
         regs = np.empty(blocks.shape[:-1], dtype=np.uint32)
         regs[...] = np.uint32(self.register_init)
@@ -406,6 +416,8 @@ class CRCEngine:
         The batch-tier state of a CRC *is* its register; combine two
         with :meth:`combine` and externalise with :meth:`state_value`.
         """
+        import numpy as np
+
         blob = np.frombuffer(bytes(data), dtype=np.uint8)
         regs = np.asarray(np.uint32(self.register_init))
         return int(self._advance_many(regs, blob))
@@ -455,6 +467,8 @@ class ZeroFeedOperator:
 
     def apply_vec(self, regs):
         """Apply the operator to a uint32 array of register values."""
+        import numpy as np
+
         regs = np.asarray(regs, dtype=np.uint32)
         result = self.tables[0][regs & np.uint32(0xFF)]
         for k in range(1, len(self.tables)):
@@ -500,6 +514,8 @@ def _matrix_power(matrix, exponent, width):
 
 def _bake_tables(matrix, width):
     """Byte-sliced XOR lookup tables realising a bit-matrix."""
+    import numpy as np
+
     tables = []
     for k in range((width + 7) // 8):
         table = np.zeros(256, dtype=np.uint32)
@@ -514,11 +530,6 @@ def _bake_tables(matrix, width):
 
 #: ``bytes.translate`` table reversing the bits of every byte.
 _REV8_BYTES = bytes(reflect_bits(b, 8) for b in range(256))
-
-#: The same byte reversal as a lookup array, used by the vectorized
-#: finalize for specs with ``refout != refin`` (none of the paper's
-#: specs, but the engine stays generic).
-_REV8 = np.frombuffer(_REV8_BYTES, dtype=np.uint8).astype(np.uint32)
 
 
 def _rev32(value):
@@ -547,13 +558,20 @@ def _c_feed(spec):
 
 
 def _reflect_many(values, width):
-    """Reverse the low ``width`` bits of each element, vectorized."""
+    """Reverse the low ``width`` bits of each element, vectorized.
+
+    Serves the vectorized finalize of specs with ``refout != refin``
+    (none of the paper's specs, but the engine stays generic).
+    """
+    import numpy as np
+
+    rev8 = np.frombuffer(_REV8_BYTES, dtype=np.uint8).astype(np.uint32)
     values = np.asarray(values, dtype=np.uint32)
     full = (
-        (_REV8[values & np.uint32(0xFF)] << np.uint32(24))
-        | (_REV8[(values >> np.uint32(8)) & np.uint32(0xFF)] << np.uint32(16))
-        | (_REV8[(values >> np.uint32(16)) & np.uint32(0xFF)] << np.uint32(8))
-        | _REV8[(values >> np.uint32(24)) & np.uint32(0xFF)]
+        (rev8[values & np.uint32(0xFF)] << np.uint32(24))
+        | (rev8[(values >> np.uint32(8)) & np.uint32(0xFF)] << np.uint32(16))
+        | (rev8[(values >> np.uint32(16)) & np.uint32(0xFF)] << np.uint32(8))
+        | rev8[(values >> np.uint32(24)) & np.uint32(0xFF)]
     )
     return full >> np.uint32(32 - width)
 
@@ -567,7 +585,11 @@ _OFFSET_TABLES: dict = {}
 def _offset_tables(engine, count):
     """At least ``count`` per-offset tables ``T_k = Z^k(table)``."""
     key = (engine.spec.width, engine.spec.poly, engine.spec.refin)
-    tables = _OFFSET_TABLES.setdefault(key, [engine._table_np])
+    tables = _OFFSET_TABLES.get(key)
+    if tables is None:
+        import numpy as np
+
+        tables = _OFFSET_TABLES[key] = [np.asarray(engine._table, np.uint32)]
     if len(tables) < count:
         z1 = engine.zero_feed(1)
         while len(tables) < count:

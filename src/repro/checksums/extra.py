@@ -14,17 +14,21 @@ splice engine proper evaluates the codes the paper's packets carry.
 from __future__ import annotations
 
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.checksums.batch import block_matrix, swap16
 from repro.checksums.fletcher import FletcherSums
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Adler32", "Fletcher16", "Xor16", "adler32", "fletcher16", "xor16"]
 
 
 def _block_words(blocks) -> np.ndarray:
     """Big-endian 16-bit words of a ``(..., L)`` block matrix (padded)."""
+    import numpy as np
+
     blocks = block_matrix(blocks)
     if blocks.shape[-1] % 2:
         pad_shape = blocks.shape[:-1] + (1,)
@@ -88,6 +92,8 @@ def fletcher16(data, modulus=65535):
     zero byte); ``B`` weights each word by its position from the end.
     Returns a :class:`FletcherSums` whose ``a``/``b`` are 16-bit.
     """
+    import numpy as np
+
     buf = np.frombuffer(bytes(data), dtype=np.uint8)
     if buf.size % 2:
         buf = np.concatenate([buf, np.zeros(1, dtype=np.uint8)])
@@ -124,6 +130,8 @@ class Fletcher16(_SuffixCode):
 
     def compute_many(self, blocks) -> np.ndarray:
         """Packed values of a matrix of equal-length buffers."""
+        import numpy as np
+
         values = _block_words(blocks)
         n = values.shape[-1]
         a = values.sum(axis=-1) % self.modulus
@@ -162,6 +170,8 @@ class Fletcher16(_SuffixCode):
 
 def adler32(data):
     """Adler-32 (RFC 1950): byte sums mod 65521, A initialised to 1."""
+    import numpy as np
+
     buf = np.frombuffer(bytes(data), dtype=np.uint8).astype(np.int64)
     n = buf.size
     a = int((1 + buf.sum()) % _ADLER_MOD)
@@ -190,6 +200,8 @@ class Adler32(_SuffixCode):
 
     def compute_many(self, blocks) -> np.ndarray:
         """Adler-32 values of a matrix of equal-length buffers."""
+        import numpy as np
+
         blocks = block_matrix(blocks).astype(np.int64)
         n = blocks.shape[-1]
         a = (1 + blocks.sum(axis=-1)) % _ADLER_MOD
@@ -222,6 +234,8 @@ def xor16(data):
     count-blind (a word XORed in twice vanishes), which is why every
     sum in the paper supersedes it.
     """
+    import numpy as np
+
     buf = np.frombuffer(bytes(data), dtype=np.uint8)
     if buf.size % 2:
         buf = np.concatenate([buf, np.zeros(1, dtype=np.uint8)])
@@ -245,6 +259,8 @@ class Xor16(_SuffixCode):
 
     def compute_many(self, blocks) -> np.ndarray:
         """Parity words of a matrix of equal-length buffers."""
+        import numpy as np
+
         values = _block_words(blocks)
         return np.bitwise_xor.reduce(values, axis=-1).astype(np.uint64)
 

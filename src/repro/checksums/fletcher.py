@@ -25,10 +25,12 @@ which is exactly the paper's per-cell contribution rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.checksums.batch import block_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Fletcher8",
@@ -58,6 +60,8 @@ def fletcher8(data, modulus=255):
     ``B`` weights each byte by its position from the end (the last byte
     has weight 1), matching the paper's definition.
     """
+    import numpy as np
+
     buf = np.frombuffer(bytes(data), dtype=np.uint8).astype(np.int64)
     n = buf.size
     a = int(buf.sum() % modulus)
@@ -78,6 +82,8 @@ def fletcher8_cells(cells, modulus=255):
     ``B_total = B_local + D * A_local`` for a chunk ending ``D`` bytes
     before the end of the covered region.
     """
+    import numpy as np
+
     cells = np.asarray(cells, dtype=np.uint8).astype(np.int64)
     length = cells.shape[-1]
     a = cells.sum(axis=-1) % modulus
@@ -176,6 +182,8 @@ class Fletcher8:
 
     def compute_many(self, blocks) -> np.ndarray:
         """Packed checksums of a matrix of equal-length buffers."""
+        import numpy as np
+
         blocks = block_matrix(blocks)
         a, b = fletcher8_cells(blocks, self.modulus)
         return ((b.astype(np.uint64) << np.uint64(8)) | a.astype(np.uint64))

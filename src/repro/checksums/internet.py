@@ -17,15 +17,19 @@ implementation:
   depend on their order, which is precisely the weakness the paper's
   splice error model probes.
 
-All bulk operations are vectorized with NumPy; the scalar entry points
-accept any bytes-like object.
+All bulk operations are vectorized with NumPy, imported by the
+functions that use it; the scalar entry points accept any bytes-like
+object.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.checksums.batch import block_matrix, swap16
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MOD_MASK",
@@ -54,12 +58,15 @@ def fold_carries(value):
     folds to zero, so arrays take the closed form: 0 stays 0, anything
     else lands on its residue in ``1..0xFFFF``.
     """
-    if isinstance(value, np.ndarray):
-        value = value.astype(np.uint64)
-        folded = (value - np.uint64(1)) % np.uint64(MOD_MASK) + np.uint64(1)
-        folded[value == 0] = 0
-        return folded.astype(np.uint32)
-    value = int(value)
+    if not isinstance(value, int):
+        import numpy as np
+
+        if isinstance(value, np.ndarray):
+            value = value.astype(np.uint64)
+            folded = (value - np.uint64(1)) % np.uint64(MOD_MASK) + np.uint64(1)
+            folded[value == 0] = 0
+            return folded.astype(np.uint32)
+        value = int(value)
     while value >> 16:
         value = (value & MOD_MASK) + (value >> 16)
     return value
@@ -76,6 +83,8 @@ def word_sums(data):
     Odd-length data is conceptually padded with a trailing zero byte, as
     RFC 1071 specifies.
     """
+    import numpy as np
+
     buf = np.frombuffer(bytes(data), dtype=np.uint8)
     if buf.size % 2:
         buf = np.concatenate([buf, np.zeros(1, dtype=np.uint8)])
@@ -162,6 +171,8 @@ class InternetChecksum:
         a ``(...,)`` uint64 array of plain word sums (callers fold after
         accumulating across cells, which keeps the hot path add-only).
         """
+        import numpy as np
+
         cells = np.asarray(cells, dtype=np.uint8)
         if cells.shape[-1] % 2:
             raise ValueError("cell length must be even for word alignment")
@@ -179,6 +190,8 @@ class InternetChecksum:
 
     def compute_many(self, blocks) -> np.ndarray:
         """Folded sums of a matrix of equal-length buffers, one pass."""
+        import numpy as np
+
         blocks = block_matrix(blocks)
         if blocks.shape[-1] % 2:
             pad_shape = blocks.shape[:-1] + (1,)

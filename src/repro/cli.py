@@ -71,7 +71,6 @@ from repro.api import (
     experiment_ids,
     open_store,
     plan_names,
-    profile_names,
     run_experiment,
     sum_file,
 )
@@ -84,6 +83,17 @@ _PLACEMENT_CHOICES = ("header", "trailer")
 #: ``repro.channel.arq.ARQ_KINDS``, spelled literally for the same
 #: reason; ``tests/channel/test_cli.py`` pins the equivalence.
 _ARQ_CHOICES = ("stop-and-wait", "go-back-n", "selective-repeat")
+
+#: ``profile_names()``, spelled literally so parser construction does
+#: not import the corpus generators (and with them numpy);
+#: ``tests/test_cli.py`` pins the equivalence.
+_PROFILE_CHOICES = (
+    "nsc05", "nsc11", "nsc23", "nsc25",
+    "pathological-binhex", "pathological-gmon", "pathological-hexps",
+    "pathological-pbm",
+    "sics-opt", "sics-solaris", "sics-src1", "sics-src2",
+    "stanford-u1", "stanford-usr-local", "uniform",
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -195,7 +205,7 @@ def _metrics_parent():
 def _profile_parent(default):
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--profile", default=default,
-                        choices=profile_names())
+                        choices=_PROFILE_CHOICES)
     return parent
 
 

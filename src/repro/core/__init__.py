@@ -17,11 +17,13 @@ checksum -- exactly the paper's methodology.
 
 Exports resolve lazily (PEP 562), mirroring the top-level package:
 importing :mod:`repro.core` -- which happens whenever *any* submodule
-is imported, including the import-cheap :mod:`repro.core.supervisor`
-and :mod:`repro.core.results` that the CLI and the store rely on --
-must not drag in the vectorized engine and numpy.  Cold entry points
+is imported, including :mod:`repro.core.supervisor` and
+:mod:`repro.core.results` that the CLI and the store rely on -- must
+not drag in the vectorized engine and numpy.  The supervisor imports
+its process pool where it spawns the first one, so only a
+``--workers`` sweep loads :mod:`multiprocessing`.  Cold entry points
 (a warm ``--cache`` hit, ``--help``) stay fast; reprolint rule REP303
-enforces this discipline.
+enforces the engine half of this discipline.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ engine or the corpus generators (REP303).
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 __all__ = ["CODE_PACKAGES", "code_digest"]
@@ -33,18 +34,31 @@ _ROOT = Path(__file__).resolve().parents[1]
 _digest = None
 
 
+def _source_files():
+    """Sorted ``(relative POSIX path, path)`` of every ``*.py`` file."""
+    root = os.fspath(_ROOT)
+    skip = len(root) + len(os.sep)
+    files = []
+    for package in CODE_PACKAGES:
+        for dirpath, _, filenames in os.walk(os.path.join(root, package)):
+            prefix = dirpath[skip:].replace(os.sep, "/") + "/"
+            files.extend(
+                (prefix + name, os.path.join(dirpath, name))
+                for name in filenames
+                if name.endswith(".py")
+            )
+    files.sort()
+    return files
+
+
 def code_digest():
     """sha256 hex over the relative paths and bytes of :data:`CODE_PACKAGES`."""
     global _digest
     if _digest is None:
-        files = sorted(
-            (path.relative_to(_ROOT).as_posix(), path)
-            for package in CODE_PACKAGES
-            for path in (_ROOT / package).rglob("*.py")
-        )
         digest = hashlib.sha256()
-        for name, path in files:
-            data = path.read_bytes()
+        for name, path in _source_files():
+            with open(path, "rb") as handle:
+                data = handle.read()
             digest.update(name.encode("utf-8") + b"\0")
             digest.update(len(data).to_bytes(8, "big"))
             digest.update(data)

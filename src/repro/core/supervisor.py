@@ -25,15 +25,17 @@ therefore never change a result, only the time it takes to produce.
 Everything the ladder does is recorded in a :class:`RunHealth` record
 (JSON round-trippable) that the experiment layer attaches to its
 reports, so a sweep that survived twelve injected faults says so.
+
+The process pool machinery (and with it :mod:`multiprocessing`) is
+imported where the first pool spawns, so a serial sweep and every
+holder of a :class:`RunHealth` -- the store, a warm ``--cache`` hit
+-- never load it.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 
 from repro.telemetry.core import current as _telemetry
@@ -277,6 +279,10 @@ class SupervisedPool:
     # -- pooled execution ---------------------------------------------------
 
     def _run_pool(self, jobs):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as _FutureTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
         results_seen = set()
         queue = [(index, 0) for index in range(len(jobs))]
         pool = None

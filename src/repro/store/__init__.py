@@ -23,9 +23,14 @@ The persistence layer behind cached and resumable experiments:
 
 Corruption is always survivable: a failed trailer evicts the entry and
 the caller recomputes — the cache can cost time, never correctness.
+
+The audit's names resolve on first attribute use (PEP 562): only
+``cache audit`` runs it, so a warm ``--cache`` hit never loads it.
 """
 
-from repro.store.audit import AuditReport, audit_run_store
+import importlib
+from typing import Any
+
 from repro.store.backends import Backend, BackendCounters
 from repro.store.cache import ResultCache
 from repro.store.keys import SCHEMA_VERSION, experiment_key, shard_key
@@ -53,3 +58,20 @@ __all__ = [
     "run_sharded_splice",
     "shard_key",
 ]
+
+#: Lazily resolved name -> defining submodule.
+_LAZY = {
+    "AuditReport": "repro.store.audit",
+    "audit_run_store": "repro.store.audit",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        )
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: resolve each name at most once
+    return value

@@ -69,7 +69,7 @@ def default_root():
 
 
 class ObjectStore:
-    """Integrity-trailed payload storage over a pluggable frame backend."""
+    """Integrity-trailed payload storage over a local frame backend."""
 
     def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM, backend=None):
         if backend is None:
@@ -77,8 +77,8 @@ class ObjectStore:
                 Path(root) if root is not None else default_root()
             )
         self.backend = backend
-        #: Filesystem root when the backend has one (local), else None.
-        self.root = getattr(backend, "root", None)
+        #: The backend's filesystem root.
+        self.root = backend.root
         self.algorithm = algorithm
         get_algorithm(algorithm)  # fail fast on unknown names
 
@@ -90,13 +90,8 @@ class ObjectStore:
         return hashlib.sha256(payload).hexdigest()
 
     def path_for(self, digest):
-        """On-disk path of ``digest`` (local-backed stores only)."""
-        path_for = getattr(self.backend, "path_for", None)
-        if path_for is None:
-            raise TypeError(
-                "backend %s has no filesystem paths" % self.backend.describe()
-            )
-        return path_for(digest)
+        """On-disk path of ``digest``."""
+        return self.backend.path_for(digest)
 
     # -- write ------------------------------------------------------------
 

@@ -148,8 +148,10 @@ class TestCodeDigest:
     def test_warm_cache_hit_imports_no_engine(self, tmp_path, capsys):
         # The warm-start contract (REP303) with the code digest in
         # every key: a result-cache hit in a fresh process reads the
-        # code's bytes but never imports the engine, the packetizer or
-        # an HTTP stack (the store is local).
+        # code's bytes but never imports the engine, the packetizer,
+        # an HTTP stack (the store is local), NumPy (the CRC-32
+        # trailer check is scalar) or a process pool (the sweep is
+        # serial).
         import subprocess
         import sys
 
@@ -162,7 +164,8 @@ class TestCodeDigest:
         code = (
             "import sys; from repro.cli import main; code = main(%r); "
             "hot = [m for m in ('repro.core.engine', "
-            "'repro.protocols.packetizer', 'http.client') "
+            "'repro.protocols.packetizer', 'http.client', 'numpy', "
+            "'multiprocessing', 'concurrent.futures.process') "
             "if m in sys.modules]; "
             "sys.exit(code or (1 if hot else 0))" % (argv,)
         )

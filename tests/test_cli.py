@@ -29,17 +29,27 @@ class TestParser:
             p.value for p in ChecksumPlacement
         ]
 
+    def test_profile_choices_match_the_corpus(self):
+        # Spelled literally too, so building the parser never imports
+        # the corpus generators.
+        from repro.api import profile_names
+        from repro.cli import _PROFILE_CHOICES
+
+        assert list(_PROFILE_CHOICES) == profile_names()
+
     def test_importing_the_cli_stays_light(self):
-        # The warm-start contract (REP303): importing the CLI must not
-        # pull in the splice engine.
+        # The warm-start contract (REP303): importing the CLI and
+        # building its parser must not pull in the splice engine, nor
+        # NumPy (the parser's choices are names, not arrays).
         import subprocess
         import sys
 
         code = (
-            "import sys; import repro.cli; "
+            "import sys; import repro.cli; repro.cli.build_parser(); "
             "hot = [m for m in sys.modules "
             "if m.startswith('repro.core.engine') "
-            "or m.startswith('repro.sim')]; "
+            "or m.startswith('repro.sim') "
+            "or m.split('.')[0] == 'numpy']; "
             "sys.exit(1 if hot else 0)"
         )
         proc = subprocess.run([sys.executable, "-c", code])
