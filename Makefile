@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench microbench report figures quicktest chaos channel-check cache-stats cache-audit lint bless clean
+.PHONY: install test bench microbench report figures quicktest chaos channel-check cache-check cache-stats cache-audit lint bless clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -61,6 +61,25 @@ microbench:
 # (~/.cache/repro-checksums or $REPRO_CHECKSUMS_CACHE) and is near-instant.
 report:
 	$(PYTHON) -m repro.cli report -o report.md --bytes 400000 --cache
+
+# Store transparency: tables 8-10 run with --cache into a temporary
+# store (the later tables read the corpora and shards the earlier ones
+# stored) must print exactly what --no-cache prints, and the audit that
+# follows must be clean and must have scanned the stored corpora.
+cache-check:
+	@root=$$(mktemp -d) && trap 'rm -rf "$$root"' EXIT && \
+	export REPRO_CHECKSUMS_CACHE="$$root/store" && \
+	for table in table8 table9 table10; do \
+		$(PYTHON) -m repro.cli run $$table --bytes 30000 --no-cache \
+			> "$$root/direct" && \
+		$(PYTHON) -m repro.cli run $$table --bytes 30000 --cache \
+			> "$$root/cached" && \
+		diff "$$root/direct" "$$root/cached" && \
+		echo "$$table: --cache output identical" || exit 1; \
+	done && \
+	{ $(PYTHON) -m repro.cli cache audit > "$$root/audit"; status=$$?; \
+	  cat "$$root/audit"; test $$status -eq 0; } && \
+	grep -Eq '^  corpora/ +[1-9]' "$$root/audit"
 
 cache-stats:
 	$(PYTHON) -m repro.cli cache stats

@@ -95,7 +95,7 @@ __all__ = [
 _LAZY = {
     "BatchChecksumAlgorithm": (
         "repro.checksums.batch", "BatchChecksumAlgorithm"),
-    "ChecksumPlacement": ("repro.protocols.packetizer", "ChecksumPlacement"),
+    "ChecksumPlacement": ("repro.protocols.config", "ChecksumPlacement"),
     "supports_batch": ("repro.checksums.registry", "supports_batch"),
     "ArqConfig": ("repro.channel.arq", "ArqConfig"),
     "ChannelPlan": ("repro.channel.plan", "ChannelPlan"),
@@ -110,7 +110,7 @@ _LAZY = {
     "run_channel_transfer": ("repro.channel.arq", "run_channel_transfer"),
     "write_channel_trace": ("repro.channel.trace", "write_channel_trace"),
     "IndependentLoss": ("repro.protocols.cellstream", "IndependentLoss"),
-    "PacketizerConfig": ("repro.protocols.packetizer", "PacketizerConfig"),
+    "PacketizerConfig": ("repro.protocols.config", "PacketizerConfig"),
     "RunAborted": ("repro.core.supervisor", "RunAborted"),
     "RunHealth": ("repro.core.supervisor", "RunHealth"),
     "ShardJournal": ("repro.store.journal", "ShardJournal"),

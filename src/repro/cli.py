@@ -67,10 +67,8 @@ import sys
 
 from repro.api import (
     algorithm_names,
-    channel_plan_names,
     experiment_ids,
     open_store,
-    plan_names,
     run_experiment,
     sum_file,
 )
@@ -93,6 +91,23 @@ _PROFILE_CHOICES = (
     "pathological-pbm",
     "sics-opt", "sics-solaris", "sics-src1", "sics-src2",
     "stanford-u1", "stanford-usr-local", "uniform",
+)
+
+#: ``plan_names()`` (the ``chaos --plan`` fault plans), spelled
+#: literally so parser construction does not import the fault plans;
+#: ``tests/test_cli.py`` pins the equivalence.
+_CHAOS_PLAN_CHOICES = (
+    "bitrot", "bursty-link", "congested-queue", "flaky-network",
+    "flaky-workers", "full-disk", "monkey", "reordering-link",
+    "replica-outage",
+)
+
+#: ``channel_plan_names()`` (the ``channel run --plan`` link plans),
+#: spelled literally for the same reason; ``tests/test_cli.py`` pins
+#: the equivalence.
+_CHANNEL_PLAN_CHOICES = (
+    "bursty-link", "clean", "congested-queue", "lossy-link",
+    "reordering-link",
 )
 
 __all__ = ["build_parser", "main"]
@@ -280,13 +295,15 @@ def build_parser():
                  _metrics_parent(), _sweep_parent(journal=False)],
     )
     p_chaos.add_argument("--mss", type=_mss, default=256)
-    p_chaos.add_argument("--plan", default="monkey", choices=plan_names(),
+    p_chaos.add_argument("--plan", default="monkey",
+                         choices=_CHAOS_PLAN_CHOICES,
                          help="named fault plan (default: monkey)")
     p_chaos.add_argument("--fault-seed", type=int, default=0,
                          help="seed of the fault schedule (replayable)")
     p_chaos.add_argument("--cache-dir", default=None,
                          help="root for the chaotic run's stores "
-                              "(default: a fresh temp directory)")
+                              "(default: a temporary directory, removed "
+                              "when the command ends)")
 
     p_transfer = sub.add_parser(
         "transfer", help="simulate a reliable transfer over a lossy link",
@@ -315,7 +332,7 @@ def build_parser():
                  _metrics_parent(), _sweep_parent()],
     )
     p_crun.add_argument("--plan", default="bursty-link",
-                        choices=channel_plan_names(),
+                        choices=_CHANNEL_PLAN_CHOICES,
                         help="named channel plan (default: bursty-link)")
     p_crun.add_argument("--channel-seed", type=int, default=0,
                         help="seed of the channel's impairment streams")
@@ -559,6 +576,7 @@ def _cmd_chaos(args):
     Exit 0 iff both chaotic passes produce counters bit-identical to
     the baseline and the fault plan replays deterministically.
     """
+    import shutil
     import tempfile
     from pathlib import Path
 
@@ -579,21 +597,30 @@ def _cmd_chaos(args):
 
     clean = run_splice_experiment(fs, config)
 
-    root = Path(args.cache_dir) if args.cache_dir else Path(
-        tempfile.mkdtemp(prefix="repro-chaos-")
+    # Without --cache-dir the stores live in a temporary root that goes
+    # when the passes end, also on error.
+    temporary = args.cache_dir is None
+    root = Path(
+        tempfile.mkdtemp(prefix="repro-chaos-") if temporary else args.cache_dir
     )
     health = RunHealth()
     passes = []
-    for label, workers in (("populate", args.workers), ("resume", None)):
-        plan = named_plan(args.plan, seed=args.fault_seed)
-        pass_health = RunHealth()
-        store = wrap_run_store(open_store(root / "store"), plan, pass_health)
-        result = run_splice_experiment(
-            fs, config, workers=workers, store=store,
-            faults=plan, health=pass_health,
-        )
-        passes.append((label, result, plan, pass_health))
-        health.merge(pass_health)
+    try:
+        for label, workers in (("populate", args.workers), ("resume", None)):
+            plan = named_plan(args.plan, seed=args.fault_seed)
+            pass_health = RunHealth()
+            store = wrap_run_store(
+                open_store(root / "store"), plan, pass_health
+            )
+            result = run_splice_experiment(
+                fs, config, workers=workers, store=store,
+                faults=plan, health=pass_health,
+            )
+            passes.append((label, result, plan, pass_health))
+            health.merge(pass_health)
+    finally:
+        if temporary:
+            shutil.rmtree(root, ignore_errors=True)
 
     replay_ok = (
         named_plan(args.plan, seed=args.fault_seed).preview()
@@ -638,7 +665,8 @@ def _cmd_chaos(args):
             "deterministic" if channel_ok else "BROKEN",
             channel_name, first.frames, first.retransmissions))
     print(health.render())
-    print("store root         %s" % root)
+    print("store root         %s" % (
+        "temporary (removed)" if temporary else root))
     ok = identical and replay_ok and channel_ok
     print("verdict            %s" % (
         "faults cost time, never correctness" if ok else "FAILED"))
@@ -672,7 +700,7 @@ def _cmd_transfer(args):
 
 def _cmd_channel(args):
     if args.channel_command == "plans":
-        from repro.api import named_channel_plan
+        from repro.api import channel_plan_names, named_channel_plan
 
         for name in channel_plan_names():
             plan = named_channel_plan(name)

@@ -10,8 +10,11 @@ checksum -- exactly the paper's methodology.
 - :mod:`repro.core.enumeration` -- exact splice combinatorics.
 - :mod:`repro.core.checks` -- the IP/TCP/AAL5 header validity checks.
 - :mod:`repro.core.results` -- the counters behind the paper's tables.
+- :mod:`repro.core.options` -- how the engine judges splices.
 - :mod:`repro.core.engine` -- the vectorized splice evaluator.
 - :mod:`repro.core.experiment` -- drives an engine over a filesystem.
+- :mod:`repro.core.shard` -- the sweep's pool worker: one file's
+  counters.
 - :mod:`repro.core.supervisor` -- fault-surviving pool execution and
   the :class:`RunHealth` record experiments attach to their reports.
 
@@ -32,7 +35,7 @@ import importlib
 
 #: Public name -> defining submodule, resolved on first attribute use.
 _EXPORTS = {
-    "EngineOptions": "repro.core.engine",
+    "EngineOptions": "repro.core.options",
     "RunAborted": "repro.core.supervisor",
     "RunHealth": "repro.core.supervisor",
     "SpliceCounters": "repro.core.results",

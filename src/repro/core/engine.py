@@ -29,11 +29,13 @@ compare or AND on the ``(splices, pairs)`` matrix.
 :meth:`SpliceEngine.evaluate_batch` also skips the rows whose leading
 cell fails the header checks for every pair of the batch: they are
 counted as caught by the header without being judged further.
+
+:class:`EngineOptions` is defined in the NumPy-free
+:mod:`repro.core.options` and re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +50,10 @@ from repro.core.batch import (
 )
 from repro.core.checks import candidate_header_validity, candidate_pseudo_sums
 from repro.core.enumeration import splice_enumeration
+from repro.core.options import EngineOptions
 from repro.core.results import SpliceCounters
 from repro.protocols.aal5 import CELL_PAYLOAD, aal5_crc_engine
-from repro.protocols.packetizer import ChecksumPlacement
+from repro.protocols.config import ChecksumPlacement
 from repro.telemetry.core import current as _telemetry
 
 __all__ = ["EngineOptions", "SpliceEngine"]
@@ -58,44 +61,6 @@ __all__ = ["EngineOptions", "SpliceEngine"]
 _IP_HEADER_LEN = 20
 _TCP_CHECKSUM_SPLICE_OFFSET = 36  # IP header + TCP checksum field offset
 _CRC_FIELD_LEN = 4
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """How the engine should judge splices.
-
-    ``algorithm``/``placement``/``invert`` must match the packetizer
-    configuration the frames were built with (use
-    :meth:`from_packetizer`); ``require_ip_checksum`` follows the
-    Section 6.2 ablation; ``aux_crcs`` names additional CRC engines run
-    in place of the AAL5 CRC-32 for observable-rate uniformity checks.
-    """
-
-    algorithm: str = "tcp"
-    placement: ChecksumPlacement = ChecksumPlacement.HEADER
-    invert: bool = True
-    require_ip_checksum: bool = True
-    legacy_coverage: bool = False
-    aux_crcs: tuple = ("crc16-ccitt",)
-    max_splices: int = 2_000_000
-    batch_elements: int = 2_000_000
-    #: 0 = exact enumeration; otherwise pairs whose splice count
-    #: exceeds this are evaluated over a uniform sample of this size
-    #: (rates stay unbiased; totals reflect the sample).
-    sample_splices: int = 0
-
-    @classmethod
-    def from_packetizer(cls, config, **overrides):
-        """Options consistent with a :class:`PacketizerConfig`."""
-        fields = dict(
-            algorithm=config.algorithm,
-            placement=config.placement,
-            invert=config.invert,
-            require_ip_checksum=config.fill_ip_header,
-            legacy_coverage=not config.fill_ip_header,
-        )
-        fields.update(overrides)
-        return cls(**fields)
 
 
 class SpliceEngine:
@@ -240,11 +205,10 @@ class SpliceEngine:
             np.count_nonzero(ident_mask & ~valid_transport)
         )
 
-        lengths = np.unique(enum.substitution_len)
-        size = int(lengths[-1]) + 1
+        size = enum.lengths[-1] + 1
         remaining_by_len = np.bincount(lens, remaining_per_splice, size)
         missed_by_len = np.bincount(lens, missed_per_splice, size)
-        for k in lengths.tolist():
+        for k in enum.lengths:
             counters.remaining_by_len[k] = int(remaining_by_len[k])
             counters.missed_by_len[k] = int(missed_by_len[k])
         counters.remaining_with_hdr2 = int(remaining_per_splice[hdr2].sum())

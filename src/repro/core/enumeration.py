@@ -74,6 +74,8 @@ class SpliceEnumeration:
       trailer (the "48(k-1)+8 byte" accounting of Section 4.6).
     * ``has_second_header`` -- whether the second frame's header cell is
       part of the splice (Section 5.3's case split).
+    * ``lengths`` -- the distinct substitution lengths, ascending, as a
+      tuple of ints (the keys of the per-length counters).
 
     Every row also splits at the frame boundary into a *first part*
     (its ``k >= 1`` first-frame cells, in slots ``0 .. k-1``) and a
@@ -91,6 +93,7 @@ class SpliceEnumeration:
     selection: np.ndarray
     substitution_len: np.ndarray
     has_second_header: np.ndarray
+    lengths: tuple
     first_key: np.ndarray
     second_key: np.ndarray
     first_rows: np.ndarray
@@ -163,6 +166,8 @@ def _finish_enumeration(n1, n2, matrix):
     from_second = matrix >= (n1 - 1)
     substitution_len = from_second.sum(axis=1).astype(np.int64) + 1
     has_second_header = (matrix == (n1 - 1)).any(axis=1)
+    # Distinct lengths by bincount: np.unique would import numpy.ma.
+    lengths = tuple(np.flatnonzero(np.bincount(substitution_len)).tolist())
     # The only row without a first-frame cell is the intact second
     # frame, which no enumeration keeps: every first part is non-empty,
     # so every row leads with a first-frame cell.
@@ -175,6 +180,7 @@ def _finish_enumeration(n1, n2, matrix):
         matrix,
         substitution_len,
         has_second_header,
+        lengths,
         first_key,
         second_key,
         first_rows,

@@ -3,6 +3,10 @@
 This reproduces the paper's outer loop: "our test program simulated a
 file transfer with FTP of all files on a file system ... and examined
 all possible splices of two adjacent TCP segments".
+
+The engine and the packetizer (and with them NumPy) are imported with
+the pool that computes shards (:mod:`repro.core.shard`), so a sweep
+whose shards all come from the store never loads them.
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.checkpoint import current_controller
-from repro.core.engine import EngineOptions, SpliceEngine
+from repro.core.options import EngineOptions
 from repro.core.results import SpliceCounters
 from repro.core.supervisor import RunHealth, SupervisedPool
-from repro.protocols.ftpsim import FileTransferSimulator
-from repro.protocols.packetizer import PacketizerConfig
+from repro.protocols.config import PacketizerConfig
 from repro.telemetry.core import current as _telemetry
 
 __all__ = [
@@ -54,6 +57,9 @@ def run_per_file_experiment(filesystem, config=None, options=None, max_files=Non
     Returns ``[(file, SpliceCounters), ...]`` so callers can rank files
     by their contribution to the miss count.
     """
+    from repro.core.engine import SpliceEngine
+    from repro.protocols.ftpsim import FileTransferSimulator
+
     config = config or PacketizerConfig()
     options = options or EngineOptions.from_packetizer(config)
     simulator = FileTransferSimulator(config)
@@ -68,15 +74,6 @@ def run_per_file_experiment(filesystem, config=None, options=None, max_files=Non
     return results
 
 
-def _file_counters(args):
-    """Process-pool worker: splice counters for one file's bytes."""
-    data, config, options = args
-    simulator = FileTransferSimulator(config)
-    counters = SpliceEngine(options).evaluate_stream(simulator.wire(data))
-    counters.files += 1
-    return counters
-
-
 def _make_pool(workers, health, faults, shard_timeout=None):
     """A :class:`SupervisedPool` for splice shards, optionally chaotic.
 
@@ -86,9 +83,13 @@ def _make_pool(workers, health, faults, shard_timeout=None):
     is armed by, in precedence order: the explicit ``shard_timeout``
     argument (the CLI's ``--shard-timeout``), the ambient
     :class:`~repro.core.checkpoint.SweepController`'s value, then the
-    fault plan's suggestion.
+    fault plan's suggestion.  Building one imports the engine
+    (:mod:`repro.core.shard`), so callers build a pool only for a sweep
+    with shards to compute.
     """
-    function = _file_counters
+    from repro.core.shard import file_counters
+
+    function = file_counters
     prepare = None
     timeout = shard_timeout
     if timeout is None:

@@ -16,27 +16,43 @@ checksums react to:
 
 See DESIGN.md for the substitution argument.  Everything is seeded and
 bit-for-bit reproducible.
+
+Exports resolve lazily (PEP 562), like :mod:`repro.core`: a sweep
+that reads its corpus from the store imports
+:mod:`repro.corpus.filesystem` alone, never the NumPy generators.
 """
 
-from repro.corpus.filesystem import Filesystem, SyntheticFile
-from repro.corpus.generators import GENERATORS, generate
-from repro.corpus.profiles import (
-    PROFILES,
-    FilesystemProfile,
-    build_filesystem,
-    profile_names,
-)
-from repro.corpus.transforms import add_constant_to_words, compress_filesystem
+from __future__ import annotations
 
-__all__ = [
-    "Filesystem",
-    "FilesystemProfile",
-    "GENERATORS",
-    "PROFILES",
-    "SyntheticFile",
-    "add_constant_to_words",
-    "build_filesystem",
-    "compress_filesystem",
-    "generate",
-    "profile_names",
-]
+import importlib
+
+#: Public name -> defining submodule, resolved on first attribute use.
+_EXPORTS = {
+    "Filesystem": "repro.corpus.filesystem",
+    "FilesystemProfile": "repro.corpus.profiles",
+    "GENERATORS": "repro.corpus.generators",
+    "PROFILES": "repro.corpus.profiles",
+    "SyntheticFile": "repro.corpus.filesystem",
+    "add_constant_to_words": "repro.corpus.transforms",
+    "build_filesystem": "repro.corpus.profiles",
+    "compress_filesystem": "repro.corpus.transforms",
+    "generate": "repro.corpus.generators",
+    "profile_names": "repro.corpus.profiles",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        )
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: resolve each name at most once
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

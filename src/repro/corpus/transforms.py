@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
-
 from repro.corpus.filesystem import Filesystem, SyntheticFile
 
 __all__ = ["add_constant_to_words", "compress_filesystem"]
@@ -42,6 +40,8 @@ def add_constant_to_words(fs, constant):
     the paper's claim that zero's high frequency, not its being the
     additive identity, drives the failure rate.
     """
+    import numpy as np
+
     constant &= 0xFFFF
     out = Filesystem(name=fs.name + "+%#06x" % constant)
     for file in fs:

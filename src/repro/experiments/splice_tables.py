@@ -5,16 +5,21 @@ splice simulation under the relevant packetizer configuration, and
 renders rows in the paper's layout.  Sizes default to about a million
 bytes per filesystem -- large enough for every observable rate, small
 enough to regenerate a table in seconds; pass ``fs_bytes`` to scale up.
+
+With a ``store`` (``run --cache``), each filesystem comes from the
+store's ``corpora/`` namespace (:meth:`repro.store.runner.RunStore.filesystem`)
+and each file's counters from its ``shards/``, so a table whose corpora
+and shards are all stored imports neither the corpus generators nor the
+engine, nor NumPy.
 """
 
 from __future__ import annotations
 
 from repro.core.experiment import run_splice_experiment
-from repro.corpus.profiles import build_filesystem
 from repro.corpus.transforms import compress_filesystem
 from repro.experiments.render import TextTable, fmt_count, fmt_pct
 from repro.experiments.report import ExperimentReport
-from repro.protocols.packetizer import ChecksumPlacement, PacketizerConfig
+from repro.protocols.config import ChecksumPlacement, PacketizerConfig
 
 __all__ = [
     "table1_nsc",
@@ -43,10 +48,19 @@ FLETCHER_SYSTEMS = (
 )
 
 
+def _filesystem(name, fs_bytes, seed, store):
+    """One system's corpus, read from ``store`` when the sweep holds one."""
+    if store is not None:
+        return store.filesystem(name, fs_bytes, seed)
+    from repro.corpus.profiles import build_filesystem
+
+    return build_filesystem(name, fs_bytes, seed)
+
+
 def _splice_rows(systems, fs_bytes, seed, config, workers=None, store=None, health=None):
     rows = []
     for name in systems:
-        fs = build_filesystem(name, fs_bytes, seed)
+        fs = _filesystem(name, fs_bytes, seed, store)
         result = run_splice_experiment(fs, config, workers=workers, store=store, health=health)
         rows.append((name, result.counters))
     return rows
@@ -131,7 +145,7 @@ def table7_compressed(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None
     Compressing the worst filesystem (sics-opt) restores a near-uniform
     distribution, so the TCP miss rate should fall back to ~2^-16.
     """
-    fs = build_filesystem("sics-opt", fs_bytes, seed)
+    fs = _filesystem("sics-opt", fs_bytes, seed, store)
     config = PacketizerConfig()
     before = run_splice_experiment(fs, config, workers=workers, store=store, health=health).counters
     after = run_splice_experiment(
@@ -171,7 +185,7 @@ def table8_fletcher(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, 
     table = TextTable(["system", "checksum", "missed", "remaining", "miss %"])
     data = []
     for name in FLETCHER_SYSTEMS:
-        fs = build_filesystem(name, fs_bytes, seed)
+        fs = _filesystem(name, fs_bytes, seed, store)
         for label, config in configs:
             c = run_splice_experiment(
                 fs, config,
@@ -208,7 +222,7 @@ def table9_trailer(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, s
     )
     data = []
     for name in FLETCHER_SYSTEMS:
-        fs = build_filesystem(name, fs_bytes, seed)
+        fs = _filesystem(name, fs_bytes, seed, store)
         header_c = run_splice_experiment(fs, base, workers=workers, store=store, health=health).counters
         trailer_c = run_splice_experiment(fs, trailer, workers=workers, store=store, health=health).counters
         ratio = (
@@ -241,7 +255,7 @@ def table10_header_vs_trailer(
     fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, workers=None, store=None, health=None
 ):
     """Table 10: false positives/negatives, header vs trailer placement."""
-    fs = build_filesystem("stanford-u1", fs_bytes, seed)
+    fs = _filesystem("stanford-u1", fs_bytes, seed, store)
     base = PacketizerConfig()
     header_c = run_splice_experiment(fs, base, workers=workers, store=store, health=health).counters
     trailer_c = run_splice_experiment(

@@ -168,6 +168,7 @@ def wrap_run_store(store, plan, health=None):
     store.objects = FaultyObjectStore(store.objects, plan, health)
     store.results.store = FaultyObjectStore(store.results.store, plan, health)
     store.shards.store = FaultyObjectStore(store.shards.store, plan, health)
+    store.corpora.store = FaultyObjectStore(store.corpora.store, plan, health)
     return store
 
 
@@ -213,15 +214,15 @@ def shim_file_counters(payload):
     """Pool worker: one splice shard under a fault directive.
 
     ``payload`` is ``(directive, args)`` where ``args`` is exactly what
-    :func:`repro.core.experiment._file_counters` takes.  The directive
+    :func:`repro.core.shard.file_counters` takes.  The directive
     fires *before* the computation, so a faulted attempt never returns
     a partial result — faults cost time, never correctness.
     """
     directive, args = payload
     apply_directive(directive)
-    from repro.core.experiment import _file_counters
+    from repro.core.shard import file_counters
 
-    return _file_counters(args)
+    return file_counters(args)
 
 
 def worker_prepare(plan, health=None):

@@ -77,37 +77,42 @@ class LintConfig:
         "repro.checksums",
     ))
 
-    #: Cold-path modules: importable on a warm ``--cache`` hit, so they
-    #: must not eagerly import the splice engine (PR 1's 10-20x
-    #: warm-start win).  Exact names match only themselves; prefixes
-    #: match their whole subtree.
+    #: Cold-path modules: importable on a warm ``--cache`` hit or on a
+    #: splice table whose corpora and shards all come from the store,
+    #: so they must not eagerly import the splice engine, the
+    #: packetizer or the corpus generators (PR 1's 10-20x warm-start
+    #: win).  Exact names match only themselves; prefixes match their
+    #: whole subtree.
     cold_modules_exact: tuple = field(default_factory=lambda: _tuple(
-        "repro", "repro.core", "repro.experiments",
-        "repro.experiments.registry", "repro.experiments.report",
-        "repro.experiments.render",
+        "repro", "repro.core", "repro.core.experiment", "repro.core.options",
+        "repro.corpus", "repro.corpus.filesystem", "repro.corpus.transforms",
+        "repro.experiments", "repro.experiments.registry",
+        "repro.experiments.report", "repro.experiments.render",
+        "repro.experiments.splice_tables", "repro.protocols",
+        "repro.protocols.config",
     ))
     cold_prefixes: tuple = field(default_factory=lambda: _tuple(
         "repro.api", "repro.cli", "repro.checksums", "repro.store",
-        "repro.telemetry", "repro.corpus", "repro.faults", "repro.lint",
+        "repro.telemetry", "repro.faults", "repro.lint",
     ))
 
     #: Hot modules a cold module must not import at module scope.
     hot_module_prefixes: tuple = field(default_factory=lambda: _tuple(
-        "repro.core.engine", "repro.core.experiment", "repro.sim",
-        "repro.experiments.splice_tables", "repro.experiments.figures",
+        "repro.core.engine", "repro.core.shard", "repro.protocols.packetizer",
+        "repro.protocols.ftpsim", "repro.corpus.generators",
+        "repro.corpus.profiles", "repro.sim", "repro.experiments.figures",
         "repro.experiments.ablations", "repro.experiments.extensions",
     ))
     #: Names that resolve to hot modules when imported off a lazy
     #: package (``from repro.core import SpliceEngine`` pays for the
     #: engine even though ``repro.core`` itself is cheap).
     hot_attribute_names: tuple = field(default_factory=lambda: _tuple(
-        "SpliceEngine", "EngineOptions", "SpliceExperimentResult",
-        "run_splice_experiment", "run_per_file_experiment",
-        "simulate_file_transfer", "TransferReport",
+        "SpliceEngine", "Packetizer", "FileTransferSimulator",
+        "build_filesystem", "simulate_file_transfer", "TransferReport",
     ))
     #: Lazy packages whose attributes may be hot (PEP 562 facades).
     lazy_packages: tuple = field(default_factory=lambda: _tuple(
-        "repro", "repro.core",
+        "repro", "repro.core", "repro.corpus", "repro.protocols",
     ))
 
     # -- batch hot path (REP304) ---------------------------------------

@@ -101,9 +101,10 @@ class EagerEngineImportRule(Rule):
     category = "layering"
     invariant = (
         "Modules on the warm-start path (CLI, api, store, registry, "
-        "package __init__s) import the splice engine only inside "
-        "function bodies, so a warm --cache hit never pays the "
-        "engine+numpy import bill."
+        "package __init__s) and on a --cache sweep whose corpora and "
+        "shards all hit import the splice engine, the packetizer and "
+        "the corpus generators only inside function bodies, so neither "
+        "pays the engine+numpy import bill."
     )
 
     def check(self, module, ctx):

@@ -12,75 +12,69 @@ ATM.  This package builds the bytes that go "on the wire":
   the HEC (CRC-8) header check and the AAL5 last-cell marking.
 - :mod:`repro.protocols.aal5` -- AAL5 CPCS framing: padding, the 8-byte
   trailer with length and CRC-32, segmentation and reassembly.
+- :mod:`repro.protocols.config` -- the packetizer configuration
+  (algorithm, placement, ablations), importable without NumPy.
 - :mod:`repro.protocols.packetizer` -- turns a file into the paper's
   packet stream (seq += payload, IP ID += 1, 256-byte segments) under a
   configurable checksum algorithm/placement, all of a file's AAL5
   frames in one array pass (``Packetizer.wire``).
 - :mod:`repro.protocols.ftpsim` -- the simulated FTP transfer driving
   the splice experiments.
+
+Exports resolve lazily (PEP 562), like :mod:`repro.core`: importing
+:mod:`repro.protocols.config` to name a configuration must not import
+the NumPy frame builders.
 """
 
-from repro.protocols.aal5 import (
-    AAL5_TRAILER_LEN,
-    CELL_PAYLOAD,
-    AAL5Error,
-    AAL5Frame,
-    build_aal5_frame,
-    reassemble_frame,
-)
-from repro.protocols.atm import AtmCell, AtmCellHeader, cells_for_frame
-from repro.protocols.ip import (
-    IP_HEADER_LEN,
-    IPv4Header,
-    build_ipv4_header,
-    parse_ipv4_header,
-    validate_ipv4_header,
-)
-from repro.protocols.packetizer import (
-    ChecksumPlacement,
-    Packetizer,
-    PacketizerConfig,
-    TCPPacket,
-    WireGroup,
-)
-from repro.protocols.ftpsim import FileTransferSimulator, TransferUnit
-from repro.protocols.tcp import (
-    TCP_HEADER_LEN,
-    TCPHeader,
-    build_tcp_header,
-    parse_tcp_header,
-    pseudo_header_word_sum,
-    tcp_checksum_field,
-    verify_tcp_checksum,
-)
+from __future__ import annotations
 
-__all__ = [
-    "AAL5Error",
-    "AAL5Frame",
-    "AAL5_TRAILER_LEN",
-    "AtmCell",
-    "AtmCellHeader",
-    "CELL_PAYLOAD",
-    "ChecksumPlacement",
-    "FileTransferSimulator",
-    "IP_HEADER_LEN",
-    "IPv4Header",
-    "Packetizer",
-    "PacketizerConfig",
-    "TCPHeader",
-    "TCPPacket",
-    "TCP_HEADER_LEN",
-    "TransferUnit",
-    "WireGroup",
-    "build_aal5_frame",
-    "build_ipv4_header",
-    "build_tcp_header",
-    "cells_for_frame",
-    "parse_ipv4_header",
-    "parse_tcp_header",
-    "pseudo_header_word_sum",
-    "reassemble_frame",
-    "tcp_checksum_field",
-    "validate_ipv4_header",
-    "verify_tcp_checksum",
-]
+import importlib
+
+#: Public name -> defining submodule, resolved on first attribute use.
+_EXPORTS = {
+    "AAL5Error": "repro.protocols.aal5",
+    "AAL5Frame": "repro.protocols.aal5",
+    "AAL5_TRAILER_LEN": "repro.protocols.aal5",
+    "AtmCell": "repro.protocols.atm",
+    "AtmCellHeader": "repro.protocols.atm",
+    "CELL_PAYLOAD": "repro.protocols.aal5",
+    "ChecksumPlacement": "repro.protocols.config",
+    "FileTransferSimulator": "repro.protocols.ftpsim",
+    "IP_HEADER_LEN": "repro.protocols.ip",
+    "IPv4Header": "repro.protocols.ip",
+    "Packetizer": "repro.protocols.packetizer",
+    "PacketizerConfig": "repro.protocols.config",
+    "TCPHeader": "repro.protocols.tcp",
+    "TCPPacket": "repro.protocols.packetizer",
+    "TCP_HEADER_LEN": "repro.protocols.tcp",
+    "TransferUnit": "repro.protocols.ftpsim",
+    "WireGroup": "repro.protocols.packetizer",
+    "build_aal5_frame": "repro.protocols.aal5",
+    "build_ipv4_header": "repro.protocols.ip",
+    "build_tcp_header": "repro.protocols.tcp",
+    "cells_for_frame": "repro.protocols.atm",
+    "parse_ipv4_header": "repro.protocols.ip",
+    "parse_tcp_header": "repro.protocols.tcp",
+    "pseudo_header_word_sum": "repro.protocols.tcp",
+    "reassemble_frame": "repro.protocols.aal5",
+    "tcp_checksum_field": "repro.protocols.tcp",
+    "validate_ipv4_header": "repro.protocols.ip",
+    "verify_tcp_checksum": "repro.protocols.tcp",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        )
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: resolve each name at most once
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -29,13 +29,14 @@ values, so :meth:`Packetizer.wire` builds them all at once: the headers
 from a template built once per config, the check values from per-row
 NumPy word sums, and the AAL5 framing around them, one array per packet
 length.  :meth:`Packetizer.packetize` slices :class:`TCPPacket` objects
-out of the same arrays.
+out of the same arrays.  :class:`PacketizerConfig` and
+:class:`ChecksumPlacement` are defined in the NumPy-free
+:mod:`repro.protocols.config` and re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +58,7 @@ from repro.protocols.aal5 import (
     aal5_crc_engine,
     cells_needed,
 )
+from repro.protocols.config import ChecksumPlacement, PacketizerConfig
 from repro.protocols.ip import IP_HEADER_LEN, build_ipv4_header
 from repro.protocols.tcp import (
     FLAG_ACK,
@@ -84,58 +86,6 @@ _TCP_FIELD = IP_HEADER_LEN + TCP_CHECKSUM_OFFSET
 
 #: Length of the CRC-32 at the end of an AAL5 frame.
 _CRC_LEN = 4
-
-
-class ChecksumPlacement(enum.Enum):
-    """Where the transport check value lives in the packet."""
-
-    HEADER = "header"
-    TRAILER = "trailer"
-
-
-@dataclass(frozen=True)
-class PacketizerConfig:
-    """Configuration of the simulated transfer's packet construction."""
-
-    mss: int = 256
-    algorithm: str = "tcp"
-    placement: ChecksumPlacement = ChecksumPlacement.HEADER
-    invert: bool = True
-    fill_ip_header: bool = True
-    src: str = "127.0.0.1"
-    dst: str = "127.0.0.1"
-    sport: int = 20
-    dport: int = 54321
-    initial_seq: int = 1
-    initial_ipid: int = 1
-    window: int = 4096
-
-    def __post_init__(self):
-        if self.mss < 1:
-            raise ValueError("mss must be positive")
-        iplen = _HEADERS_LEN + self.mss
-        if self.placement is ChecksumPlacement.TRAILER:
-            iplen += 2
-        if iplen > 0xFFFF:
-            raise ValueError(
-                "mss %d makes %d-byte IP packets; the IPv4 total length "
-                "and the AAL5 Length field stop at 65535" % (self.mss, iplen)
-            )
-        if self.algorithm not in ("tcp", "fletcher255", "fletcher256", "none"):
-            raise ValueError("unknown checksum algorithm %r" % self.algorithm)
-        if not self.fill_ip_header and (
-            self.algorithm != "tcp"
-            or self.placement is not ChecksumPlacement.HEADER
-            or not self.invert
-        ):
-            raise ValueError(
-                "the legacy unfilled-IP-header mode (Section 6.2) models the "
-                "original TCP header-checksum simulator only"
-            )
-
-    def with_overrides(self, **kwargs):
-        """A copy of this config with fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ The persistence layer behind cached and resumable experiments:
   keeps it, else a record in the sweep journal;
 * :mod:`repro.store.journal` -- the append-only log of the shards a
   sweep computed but no store kept, for ``--resume``;
+* :mod:`repro.store.corpora` -- the stored form of a synthetic corpus,
+  which :meth:`RunStore.filesystem` serves to the splice tables;
 * :mod:`repro.store.audit` -- re-verify every stored object;
 * :mod:`repro.store.resilience` -- the retry policy behind the
   runner's store guard.

@@ -40,6 +40,8 @@ class AuditReport:
     #: trailer passed but the content address did not: the check code
     #: missed a corruption that the stronger digest caught.
     trailer_misses: int = 0
+    #: ``(namespace, objects scanned)`` pairs, in walk order.
+    namespaces: list = field(default_factory=list)
 
     @property
     def corrupt(self):
@@ -55,11 +57,16 @@ class AuditReport:
         self.bytes_scanned += other.bytes_scanned
         self.findings.extend(other.findings)
         self.trailer_misses += other.trailer_misses
+        self.namespaces.extend(other.namespaces)
         return self
 
     def render(self):
-        lines = [
-            "objects scanned    %d" % self.scanned,
+        lines = ["objects scanned    %d" % self.scanned]
+        lines += [
+            "  %-16s %d" % (name + "/", scanned)
+            for name, scanned in self.namespaces
+        ]
+        lines += [
             "bytes scanned      %d" % self.bytes_scanned,
             "verified ok        %d" % self.ok,
             "corrupt            %d" % self.corrupt,
@@ -118,6 +125,7 @@ def audit_object_store(store, namespace="objects", evict=False, content_addresse
             )
             continue
         report.ok += 1
+    report.namespaces.append((namespace, report.scanned))
     return report
 
 

@@ -113,11 +113,22 @@ class ResultCache:
 
     def get_object(self, key, from_json):
         """Deserialize via ``from_json(text)``; None on miss/corruption."""
+        return self.get_decoded(
+            key, lambda payload: from_json(payload.decode("utf-8"))
+        )
+
+    def get_decoded(self, key, decode):
+        """``decode(payload)``; None on miss/corruption.
+
+        A payload whose trailer passes but which ``decode`` rejects (by
+        raising) is a writer bug or schema drift: it is evicted like
+        corruption.
+        """
         payload = self.get_bytes(key)
         if payload is None:
             return None
         try:
-            return from_json(payload.decode("utf-8"))
+            return decode(payload)
         except Exception:
             self.stats.hits -= 1
             self.evict(key)

@@ -28,6 +28,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "canonical_json",
     "canonicalize",
+    "corpus_key",
     "digest_key",
     "experiment_key",
     "shard_key",
@@ -102,4 +103,16 @@ def shard_key(data_digest, config, options):
     """
     return digest_key(
         "splice-shard", SCHEMA_VERSION, code_digest(), data_digest, config, options
+    )
+
+
+def corpus_key(profile, total_bytes, seed):
+    """Cache key of one synthetic corpus.
+
+    A corpus is a pure function of its profile name, size and seed
+    (:func:`repro.corpus.profiles.build_filesystem`) and of the
+    generator code the digest covers.
+    """
+    return digest_key(
+        "corpus", SCHEMA_VERSION, code_digest(), profile, total_bytes, seed
     )

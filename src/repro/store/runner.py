@@ -45,7 +45,8 @@ from repro.core.results import SpliceCounters
 from repro.core.supervisor import RunHealth
 from repro.telemetry.core import current as _telemetry
 from repro.store.cache import ResultCache
-from repro.store.keys import SCHEMA_VERSION, digest_key, shard_key
+from repro.store.corpora import decode_corpus, encode_corpus
+from repro.store.keys import SCHEMA_VERSION, corpus_key, digest_key, shard_key
 from repro.store.backends.local import LocalBackend
 from repro.store.objstore import DEFAULT_ALGORITHM, ObjectStore, default_root
 from repro.store.resilience import RetryPolicy
@@ -67,7 +68,11 @@ class RunStore:
     ``objects/``   content-addressed blobs (``put``/``get`` by SHA-256)
     ``results/``   experiment-level :class:`ExperimentReport` JSON
     ``shards/``    per-file :class:`SpliceCounters` JSON
+    ``corpora/``   synthetic corpora (:mod:`repro.store.corpora`)
     =============  =======================================================
+
+    Corpora get a namespace of their own rather than sharing
+    ``results/``, whose every object is an experiment report.
 
     Every namespace frames its payloads with the same integrity-trailer
     algorithm (CRC-32/AAL5 unless overridden), so ``repro-checksums
@@ -85,6 +90,7 @@ class RunStore:
         self.objects = namespace("objects")
         self.results = ResultCache(namespace("results"))
         self.shards = ResultCache(namespace("shards"))
+        self.corpora = ResultCache(namespace("corpora"))
 
     def describe(self):
         """Human-readable identity of the backing store."""
@@ -97,7 +103,38 @@ class RunStore:
             ("objects", self.objects),
             ("results", self.results.store),
             ("shards", self.shards.store),
+            ("corpora", self.corpora.store),
         )
+
+    def filesystem(self, profile, total_bytes, seed):
+        """``build_filesystem(profile, total_bytes, seed)``, kept in ``corpora/``.
+
+        A verified stored copy is decoded without importing the corpus
+        generators.  A miss, a payload that fails its trailer or does
+        not decode (either is evicted), or an ``OSError`` builds the
+        corpus and stores it, so a store problem costs at most a
+        rebuild.
+        """
+        key = corpus_key(profile, total_bytes, seed)
+        telemetry = _telemetry()
+        try:
+            filesystem = self.corpora.get_decoded(
+                key, lambda payload: decode_corpus(profile, payload)
+            )
+        except OSError:
+            filesystem = None
+        if filesystem is not None:
+            telemetry.count("store.corpus_hits")
+            return filesystem
+        from repro.corpus.profiles import build_filesystem
+
+        filesystem = build_filesystem(profile, total_bytes, seed)
+        telemetry.count("store.corpus_builds")
+        try:
+            self.corpora.put_bytes(key, encode_corpus(filesystem))
+        except OSError:
+            pass  # the next sweep rebuilds it
+        return filesystem
 
     def stats(self):
         """Per-namespace object counts and byte totals."""
@@ -313,15 +350,18 @@ def run_sharded_splice(
     telemetry.count("store.shard_hits", len(loaded))
     telemetry.count("store.shard_misses", len(unique_missing))
 
-    pool = _make_pool(workers, health, faults, shard_timeout)
     total = len(unique_keys)
     stopped = _check_stop(
         controller, health, telemetry, len(loaded), total, journal
     )
     if not stopped:
         with telemetry.span("store.shard_compute"):
+            computed = ()
+            if jobs:  # a pool, and with it the engine, only when needed
+                pool = _make_pool(workers, health, faults, shard_timeout)
+                computed = pool.run([job for _, job in jobs])
             last = time.perf_counter()
-            for index, counters in pool.run([job for _, job in jobs]):
+            for index, counters in computed:
                 now = time.perf_counter()
                 _account_shard(
                     telemetry, counters, len(jobs[index][1][0]), now - last

@@ -85,6 +85,31 @@ class TestDerivedArrays:
         assert enum.slots == 4
         assert enum.n1 == 7 and enum.n2 == 5
 
+    @pytest.mark.parametrize("n1, n2", [(7, 7), (7, 3), (3, 7), (1, 5)])
+    def test_lengths_are_the_distinct_substitution_lengths(self, n1, n2):
+        enum = enumerate_splices(n1, n2)
+        assert enum.lengths == tuple(sorted(set(enum.substitution_len.tolist())))
+        assert all(type(k) is int for k in enum.lengths)
+
+
+class TestImports:
+    def test_a_table_run_never_imports_numpy_ma(self):
+        # np.unique imports numpy.ma; the engine reads each pair
+        # shape's distinct substitution lengths off its enumeration.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; from repro.cli import main; "
+            "code = main(['run', 'table1', '--no-cache', '--bytes', "
+            "'20000']); sys.exit(code or ('numpy.ma' in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "TCP miss %" in proc.stdout
+
 
 class TestCaps:
     def test_max_splices_cap(self):

@@ -148,6 +148,43 @@ class TestChaosCLI:
         assert "faults cost time, never correctness" in out
         assert "run health" in out
 
+    @pytest.fixture
+    def temp_dir(self, tmp_path, monkeypatch):
+        """The temporary directory chaos makes its store root in."""
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        return tmp_path
+
+    def test_chaos_removes_its_temporary_store_root(self, temp_dir, capsys):
+        argv = ["chaos", "--plan", "bitrot", "--bytes", "30000",
+                "--workers", "1"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "store root         temporary (removed)" in first
+        assert list(temp_dir.iterdir()) == []
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_chaos_removes_its_temporary_store_root_on_error(
+        self, temp_dir, monkeypatch
+    ):
+        import repro.api
+
+        clean_run = repro.api.run_splice_experiment
+
+        def failing(fs, config, store=None, **kwargs):
+            if store is not None:
+                raise RuntimeError("sweep failed")
+            return clean_run(fs, config, **kwargs)
+
+        monkeypatch.setattr(repro.api, "run_splice_experiment", failing)
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            main(["chaos", "--plan", "bitrot", "--bytes", "30000",
+                  "--workers", "1"])
+        assert list(temp_dir.iterdir()) == []
+
     def test_chaos_parser_defaults(self):
         from repro.cli import build_parser
 

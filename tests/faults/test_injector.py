@@ -171,7 +171,7 @@ class TestHealthAndDelegation:
             if isinstance(namespace, FaultyObjectStore)
             and namespace.plan is plan
         ]
-        assert wrapped_names == ["objects", "results", "shards"]
+        assert wrapped_names == ["objects", "results", "shards", "corpora"]
 
 
 class TestDirectives:

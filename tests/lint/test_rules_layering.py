@@ -1,5 +1,7 @@
 """REP301 / REP302 / REP303: the layering rules."""
 
+import pytest
+
 from tests.lint.conftest import active_rules
 
 
@@ -122,7 +124,7 @@ class TestEagerEngineImport:
 
     def test_hot_modules_may_import_each_other(self, lint):
         result = lint({
-            "repro/core/experiment.py": """
+            "repro/experiments/extensions.py": """
                 from repro.core.engine import SpliceEngine
 
                 def run():
@@ -130,3 +132,34 @@ class TestEagerEngineImport:
             """,
         }, rules=["REP303"])
         assert result.active == []
+
+    @pytest.mark.parametrize("module, target", [
+        ("repro/core/experiment.py", "repro.core.engine"),
+        ("repro/core/experiment.py", "repro.protocols.ftpsim"),
+        ("repro/experiments/splice_tables.py", "repro.corpus.profiles"),
+        ("repro/protocols/config.py", "repro.protocols.packetizer"),
+    ])
+    def test_all_hit_sweep_path_is_cold(self, lint, module, target):
+        # A splice table whose corpora and shards all come from the
+        # store imports its sweep driver and configuration, never the
+        # engine, the packetizer or the corpus generators.
+        result = lint({
+            module: """
+                import %s
+
+                def run():
+                    return None
+            """ % target,
+        }, rules=["REP303"])
+        assert active_rules(result) == ["REP303"]
+
+    def test_hot_attribute_off_lazy_corpus_package_is_flagged(self, lint):
+        result = lint({
+            "repro/experiments/splice_tables.py": """
+                from repro.corpus import build_filesystem
+
+                def run():
+                    return build_filesystem
+            """,
+        }, rules=["REP303"])
+        assert active_rules(result) == ["REP303"]

@@ -37,10 +37,23 @@ class TestParser:
 
         assert list(_PROFILE_CHOICES) == profile_names()
 
+    def test_chaos_plan_choices_match_the_fault_plans(self):
+        from repro.api import plan_names
+        from repro.cli import _CHAOS_PLAN_CHOICES
+
+        assert list(_CHAOS_PLAN_CHOICES) == plan_names()
+
+    def test_channel_plan_choices_match_the_channel_plans(self):
+        from repro.api import channel_plan_names
+        from repro.cli import _CHANNEL_PLAN_CHOICES
+
+        assert list(_CHANNEL_PLAN_CHOICES) == channel_plan_names()
+
     def test_importing_the_cli_stays_light(self):
         # The warm-start contract (REP303): importing the CLI and
         # building its parser must not pull in the splice engine, nor
-        # NumPy (the parser's choices are names, not arrays).
+        # NumPy (the parser's choices are names, not arrays), nor the
+        # fault and channel plans behind two commands' --plan choices.
         import subprocess
         import sys
 
@@ -49,6 +62,7 @@ class TestParser:
             "hot = [m for m in sys.modules "
             "if m.startswith('repro.core.engine') "
             "or m.startswith('repro.sim') "
+            "or m in ('repro.faults.plan', 'repro.channel.plan') "
             "or m.split('.')[0] == 'numpy']; "
             "sys.exit(1 if hot else 0)"
         )
