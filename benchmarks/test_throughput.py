@@ -64,13 +64,3 @@ def test_splice_engine_throughput(benchmark):
     print("\nsplice engine: %.0f splices/second (%d splices/run)" % (
         rate, counters.total))
 
-
-@pytest.mark.parametrize("name", ["wordwise", "deferred-32bit", "numpy-16bit",
-                                  "numpy-32bit"])
-def test_internet_strategy_throughput(benchmark, name):
-    """RFC 1071's implementation tricks, measured against each other."""
-    from repro.checksums.implementations import ALL_STRATEGIES
-
-    strategy = ALL_STRATEGIES[name]
-    value = benchmark(strategy, BUFFER)
-    assert value == ones_complement_sum(BUFFER)

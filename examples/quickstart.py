@@ -7,7 +7,7 @@ Run with::
 """
 
 from repro import build_filesystem, get_algorithm, run_splice_experiment
-from repro.checksums import crc_combine, internet_checksum
+from repro.checksums import internet_checksum
 from repro.protocols import build_aal5_frame
 from repro.protocols.packetizer import Packetizer, PacketizerConfig
 
@@ -27,15 +27,15 @@ def checksum_basics():
 
     for name in ("fletcher255", "fletcher256", "crc32-aal5", "crc16-ccitt"):
         algorithm = get_algorithm(name)
-        print("%-18s: 0x%0*x" % (name, (algorithm.bits + 3) // 4,
+        print("%-18s: 0x%0*x" % (name, (algorithm.width + 3) // 4,
                                  algorithm.compute(data)))
 
-    # CRCs compose: the CRC of a concatenation from the piece CRCs.
+    # CRCs compose: the CRC of a concatenation from the piece registers.
     crc = get_algorithm("crc32-aal5")
     a, b = data[:20], data[20:]
-    combined = crc_combine(crc, crc.compute(a), crc.compute(b), len(b))
-    assert combined == crc.compute(data)
-    print("crc_combine(a, b) == crc(a || b): OK")
+    state = crc.combine(crc.prefix_state(a), crc.prefix_state(b), len(b))
+    assert crc.state_value(state) == crc.compute(data)
+    print("combine(a, b) == crc(a || b): OK")
 
 
 def framing_basics():

@@ -7,8 +7,8 @@ The library has four layers:
 * :mod:`repro.checksums` -- the check codes themselves (Internet
   checksum, Fletcher mod-255/mod-256, a generic CRC engine with the
   AAL5 CRC-32 and friends) plus the partial-sum/combine algebra.
-* :mod:`repro.protocols` -- IPv4/TCP packet construction, ATM cells and
-  AAL5 framing, and the simulated FTP transfer.
+* :mod:`repro.protocols` -- IPv4/TCP packet construction, AAL5 framing
+  into ATM cells, and the simulated FTP transfer.
 * :mod:`repro.corpus` -- deterministic synthetic filesystems with the
   statistical structure of the paper's real UNIX volumes.
 * :mod:`repro.core` / :mod:`repro.analysis` / :mod:`repro.experiments`
@@ -60,7 +60,6 @@ _EXPORTS = {
 #: ``repro.X is repro.api.X`` holds across the whole contract.
 _FACADE_EXPORTS = (
     "ArqConfig",
-    "BatchChecksumAlgorithm",
     "ChannelPlan",
     "ChannelReport",
     "ChecksumPlacement",
@@ -107,7 +106,6 @@ _FACADE_EXPORTS = (
     "run_splice_experiment",
     "simulate_file_transfer",
     "sum_file",
-    "supports_batch",
     "sweep_guard",
     "validate_bench_snapshot",
     "wrap_run_store",

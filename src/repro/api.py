@@ -35,13 +35,11 @@ __all__ = [
     "profile_names",
     "profile_summaries",
     # splice runs and their configuration
-    "BatchChecksumAlgorithm",
     "ChecksumPlacement",
     "PacketizerConfig",
     "RunAborted",
     "RunHealth",
     "run_splice_experiment",
-    "supports_batch",
     # checkpointed interruption and resume
     "ShardJournal",
     "SweepInterrupted",
@@ -93,10 +91,7 @@ __all__ = [
 #: Facade name -> ``(module, attribute)``, resolved lazily so the
 #: import bill of each subsystem is paid only by callers that use it.
 _LAZY = {
-    "BatchChecksumAlgorithm": (
-        "repro.checksums.batch", "BatchChecksumAlgorithm"),
     "ChecksumPlacement": ("repro.protocols.config", "ChecksumPlacement"),
-    "supports_batch": ("repro.checksums.registry", "supports_batch"),
     "ArqConfig": ("repro.channel.arq", "ArqConfig"),
     "ChannelPlan": ("repro.channel.plan", "ChannelPlan"),
     "ChannelReport": ("repro.channel.arq", "ChannelReport"),

@@ -6,7 +6,7 @@ candidate splices without re-summing bytes:
 
 - :mod:`repro.checksums.internet` -- the 16-bit ones-complement Internet
   checksum used by IP, TCP and UDP (RFC 1071), with vectorized per-cell
-  partial sums and incremental-update helpers.
+  partial sums.
 - :mod:`repro.checksums.fletcher` -- Fletcher's checksum in both the
   ones-complement (mod 255) and twos-complement (mod 256) variants the
   paper compares, including the positional (A, B) cell decomposition.
@@ -14,10 +14,14 @@ candidate splices without re-summing bytes:
   (any width/polynomial/reflection), the specific CRCs the paper uses
   (CRC-32 for AAL5, CRC-16, CRC-CCITT, CRC-10 for ATM OAM), and GF(2)
   zero-feed operators that combine per-cell CRC images in O(1) per cell.
-- :mod:`repro.checksums.batch` -- the optional batch capability tier
-  (``compute_many`` / ``prefix_state`` / ``combine``) behind the
-  vectorized splice engine.
-- :mod:`repro.checksums.registry` -- name-based lookup of algorithms.
+- :mod:`repro.checksums.extra` -- Fletcher-16 (32-bit), Adler-32 and
+  the XOR-16 parity word.
+- :mod:`repro.checksums.registry` -- name-based lookup of algorithms
+  and the one :class:`ChecksumAlgorithm` protocol they all implement:
+  ``compute``/``field``/``verify`` on one buffer, ``compute_many`` on
+  a matrix of buffers, and ``prefix_state``/``combine``/``state_value``
+  for the partial states a splice joins.
+- :mod:`repro.checksums.batch` -- the array helpers those members share.
 
 Exports resolve lazily (PEP 562), like :mod:`repro.core`, and the
 modules behind them import NumPy only inside the functions that build
@@ -33,7 +37,6 @@ from typing import Any, List
 
 #: Public name -> defining submodule, resolved on first attribute use.
 _EXPORTS = {
-    "BatchChecksumAlgorithm": "repro.checksums.batch",
     "CRC10_ATM": "repro.checksums.crc",
     "CRC16_ARC": "repro.checksums.crc",
     "CRC16_CCITT": "repro.checksums.crc",
@@ -47,7 +50,6 @@ _EXPORTS = {
     "ZeroFeedOperator": "repro.checksums.crc",
     "available_algorithms": "repro.checksums.registry",
     "block_matrix": "repro.checksums.batch",
-    "crc_combine": "repro.checksums.crc",
     "fletcher8": "repro.checksums.fletcher",
     "fletcher8_cells": "repro.checksums.fletcher",
     "fletcher_check_bytes": "repro.checksums.fletcher",
@@ -58,9 +60,7 @@ _EXPORTS = {
     "internet_checksum_field": "repro.checksums.internet",
     "ones_complement_add": "repro.checksums.internet",
     "ones_complement_sum": "repro.checksums.internet",
-    "supports_batch": "repro.checksums.registry",
     "swap16": "repro.checksums.batch",
-    "update_checksum_field": "repro.checksums.internet",
     "word_sums": "repro.checksums.internet",
 }
 

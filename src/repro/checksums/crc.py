@@ -60,7 +60,6 @@ The specific CRCs the paper relies on are provided as specs:
 from __future__ import annotations
 
 import binascii
-import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -75,7 +74,6 @@ __all__ = [
     "CRCEngine",
     "CRCSpec",
     "ZeroFeedOperator",
-    "crc_combine",
     "reflect_bits",
 ]
 
@@ -126,8 +124,6 @@ CRC10_ATM = CRCSpec("crc10-atm", 10, 0x233, 0x000, False, False, 0x000)
 #: superior Hamming distance, used by SCTP and iSCSI.
 CRC32C = CRCSpec("crc32c", 32, 0x1EDC6F41, 0xFFFFFFFF, True, True, 0xFFFFFFFF)
 
-_UNSET = object()
-
 
 class CRCEngine:
     """Table-driven CRC computation over a :class:`CRCSpec`.
@@ -143,14 +139,11 @@ class CRCEngine:
         self.mask: int = (1 << spec.width) - 1
         self.name: str = spec.name
         self.width: int = spec.width
-        #: Legacy alias of :attr:`width` (pre-protocol name).
-        self.bits: int = spec.width
         self._table = self._build_table()
         self._feed = _c_feed(spec)
         self._zero_ops = {}
         self._cell_tables: dict = {}
-        self._residues = {}
-        self._frame_residue = None
+        self._residue = None
 
     # -- table construction -------------------------------------------------
 
@@ -255,66 +248,41 @@ class CRCEngine:
     def field(self, data) -> bytes:
         """The CRC bytes to append to ``data`` (spec wire order).
 
-        ``data + field(data)`` streams to a message-independent residue
-        register, so :meth:`verify` accepts the framed whole.  For
-        byte-multiple widths this is exactly :meth:`crc_bytes`; for
-        CRC-10 the value is bit-aligned so the 6 pad bits participate
-        in the division (the ATM OAM cell layout).
+        ``data + field(data)`` streams to :meth:`residue_register`, so
+        :meth:`verify` accepts the framed whole.  For CRC-10 the value
+        is bit-aligned so the 6 pad bits participate in the division
+        (the ATM OAM cell layout).
         """
         width_bytes = (self.spec.width + 7) // 8
-        pad = 8 * width_bytes - self.spec.width
-        if pad == 0:
-            return self.crc_bytes(data, self._wire_order)
         reg = self.process(self.register_init, data)
-        reg = self._feed_zero_bits(reg, pad)
+        pad = 8 * width_bytes - self.spec.width
+        if pad:
+            reg = self._feed_zero_bits(reg, pad)
         return self.finalize(reg).to_bytes(width_bytes, self._wire_order)
 
-    def verify(self, data, stored=_UNSET) -> bool:
+    def verify(self, data) -> bool:
         """True if ``data`` (trailing CRC bytes included) validates.
 
-        Streams the whole frame and compares the register against the
-        spec's residue constant -- the check a receiver that cannot see
-        the frame boundary performs, and the one the splice engine
+        Streams the whole frame and compares the register against
+        :meth:`residue_register` -- the check a receiver that cannot
+        see the frame boundary performs, and the one the splice engine
         models.
-
-        The pre-protocol two-argument shape ``verify(data, stored)``
-        still works but raises a :class:`DeprecationWarning`; compare
-        against :meth:`compute` directly instead.
         """
-        if stored is not _UNSET:
-            warnings.warn(
-                "CRCEngine.verify(data, stored) is deprecated; use "
-                "verify(data) on the framed message or compare "
-                "compute(data) == stored",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.compute(data) == stored
-        reg = self.process(self.register_init, data)
-        if self._frame_residue is None:
-            probe = b"\xa5\x5a\x00\xff checksum residue probe"
-            probe_reg = self.process(self.register_init, probe)
-            self._frame_residue = self.process(probe_reg, self.field(probe))
-        return reg == self._frame_residue
+        return self.process(self.register_init, data) == self.residue_register()
 
-    def crc_bytes(self, data, byteorder="big"):
-        """The CRC of ``data`` serialised to bytes for transmission."""
-        width_bytes = (self.spec.width + 7) // 8
-        return self.compute(data).to_bytes(width_bytes, byteorder)
-
-    def residue_register(self, byteorder="big"):
-        """Register value after a correct message *and* its CRC bytes.
+    def residue_register(self):
+        """Register value after a message *and* its :meth:`field`.
 
         This is a constant of the spec, so a verifier that has streamed
         an entire frame can validate it by comparing the register to
-        this value -- the check the splice engine uses.
+        this value -- the check :meth:`verify` and the splice engine
+        make.
         """
-        if byteorder not in self._residues:
+        if self._residue is None:
             probe = b"\xa5\x5a\x00\xff checksum residue probe"
             reg = self.process(self.register_init, probe)
-            reg = self.process(reg, self.crc_bytes(probe, byteorder))
-            self._residues[byteorder] = reg
-        return self._residues[byteorder]
+            self._residue = self.process(reg, self.field(probe))
+        return self._residue
 
     # -- vectorized forms ----------------------------------------------------
 
@@ -596,16 +564,3 @@ def _offset_tables(engine, count):
             tables.append(z1.apply_vec(tables[-1]))
     return tables
 
-
-def crc_combine(engine, crc_first, crc_second, second_len):
-    """CRC of the concatenation of two messages from their CRCs.
-
-    ``crc_first`` is the CRC of message A, ``crc_second`` the CRC of
-    message B, ``second_len`` the byte length of B.  Returns the CRC of
-    ``A || B`` (the zlib ``crc32_combine`` generalised to any spec).
-    """
-    op = engine.zero_feed(second_len)
-    reg_a = engine.unfinalize(crc_first)
-    reg_b = engine.unfinalize(crc_second)
-    reg = op.apply(reg_a) ^ reg_b ^ op.apply(engine.register_init)
-    return engine.finalize(reg)

@@ -13,7 +13,6 @@ splice engine proper evaluates the codes the paper's packets carry.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING
 
 from repro.checksums.batch import block_matrix, swap16
@@ -40,20 +39,14 @@ def _block_words(blocks) -> np.ndarray:
 
 _ADLER_MOD = 65521  # largest prime below 2^16
 
-_UNSET = object()
-
 
 class _SuffixCode:
     """Shared protocol plumbing for codes carried as a trailing field.
 
     Subclasses provide ``width``/``name`` and ``compute``; this mixin
     derives ``field`` (big-endian serialization of the check value) and
-    the unified single-argument ``verify`` -- true when the trailing
-    ``width // 8`` bytes equal the field of everything before them.
-
-    The pre-protocol two-argument shape ``verify(data, stored)`` still
-    works but raises a :class:`DeprecationWarning`; compare against
-    ``compute(data)`` directly instead.
+    ``verify`` -- true when the trailing ``width // 8`` bytes equal the
+    field of everything before them.
     """
 
     #: Provided by subclasses (declared here for the type checker).
@@ -67,17 +60,8 @@ class _SuffixCode:
         """Bytes to append to ``data`` so the framed whole verifies."""
         return self.compute(data).to_bytes(self.width // 8, "big")
 
-    def verify(self, data, stored=_UNSET) -> bool:
+    def verify(self, data) -> bool:
         """True if ``data`` (trailing check field included) validates."""
-        if stored is not _UNSET:
-            warnings.warn(
-                "%s.verify(data, stored) is deprecated; use "
-                "verify(data) on the framed message or compare "
-                "compute(data) == stored" % type(self).__name__,
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.compute(data) == stored
         buf = bytes(data)
         n = self.width // 8
         if len(buf) < n:
@@ -113,8 +97,6 @@ class Fletcher16(_SuffixCode):
     """Object API for the 32-bit Fletcher checksum."""
 
     width: int = 32
-    #: Legacy alias of :attr:`width` (pre-protocol name).
-    bits: int = 32
 
     def __init__(self, modulus: int = 65535) -> None:
         if modulus not in (65535, 65536):
@@ -189,8 +171,6 @@ class Adler32(_SuffixCode):
     """Object API for Adler-32."""
 
     width: int = 32
-    #: Legacy alias of :attr:`width` (pre-protocol name).
-    bits: int = 32
     name: str = "adler32"
 
     def compute(self, data) -> int:
@@ -248,8 +228,6 @@ class Xor16(_SuffixCode):
     """Object API for the XOR parity word."""
 
     width: int = 16
-    #: Legacy alias of :attr:`width` (pre-protocol name).
-    bits: int = 16
     name: str = "xor16"
 
     def compute(self, data) -> int:

@@ -134,8 +134,6 @@ class Fletcher8:
     """
 
     width: int = 16
-    #: Legacy alias of :attr:`width` (pre-protocol name).
-    bits: int = 16
 
     def __init__(self, modulus: int = 255) -> None:
         if modulus not in (255, 256):

@@ -39,7 +39,6 @@ __all__ = [
     "internet_checksum_field",
     "ones_complement_add",
     "ones_complement_sum",
-    "update_checksum_field",
     "word_sums",
 ]
 
@@ -111,37 +110,16 @@ def internet_checksum_field(data):
     return ones_complement_sum(data) ^ MOD_MASK
 
 
-def update_checksum_field(old_field, old_word, new_word):
-    """Incrementally update a stored checksum field (RFC 1624 style).
-
-    Given the previously stored field value and one 16-bit word changing
-    from ``old_word`` to ``new_word``, return the new field value without
-    re-summing the data.
-
-    The RFC 1624 corner case is handled: the arithmetic can produce the
-    field value 0x0000 where a from-scratch computation yields 0xFFFF
-    (the two ones-complement zeros).  0xFFFF is congruent and also
-    satisfies strict ``sum == 0xFFFF`` verifiers, so it is returned in
-    that case.
-    """
-    old_sum = old_field ^ MOD_MASK
-    new_sum = fold_carries(old_sum + (old_word ^ MOD_MASK) + new_word)
-    return (new_sum ^ MOD_MASK) or MOD_MASK
-
-
 class InternetChecksum:
     """Object API over the Internet checksum, including vectorized forms.
 
     Instances are stateless; the class conforms to the registry's
-    :class:`~repro.checksums.registry.ChecksumAlgorithm` protocol
-    (``compute``/``field``/``verify`` plus ``width``/``name``) and adds
-    the vectorized ``cell_sums`` used by the splice engine.
+    :class:`~repro.checksums.registry.ChecksumAlgorithm` protocol and
+    adds the vectorized ``cell_sums`` used by the splice engine.
     """
 
     name: str = "internet"
     width: int = 16
-    #: Legacy alias of :attr:`width` (pre-protocol name).
-    bits: int = 16
 
     def compute(self, data) -> int:
         """16-bit ones-complement sum of ``data``."""

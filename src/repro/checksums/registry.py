@@ -18,29 +18,37 @@ member             meaning
                    checksum, sum-to-zero for Fletcher, the residue
                    register for CRCs, a trailing-field compare for the
                    suffix codes
+``compute_many``   check values of a ``(..., L)`` uint8 matrix of
+                   equal-length buffers in one vectorized pass
+``prefix_state``   the running state after absorbing ``data``: a CRC
+                   register, an Internet ``(sum, parity)`` pair,
+                   Fletcher ``(A, B)`` sums
+``combine``        ``combine(state_a, state_b, len_b)``: the state of
+                   ``A || B`` from the states of A and B
+``state_value``    the check value of a state
 =================  ====================================================
 
 For every algorithm ``a`` and message ``m``, the framing identity
 ``a.verify(m + a.field(m))`` holds; this is what the artifact store's
 integrity trailers and the splice engine's verdict checks build on.
-
-Older call shapes (two-argument ``verify(data, stored)``, the ``bits``
-attribute) still work but the two-argument ``verify`` raises a
-``DeprecationWarning``; see each engine's docstring.
-
-Algorithms may additionally implement the optional *batch* tier
-(:class:`~repro.checksums.batch.BatchChecksumAlgorithm`:
-``compute_many`` / ``prefix_state`` / ``combine`` / ``state_value``);
-:func:`supports_batch` reports whether a registered name or instance
-advertises it.
+The state members obey ``a.state_value(a.combine(a.prefix_state(x),
+a.prefix_state(y), len(y))) == a.compute(x + y)``, for word-aligned
+``x`` where the code runs over 16-bit words (Fletcher-16).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Protocol, Union, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Protocol,
+    Union,
+    runtime_checkable,
+)
 
-from repro.checksums.batch import BatchChecksumAlgorithm
-from repro.checksums.batch import supports_batch as _instance_supports_batch
 from repro.checksums.crc import (
     CRC10_ATM,
     CRC16_ARC,
@@ -53,13 +61,14 @@ from repro.checksums.extra import Adler32, Fletcher16, Xor16
 from repro.checksums.fletcher import Fletcher8
 from repro.checksums.internet import InternetChecksum
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
-    "BatchChecksumAlgorithm",
     "ByteSource",
     "ChecksumAlgorithm",
     "available_algorithms",
     "get_algorithm",
-    "supports_batch",
 ]
 
 #: Anything the engines accept as message bytes.  ``memoryview`` is the
@@ -94,6 +103,22 @@ class ChecksumAlgorithm(Protocol):
 
     def verify(self, data: ByteSource) -> bool:
         """True if ``data`` (check field included) validates."""
+        ...  # pragma: no cover - protocol stub
+
+    def compute_many(self, blocks: Any) -> np.ndarray:
+        """Check values of a ``(..., L)`` uint8 matrix of buffers."""
+        ...  # pragma: no cover - protocol stub
+
+    def prefix_state(self, data: ByteSource) -> Any:
+        """Internal running state after absorbing ``data``."""
+        ...  # pragma: no cover - protocol stub
+
+    def combine(self, state_a: Any, state_b: Any, len_b: int) -> Any:
+        """State of ``A || B`` from the states of A and B."""
+        ...  # pragma: no cover - protocol stub
+
+    def state_value(self, state: Any) -> int:
+        """Map an internal state to the external check value."""
         ...  # pragma: no cover - protocol stub
 
 
@@ -133,14 +158,3 @@ def get_algorithm(name: str) -> ChecksumAlgorithm:
         _INSTANCES[key] = _FACTORIES[key]()
     return _INSTANCES[key]
 
-
-def supports_batch(algorithm: Union[str, object]) -> bool:
-    """True when an algorithm (name or instance) has the batch tier.
-
-    Registry names resolve through :func:`get_algorithm`; anything else
-    is checked structurally against
-    :class:`~repro.checksums.batch.BatchChecksumAlgorithm`.
-    """
-    if isinstance(algorithm, str):
-        algorithm = get_algorithm(algorithm)
-    return _instance_supports_batch(algorithm)

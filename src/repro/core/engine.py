@@ -75,7 +75,7 @@ class SpliceEngine:
     def __init__(self, options=None):
         self.options = options or EngineOptions()
         self._crc32 = aal5_crc_engine()
-        self._residue32 = np.uint32(self._crc32.residue_register("big"))
+        self._residue32 = np.uint32(self._crc32.residue_register())
         self._folds = {}
         self._aux = []
         for name in self.options.aux_crcs:

@@ -32,9 +32,9 @@ transport errors and retries is a policy fork -- its retries are
 invisible to telemetry and to the store guard's error ledger, which
 the chaos tests' health accounting relies on.
 
-REP501 statically re-checks what the runtime conformance tests check
-dynamically: every algorithm registered in ``checksums.registry``
-defines the full ChecksumAlgorithm surface (compute/field/verify/
+REP501 statically re-checks part of what the runtime conformance tests
+check dynamically: every algorithm registered in ``checksums.registry``
+defines the one-buffer ChecksumAlgorithm members (compute/field/verify/
 width/name), and any literal mask agrees with the literal width --
 the exact width/modulus slip Koopman's checksum papers warn silently
 invalidates error-detection measurements.

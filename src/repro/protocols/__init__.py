@@ -1,4 +1,4 @@
-"""Protocol substrate: IPv4, TCP, ATM cells and AAL5 framing.
+"""Protocol substrate: IPv4, TCP and AAL5 framing into ATM cells.
 
 The paper simulates FTP file transfers over TCP/IP carried in AAL5 over
 ATM.  This package builds the bytes that go "on the wire":
@@ -8,10 +8,9 @@ ATM.  This package builds the bytes that go "on the wire":
 - :mod:`repro.protocols.tcp` -- TCP header construction/parsing and the
   pseudo-header checksum, for both the standard header placement and
   the paper's trailer placement, and for Fletcher check bytes.
-- :mod:`repro.protocols.atm` -- the 53-byte ATM cell model, including
-  the HEC (CRC-8) header check and the AAL5 last-cell marking.
 - :mod:`repro.protocols.aal5` -- AAL5 CPCS framing: padding, the 8-byte
-  trailer with length and CRC-32, segmentation and reassembly.
+  trailer with length and CRC-32, segmentation into 48-byte cell
+  payloads and reassembly.
 - :mod:`repro.protocols.config` -- the packetizer configuration
   (algorithm, placement, ablations), importable without NumPy.
 - :mod:`repro.protocols.packetizer` -- turns a file into the paper's
@@ -35,8 +34,6 @@ _EXPORTS = {
     "AAL5Error": "repro.protocols.aal5",
     "AAL5Frame": "repro.protocols.aal5",
     "AAL5_TRAILER_LEN": "repro.protocols.aal5",
-    "AtmCell": "repro.protocols.atm",
-    "AtmCellHeader": "repro.protocols.atm",
     "CELL_PAYLOAD": "repro.protocols.aal5",
     "ChecksumPlacement": "repro.protocols.config",
     "FileTransferSimulator": "repro.protocols.ftpsim",
@@ -52,7 +49,6 @@ _EXPORTS = {
     "build_aal5_frame": "repro.protocols.aal5",
     "build_ipv4_header": "repro.protocols.ip",
     "build_tcp_header": "repro.protocols.tcp",
-    "cells_for_frame": "repro.protocols.atm",
     "parse_ipv4_header": "repro.protocols.ip",
     "parse_tcp_header": "repro.protocols.tcp",
     "pseudo_header_word_sum": "repro.protocols.tcp",

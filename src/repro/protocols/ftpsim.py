@@ -62,9 +62,3 @@ class FileTransferSimulator:
             )
             for packet, frame in self.packetizer.framed(data)
         ]
-
-    def adjacent_pairs(self, data):
-        """Yield ``(unit, next_unit)`` for each adjacent packet pair."""
-        units = self.transfer(data)
-        for first, second in zip(units, units[1:]):
-            yield first, second

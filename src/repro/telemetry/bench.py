@@ -6,9 +6,11 @@ our own kernels.  One invocation runs a fixed, seeded workload matrix
 and writes a schema-versioned ``BENCH_<n>.json`` snapshot:
 
 * **per-algorithm kernels** — for every algorithm in the registry,
-  cells/sec over 48-byte ATM cells (the vectorized kernel where one
-  exists, the scalar ``compute`` otherwise) and splices/sec judging
-  candidate splice buffers end to end;
+  cells/sec of ``compute_many`` over a matrix of 48-byte ATM cells (one
+  finished check value per cell, so every algorithm is timed on the
+  same work), and splices/sec judging candidate splice buffers end to
+  end, through ``compute_many`` and through one scalar ``compute`` per
+  candidate;
 * **engine matrix** — the full :class:`repro.core.engine.SpliceEngine`
   over transport algorithm x placement x corpus size, in splices/sec;
 * **telemetry overhead** — measured cost of the *disabled* telemetry
@@ -80,20 +82,11 @@ def _best_seconds(fn, min_time):
     return max(best, 1e-9)
 
 
-def _cells_per_sec(name, algorithm, cells, min_time):
-    """Cells/sec of the algorithm's best available per-cell kernel."""
-    if hasattr(algorithm, "process_cells"):  # CRC engines
-        fn = lambda: algorithm.process_cells(cells)
-    elif hasattr(algorithm, "cell_sums"):  # Internet checksum
-        fn = lambda: algorithm.cell_sums(cells)
-    elif hasattr(algorithm, "modulus") and algorithm.modulus in (255, 256):
-        from repro.checksums.fletcher import fletcher8_cells
-
-        fn = lambda: fletcher8_cells(cells, algorithm.modulus)
-    else:  # scalar fallback: one compute over the concatenated buffer
-        buf = cells.tobytes()
-        fn = lambda: algorithm.compute(buf)
-    return len(cells) / _best_seconds(fn, min_time)
+def _cells_per_sec(algorithm, cells, min_time):
+    """Cells/sec of ``compute_many`` over a ``(cells, 48)`` matrix."""
+    return len(cells) / _best_seconds(
+        lambda: algorithm.compute_many(cells), min_time
+    )
 
 
 def _scalar_splices_per_sec(algorithm, candidates, min_time):
@@ -107,11 +100,7 @@ def _scalar_splices_per_sec(algorithm, candidates, min_time):
 
 
 def _splices_per_sec(algorithm, candidates, min_time):
-    """Judgements/sec via the batch tier (``compute_many``) when present."""
-    from repro.checksums.registry import supports_batch
-
-    if not supports_batch(algorithm):
-        return _scalar_splices_per_sec(algorithm, candidates, min_time)
+    """Judgements/sec of one ``compute_many`` over every candidate."""
     import numpy as np
 
     blocks = np.stack(
@@ -166,10 +155,10 @@ def _algorithm_section(quick):
             "width": algorithm.width,
             "kind": "crc" if isinstance(algorithm, CRCEngine) else "checksum",
             "cells_per_sec": round(
-                _cells_per_sec(name, algorithm, cells, min_time), 1
+                _cells_per_sec(algorithm, cells, min_time), 1
             ),
-            # The batch tier where one exists; the scalar rate rides
-            # along so every snapshot shows the scalar -> batch delta.
+            # The scalar rate rides along so every snapshot shows the
+            # scalar -> batch delta.
             "splices_per_sec": round(
                 _splices_per_sec(algorithm, candidates, min_time), 1
             ),

@@ -1,29 +1,28 @@
-"""Batch-tier conformance: the vectorized path is bit-identical.
+"""Batch members are bit-identical to the one-buffer ``compute``.
 
-The batch capability (``compute_many`` / ``prefix_state`` /
-``combine`` / ``state_value``) is an *optional superset* of the scalar
-:class:`~repro.checksums.registry.ChecksumAlgorithm` protocol, so its
-contract is stated entirely in terms of the scalar path:
+The batch members of the
+:class:`~repro.checksums.registry.ChecksumAlgorithm` protocol
+(``compute_many`` / ``prefix_state`` / ``combine`` / ``state_value``)
+are stated entirely in terms of ``compute``:
 
 * ``compute_many(blocks)[i] == compute(blocks[i])`` for every row;
 * ``state_value(combine(prefix_state(a), prefix_state(b), len(b)))
   == compute(a + b)`` for every split point, including odd-length and
   empty parts.
 
-Every registered algorithm currently advertises the tier; these tests
-pin both the advertisement and the bit-identity.
+Every registered algorithm has them; these tests pin both that and the
+bit-identity.
 """
 
 import numpy as np
 import pytest
 
-from repro.checksums.batch import (
-    BatchChecksumAlgorithm,
-    block_matrix,
-    supports_batch,
+from repro.checksums.batch import block_matrix
+from repro.checksums.registry import (
+    ChecksumAlgorithm,
+    available_algorithms,
+    get_algorithm,
 )
-from repro.checksums.registry import available_algorithms, get_algorithm
-from repro.checksums.registry import supports_batch as registry_supports_batch
 
 
 def _pattern(length, seed=0):
@@ -44,17 +43,23 @@ def algorithm(request):
     return get_algorithm(request.param)
 
 
+BATCH_MEMBERS = ("compute_many", "prefix_state", "combine", "state_value")
+
+
 class TestAdvertisement:
     def test_every_registered_algorithm_has_the_tier(self, algorithm):
-        assert supports_batch(algorithm)
-        assert isinstance(algorithm, BatchChecksumAlgorithm)
+        assert isinstance(algorithm, ChecksumAlgorithm)
+        for member in BATCH_MEMBERS:
+            assert callable(getattr(algorithm, member)), (algorithm.name, member)
 
     def test_registry_resolves_names(self):
         for name in available_algorithms():
-            assert registry_supports_batch(name)
+            assert isinstance(get_algorithm(name), ChecksumAlgorithm), name
 
     def test_structural_check_rejects_scalar_only_objects(self):
         class ScalarOnly:
+            """Has the one-buffer members but none of the batch members."""
+
             name = "scalar-only"
             width = 16
 
@@ -64,7 +69,10 @@ class TestAdvertisement:
             def field(self, data):
                 return b"\x00\x00"
 
-        assert not supports_batch(ScalarOnly())
+            def verify(self, data):
+                return True
+
+        assert not isinstance(ScalarOnly(), ChecksumAlgorithm)
 
 
 class TestComputeMany:

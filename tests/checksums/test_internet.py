@@ -12,9 +12,21 @@ from repro.checksums.internet import (
     internet_checksum_field,
     ones_complement_add,
     ones_complement_sum,
-    update_checksum_field,
     word_sums,
 )
+
+
+def bytewise_sum(data):
+    """Independent reference: one byte at a time, end-around carry per add.
+
+    Even offsets are the high byte of their 16-bit word; an odd final
+    byte is implicitly padded with zero (RFC 1071).
+    """
+    total = 0
+    for index, byte in enumerate(data):
+        total += byte << 8 if index % 2 == 0 else byte
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
 
 
 class TestFoldCarries:
@@ -92,25 +104,23 @@ class TestScalarChecksum:
         assert ones_complement_add(0x8000, 0x8000) == 1  # end-around carry
 
 
-class TestIncrementalUpdate:
-    def test_update_matches_recompute(self):
-        data = bytearray(b"\x10\x20\x30\x40\x50\x60")
-        field = internet_checksum_field(data)
-        new = bytearray(data)
-        new[2:4] = b"\xAB\xCD"
-        updated = update_checksum_field(field, 0x3040, 0xABCD)
-        assert fold_carries(word_sums(new) + updated) == 0xFFFF
+class TestAgainstBytewiseReference:
+    """``ones_complement_sum`` against :func:`bytewise_sum`."""
 
-    @given(st.binary(min_size=4, max_size=64), st.integers(0, 0xFFFF))
-    @settings(max_examples=50)
-    def test_update_property(self, data, new_word):
-        if len(data) % 2:
-            data += b"\x00"
-        field = internet_checksum_field(data)
-        old_word = int.from_bytes(data[0:2], "big")
-        new_data = new_word.to_bytes(2, "big") + data[2:]
-        updated = update_checksum_field(field, old_word, new_word)
-        assert fold_carries(word_sums(new_data) + updated) == 0xFFFF
+    @given(st.binary(max_size=300))
+    @settings(max_examples=80)
+    def test_random_inputs(self, data):
+        assert ones_complement_sum(data) == bytewise_sum(data)
+
+    def test_carry_heavy_input(self):
+        # All-ones data maximises carries, the classic bug surface.
+        data = b"\xff" * 101
+        assert ones_complement_sum(data) == bytewise_sum(data) == 0xFF00
+
+    def test_every_short_length(self):
+        for length in range(17):
+            data = bytes(range(1, length + 1))
+            assert ones_complement_sum(data) == bytewise_sum(data), length
 
 
 class TestDecomposability:

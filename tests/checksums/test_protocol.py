@@ -4,10 +4,11 @@ The protocol's load-bearing clause is the *framing identity*: for any
 algorithm ``a`` and message ``m``, ``a.verify(m + a.field(m))`` is
 true, and flipping any message bit makes it false.  The artifact
 store's integrity trailers and the splice engine's verdict logic both
-assume exactly this.
+assume exactly this.  The batch members (``compute_many`` and the
+state algebra) are part of the same protocol; ``test_batch.py`` checks
+that every algorithm has them and holds them bit-identical to
+``compute``.
 """
-
-import warnings
 
 import pytest
 
@@ -38,8 +39,6 @@ class TestConformance:
     def test_width_and_name(self, algorithm):
         assert isinstance(algorithm.width, int) and algorithm.width > 0
         assert isinstance(algorithm.name, str) and algorithm.name
-        # legacy alias kept for pre-protocol callers
-        assert algorithm.bits == algorithm.width
 
     def test_compute_returns_bounded_int(self, algorithm):
         for message in MESSAGES:
@@ -80,7 +79,7 @@ class TestCRCResidueSemantics:
         framed = message + engine.field(message)
         reg = engine.process(engine.register_init, framed)
         assert engine.verify(framed)
-        assert reg == engine.residue_register("big")
+        assert reg == engine.residue_register()
 
     def test_crc10_pad_bits_enter_the_division(self):
         """The 10-bit CRC padded to 2 bytes still frames correctly."""
@@ -94,37 +93,6 @@ class TestCRCResidueSemantics:
         assert engine.field(message) == engine.compute(message).to_bytes(
             4, "little"
         )
-
-
-class TestDeprecationShims:
-    def test_two_arg_crc_verify_warns_but_works(self):
-        engine = get_algorithm("crc16-ccitt")
-        with pytest.warns(DeprecationWarning):
-            assert engine.verify(b"123456789", 0x29B1)
-        with pytest.warns(DeprecationWarning):
-            assert not engine.verify(b"123456789", 0x29B2)
-
-    def test_two_arg_suffix_verify_warns_but_works(self):
-        import zlib
-
-        adler = get_algorithm("adler32")
-        with pytest.warns(DeprecationWarning):
-            assert adler.verify(b"abc", zlib.adler32(b"abc"))
-        with pytest.warns(DeprecationWarning):
-            assert not adler.verify(b"abc", 0)
-
-    def test_two_arg_xor16_verify_warns_but_works(self):
-        xor = get_algorithm("xor16")
-        with pytest.warns(DeprecationWarning):
-            assert xor.verify(b"\xab\xcd", 0xABCD)
-
-    def test_single_arg_verify_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for name in available_algorithms():
-                algorithm = get_algorithm(name)
-                message = b"no warnings on the new shape"
-                assert algorithm.verify(message + algorithm.field(message))
 
 
 class TestRegistryKinds:

@@ -12,7 +12,7 @@ def test_all_names_resolve():
     for name in available_algorithms():
         algorithm = get_algorithm(name)
         assert hasattr(algorithm, "compute")
-        assert algorithm.bits in (8, 10, 16, 32)
+        assert algorithm.width in (8, 10, 16, 32)
 
 
 def test_tcp_alias():

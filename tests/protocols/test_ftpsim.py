@@ -13,18 +13,18 @@ def test_transfer_frames_every_packet():
         assert unit.cells.shape[1] == 48
 
 
-def test_adjacent_pairs():
+def test_adjacent_packets_advance_seq_and_ipid():
     sim = FileTransferSimulator()
-    pairs = list(sim.adjacent_pairs(bytes(1100)))
-    assert len(pairs) == 4
-    for first, second in pairs:
+    units = sim.transfer(bytes(1100))
+    assert len(units) == 5
+    for first, second in zip(units, units[1:]):
         assert second.packet.ipid == first.packet.ipid + 1
         assert second.packet.seq == first.packet.seq + len(first.packet.payload)
 
 
 def test_single_packet_file_has_no_pairs():
     sim = FileTransferSimulator()
-    assert list(sim.adjacent_pairs(b"tiny")) == []
+    assert len(sim.transfer(b"tiny")) == 1
 
 
 def test_config_passthrough():

@@ -10,7 +10,6 @@ class TestFacadeSurface:
     def test_all_is_exactly_the_contract(self):
         assert sorted(api.__all__) == [
             "ArqConfig",
-            "BatchChecksumAlgorithm",
             "ChannelPlan",
             "ChannelReport",
             "ChecksumPlacement",
@@ -57,7 +56,6 @@ class TestFacadeSurface:
             "run_splice_experiment",
             "simulate_file_transfer",
             "sum_file",
-            "supports_batch",
             "sweep_guard",
             "validate_bench_snapshot",
             "wrap_run_store",
