@@ -63,7 +63,6 @@ _FACADE_EXPORTS = (
     "ChannelPlan",
     "ChannelReport",
     "ChecksumPlacement",
-    "IndependentLoss",
     "PacketizerConfig",
     "RunAborted",
     "RunHealth",
@@ -71,7 +70,6 @@ _FACADE_EXPORTS = (
     "SweepInterrupted",
     "Telemetry",
     "TraceError",
-    "TransferReport",
     "activate_telemetry",
     "algorithm_names",
     "algorithm_summaries",
@@ -104,7 +102,6 @@ _FACADE_EXPORTS = (
     "run_experiment",
     "run_lint",
     "run_splice_experiment",
-    "simulate_file_transfer",
     "sum_file",
     "sweep_guard",
     "validate_bench_snapshot",

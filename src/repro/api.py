@@ -47,11 +47,7 @@ __all__ = [
     "default_journal_dir",
     "open_journal",
     "sweep_guard",
-    # transfer simulation
-    "IndependentLoss",
-    "TransferReport",
-    "simulate_file_transfer",
-
+    # the timed channel simulator
     "ArqConfig",
     "ChannelPlan",
     "ChannelReport",
@@ -104,7 +100,6 @@ _LAZY = {
     "run_channel_sweep": ("repro.channel.sweep", "run_channel_sweep"),
     "run_channel_transfer": ("repro.channel.arq", "run_channel_transfer"),
     "write_channel_trace": ("repro.channel.trace", "write_channel_trace"),
-    "IndependentLoss": ("repro.protocols.cellstream", "IndependentLoss"),
     "PacketizerConfig": ("repro.protocols.config", "PacketizerConfig"),
     "RunAborted": ("repro.core.supervisor", "RunAborted"),
     "RunHealth": ("repro.core.supervisor", "RunHealth"),
@@ -115,7 +110,6 @@ _LAZY = {
     "open_journal": ("repro.store.journal", "open_journal"),
     "sweep_guard": ("repro.core.checkpoint", "sweep_guard"),
     "Telemetry": ("repro.telemetry.core", "Telemetry"),
-    "TransferReport": ("repro.sim.transfer", "TransferReport"),
     "activate_telemetry": ("repro.telemetry.core", "activate"),
     "audit_run_store": ("repro.store.audit", "audit_run_store"),
     "bench_delta_table": ("repro.telemetry.bench", "delta_table"),
@@ -132,7 +126,6 @@ _LAZY = {
     "run_bench": ("repro.telemetry.bench", "run_bench"),
     "run_splice_experiment": (
         "repro.core.experiment", "run_splice_experiment"),
-    "simulate_file_transfer": ("repro.sim.transfer", "simulate_file_transfer"),
     "validate_bench_snapshot": ("repro.telemetry.bench", "validate_snapshot"),
     "wrap_run_store": ("repro.faults.injector", "wrap_run_store"),
     "write_bench_snapshot": ("repro.telemetry.bench", "write_snapshot"),

@@ -202,13 +202,6 @@ class CRCEngine:
             reg = reflect_bits(reg, self.spec.width)
         return reg ^ self.spec.xorout
 
-    def unfinalize(self, value):
-        """Inverse of :meth:`finalize`."""
-        value ^= self.spec.xorout
-        if self.spec.refout != self.spec.refin:
-            value = reflect_bits(value, self.spec.width)
-        return value
-
     # -- conventional API ----------------------------------------------------
 
     def compute(self, data) -> int:

@@ -10,8 +10,6 @@ Subcommands:
   from the artifact store, ``--workers N`` fans out splice runs).
 * ``report`` -- regenerate every experiment into one Markdown file.
 * ``splice`` -- run a custom splice simulation over a profile.
-* ``transfer`` -- simulate a reliable transfer over a lossy link
-  (exit 4 when retry exhaustion left delivery incomplete).
 * ``channel run|replay|plans`` -- the timed discrete-event channel:
   sweep a corpus through a named impairment plan under ARQ recovery
   (``--trace`` records a replayable trace; exit 4 on degraded
@@ -304,15 +302,6 @@ def build_parser():
                          help="root for the chaotic run's stores "
                               "(default: a temporary directory, removed "
                               "when the command ends)")
-
-    p_transfer = sub.add_parser(
-        "transfer", help="simulate a reliable transfer over a lossy link",
-        parents=[_profile_parent("pathological-gmon"),
-                 _corpus_parent(100_000, 2)],
-    )
-    p_transfer.add_argument("--loss", type=float, default=0.25)
-    p_transfer.add_argument("--no-crc", action="store_true",
-                            help="rely on the TCP checksum alone")
 
     p_channel = sub.add_parser(
         "channel",
@@ -673,31 +662,6 @@ def _cmd_chaos(args):
     return 0 if ok else 1
 
 
-def _cmd_transfer(args):
-    from repro.api import IndependentLoss, build_filesystem, simulate_file_transfer
-
-    fs = build_filesystem(args.profile, args.bytes, args.seed)
-    report = None
-    for file in fs:
-        part = simulate_file_transfer(
-            file.data, IndependentLoss(args.loss),
-            use_crc=not args.no_crc, seed=args.seed,
-        )
-        report = part if report is None else report + part
-    print("packets              %d" % report.packets)
-    print("transmissions        %d (%.2f per packet)" % (
-        report.transmissions, report.retransmission_ratio))
-    print("frames rejected      %d" % report.frames_rejected)
-    print("delivered clean      %d" % report.delivered_clean)
-    print("silently corrupted   %d" % report.delivered_corrupted)
-    print("gave up              %d" % report.gave_up)
-    if report.health.eventful:
-        print(report.health.render())
-    # Retry exhaustion is incomplete delivery, not a footnote: the
-    # documented degraded-delivery exit code.
-    return 4 if report.gave_up else 0
-
-
 def _cmd_channel(args):
     if args.channel_command == "plans":
         from repro.api import channel_plan_names, named_channel_plan
@@ -906,7 +870,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "report": _cmd_report,
     "splice": _cmd_splice,
-    "transfer": _cmd_transfer,
     "channel": _cmd_channel,
     "cache": _cmd_cache,
     "chaos": _cmd_chaos,

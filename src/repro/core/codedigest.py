@@ -27,7 +27,6 @@ CODE_PACKAGES = (
     "corpus",
     "experiments",
     "protocols",
-    "sim",
 )
 
 _ROOT = Path(__file__).resolve().parents[1]

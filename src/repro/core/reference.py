@@ -3,10 +3,10 @@
 :func:`frame_acceptable` is a receiver's integrity stack over one
 reassembled AAL5 frame: :func:`_aal5_length`, :func:`_header_ok`,
 :func:`_transport_ok` and :func:`_crc32_ok`.  The channel simulator's
-ARQ receiver, :mod:`repro.sim`, the Monte Carlo classifier and the
-error-model experiments all judge frames with these checks, so every
-simulation accepts exactly the same frames.  They read header fields
-by index and sum 16-bit words without NumPy: as ``2**16 % 0xFFFF ==
+ARQ receiver, the Monte Carlo classifier and the error-model
+experiments all judge frames with these checks, so every simulation
+accepts exactly the same frames.  They read header fields by index and
+sum 16-bit words without NumPy: as ``2**16 % 0xFFFF ==
 1``, ``int.from_bytes(buf, "big")`` is congruent to the word sum of
 ``buf`` modulo 0xFFFF, and a positive sum folds to ``(x - 1) % 0xFFFF
 + 1``.  The CRC streams the whole frame to the spec's residue.

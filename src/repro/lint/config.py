@@ -41,8 +41,7 @@ class LintConfig:
     deterministic_prefixes: tuple = field(default_factory=lambda: _tuple(
         "repro.core", "repro.analysis", "repro.experiments",
         "repro.corpus", "repro.protocols", "repro.checksums",
-        "repro.sim", "repro.faults", "repro.store", "repro.telemetry",
-        "repro.channel",
+        "repro.faults", "repro.store", "repro.telemetry", "repro.channel",
     ))
 
     #: Function-name shapes treated as serialization/report producers
@@ -100,7 +99,7 @@ class LintConfig:
     hot_module_prefixes: tuple = field(default_factory=lambda: _tuple(
         "repro.core.engine", "repro.core.shard", "repro.protocols.packetizer",
         "repro.protocols.ftpsim", "repro.corpus.generators",
-        "repro.corpus.profiles", "repro.sim", "repro.experiments.figures",
+        "repro.corpus.profiles", "repro.experiments.figures",
         "repro.experiments.ablations", "repro.experiments.extensions",
     ))
     #: Names that resolve to hot modules when imported off a lazy
@@ -108,7 +107,7 @@ class LintConfig:
     #: engine even though ``repro.core`` itself is cheap).
     hot_attribute_names: tuple = field(default_factory=lambda: _tuple(
         "SpliceEngine", "Packetizer", "FileTransferSimulator",
-        "build_filesystem", "simulate_file_transfer", "TransferReport",
+        "build_filesystem",
     ))
     #: Lazy packages whose attributes may be hot (PEP 562 facades).
     lazy_packages: tuple = field(default_factory=lambda: _tuple(
@@ -184,6 +183,7 @@ class LintConfig:
     #: Members every registered algorithm class must define.
     protocol_methods: tuple = field(default_factory=lambda: _tuple(
         "compute", "field", "verify",
+        "compute_many", "prefix_state", "combine", "state_value",
     ))
     protocol_attributes: tuple = field(default_factory=lambda: _tuple(
         "width", "name",

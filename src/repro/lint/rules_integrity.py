@@ -34,8 +34,9 @@ the chaos tests' health accounting relies on.
 
 REP501 statically re-checks part of what the runtime conformance tests
 check dynamically: every algorithm registered in ``checksums.registry``
-defines the one-buffer ChecksumAlgorithm members (compute/field/verify/
-width/name), and any literal mask agrees with the literal width --
+defines every ChecksumAlgorithm member (compute/field/verify, the batch
+members compute_many/prefix_state/combine/state_value, width/name),
+and any literal mask agrees with the literal width --
 the exact width/modulus slip Koopman's checksum papers warn silently
 invalidates error-detection measurements.
 """
@@ -393,8 +394,9 @@ class RegistryConformanceRule(Rule):
     scope = "project"
     invariant = (
         "Every algorithm in checksums.registry statically defines "
-        "compute/field/verify/width/name, and a literal mask always "
-        "equals (1 << width) - 1."
+        "compute/field/verify/compute_many/prefix_state/combine/"
+        "state_value/width/name, and a literal mask always equals "
+        "(1 << width) - 1."
     )
 
     def check(self, module, ctx):

@@ -77,10 +77,12 @@ class IndependentLoss:
 class GilbertLoss:
     """A two-state (good/bad) burst-loss channel.
 
-    In the good state cells survive; entering the bad state (with
-    probability ``p_bad``) drops cells until recovery (probability
-    ``p_recover`` per cell), giving mean burst length
-    ``1 / p_recover``.
+    In the good state a cell survives unless it enters the bad state
+    (probability ``p_bad``), and that cell is dropped too; the bad state
+    drops every cell until recovery (probability ``p_recover`` per
+    cell).  A burst is therefore at least 2 cells, and as the next
+    good-state cell may enter the bad state again, the mean burst is
+    ``(1 + 1/p_recover) / (1 - p_bad)`` cells.
     """
 
     def __init__(self, p_bad, p_recover):
@@ -162,15 +164,6 @@ class AAL5Reassembler:
             self._pending = []
             return pending
         return None
-
-    def feed_all(self, cells):
-        """Feed a delivered sequence; returns the list of frames."""
-        frames = []
-        for cell in cells:
-            frame = self.feed(cell)
-            if frame is not None:
-                frames.append(frame)
-        return frames
 
     @property
     def pending_cells(self):

@@ -12,6 +12,7 @@ from repro.channel.arq import (
 from repro.channel.plan import ChannelPlan, named_channel_plan
 from repro.core.supervisor import RunHealth
 from repro.corpus.generators import generate
+from repro.protocols.packetizer import ChecksumPlacement, PacketizerConfig
 
 DATA = generate("english", 12_000, 1)
 
@@ -95,6 +96,19 @@ class TestRecovery:
         assert report.frames_rejected > 0
         assert report.retransmissions > 0
         assert report.delivered_clean == report.frames
+
+    def test_trailer_checksum_config(self):
+        # The receiver finds the transport checksum in the trailer when
+        # the packetizer put it there: every frame recovers clean.
+        data = generate("gmon", 20_000, 7)
+        config = PacketizerConfig(placement=ChecksumPlacement.TRAILER)
+        report = run_channel_transfer(
+            data, named_channel_plan("lossy-link"), config=config
+        )
+        assert report.retransmissions > 0
+        assert report.delivered_clean == report.frames
+        assert report.delivered_corrupted == 0
+        assert report.frames_failed == 0
 
     def test_go_back_n_discards_out_of_order(self):
         plan = ChannelPlan(seed=3, loss_rate=0.08)

@@ -390,6 +390,18 @@ class TestRegistryConformance:
                     def verify(self, data):
                         return True
 
+                    def compute_many(self, rows):
+                        return [0] * len(rows)
+
+                    def prefix_state(self, rows):
+                        return rows
+
+                    def combine(self, state_a, state_b, len_b):
+                        return state_a
+
+                    def state_value(self, state):
+                        return 0
+
 
                 class BadSum:
                     name = "bad"
@@ -427,6 +439,18 @@ class TestRegistryConformance:
                     def verify(self, data):
                         return True
 
+                    def compute_many(self, rows):
+                        return [0] * len(rows)
+
+                    def prefix_state(self, rows):
+                        return rows
+
+                    def combine(self, state_a, state_b, len_b):
+                        return state_a
+
+                    def state_value(self, state):
+                        return 0
+
 
                 _FACTORIES = {
                     "slipped": lambda: Slipped(),
@@ -446,6 +470,12 @@ class TestRegistryConformance:
                     def verify(self, data):
                         return True
 
+                    def prefix_state(self, rows):
+                        return rows
+
+                    def combine(self, state_a, state_b, len_b):
+                        return state_a
+
 
                 class Sum(_Suffix):
                     def __init__(self):
@@ -456,6 +486,12 @@ class TestRegistryConformance:
                     def compute(self, data):
                         return 0
 
+                    def compute_many(self, rows):
+                        return [0] * len(rows)
+
+                    def state_value(self, state):
+                        return 0
+
 
                 _FACTORIES = {
                     "sum": Sum,
@@ -463,6 +499,44 @@ class TestRegistryConformance:
             """,
         }, rules=["REP501"])
         assert result.active == []
+
+    def test_missing_batch_member_is_flagged(self, lint):
+        # The batch members are protocol members too: an algorithm the
+        # splice engine could not combine across a splice fails here.
+        result = lint({
+            "repro/checksums/registry.py": """
+                class NoCombine:
+                    name = "nocombine"
+                    width = 16
+
+                    def compute(self, data):
+                        return 0
+
+                    def field(self, data):
+                        return b"\\x00\\x00"
+
+                    def verify(self, data):
+                        return True
+
+                    def compute_many(self, rows):
+                        return [0] * len(rows)
+
+                    def prefix_state(self, rows):
+                        return rows
+
+                    def state_value(self, state):
+                        return 0
+
+
+                _FACTORIES = {
+                    "nocombine": NoCombine,
+                }
+            """,
+        }, rules=["REP501"])
+        assert active_rules(result) == ["REP501"]
+        message = result.active[0].message
+        assert "'nocombine'" in message
+        assert message.endswith("protocol member(s): combine")
 
     def test_annotated_factories_dict_is_found(self, lint):
         result = lint({

@@ -16,6 +16,13 @@ from repro.protocols.cellstream import (
 from repro.protocols.ftpsim import FileTransferSimulator
 
 
+def reassemble(cells):
+    """The frames an :class:`AAL5Reassembler` completes from ``cells``."""
+    reassembler = AAL5Reassembler()
+    frames = [reassembler.feed(cell) for cell in cells]
+    return [frame for frame in frames if frame is not None]
+
+
 @pytest.fixture
 def units():
     return FileTransferSimulator().transfer(generate("english", 1200, 1))
@@ -55,23 +62,20 @@ class TestLossProcesses:
         assert delivered == cells
 
     def test_gilbert_burstiness(self):
-        # Same marginal loss rate, but losses cluster into runs.
+        # Losses cluster into runs.  The cell that enters the bad state
+        # is dropped as well as the one or more cells spent in it, and
+        # a run goes on while the next good-state cell enters it again,
+        # so a run is at least 2 cells and its mean length is
+        # (1 + 1/p_recover) / (1 - p_bad) = 6.12 cells here.
         rng = np.random.default_rng(1)
         model = GilbertLoss(p_bad=0.02, p_recover=0.2)
-        mask = model.keep_mask(100_000, rng)
-        losses = ~mask
-        rate = losses.mean()
-        # Mean burst length = 1/p_recover = 5 cells.
-        runs = []
-        current = 0
-        for lost in losses:
-            if lost:
-                current += 1
-            elif current:
-                runs.append(current)
-                current = 0
-        assert 3.0 < np.mean(runs) < 7.0
-        assert 0.05 < rate < 0.2
+        losses = ~model.keep_mask(200_000, rng)
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], losses, [0]))))
+        runs = edges[1::2] - edges[::2]
+        expected = (1 + 1 / 0.2) / (1 - 0.02)
+        assert abs(runs.mean() - expected) < 0.05 * expected
+        assert runs.min() == 2
+        assert 0.05 < losses.mean() < 0.2
 
     def test_gilbert_validation(self):
         with pytest.raises(ValueError):
@@ -98,7 +102,7 @@ class TestLossProcesses:
 
 class TestReassembler:
     def test_lossless_roundtrip(self, units):
-        frames = AAL5Reassembler().feed_all(stream_cells(units))
+        frames = reassemble(stream_cells(units))
         assert len(frames) == len(units)
         for frame, unit in zip(frames, units):
             assert b"".join(frame) == unit.frame.frame
@@ -108,7 +112,7 @@ class TestReassembler:
         # Drop exactly the first frame's marked cell.
         first_marked = next(i for i, c in enumerate(cells) if c.last)
         delivered = cells[:first_marked] + cells[first_marked + 1 :]
-        frames = AAL5Reassembler().feed_all(delivered)
+        frames = reassemble(delivered)
         assert len(frames) == len(units) - 1
         # The first reassembled "frame" is the splice of frames 0 and 1.
         expected = units[0].frame.cell_count - 1 + units[1].frame.cell_count

@@ -13,7 +13,6 @@ class TestFacadeSurface:
             "ChannelPlan",
             "ChannelReport",
             "ChecksumPlacement",
-            "IndependentLoss",
             "PacketizerConfig",
             "RunAborted",
             "RunHealth",
@@ -21,7 +20,6 @@ class TestFacadeSurface:
             "SweepInterrupted",
             "Telemetry",
             "TraceError",
-            "TransferReport",
             "activate_telemetry",
             "algorithm_names",
             "algorithm_summaries",
@@ -54,7 +52,6 @@ class TestFacadeSurface:
             "run_experiment",
             "run_lint",
             "run_splice_experiment",
-            "simulate_file_transfer",
             "sum_file",
             "sweep_guard",
             "validate_bench_snapshot",

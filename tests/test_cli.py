@@ -61,7 +61,6 @@ class TestParser:
             "import sys; import repro.cli; repro.cli.build_parser(); "
             "hot = [m for m in sys.modules "
             "if m.startswith('repro.core.engine') "
-            "or m.startswith('repro.sim') "
             "or m in ('repro.faults.plan', 'repro.channel.plan') "
             "or m.split('.')[0] == 'numpy']; "
             "sys.exit(1 if hot else 0)"
@@ -151,11 +150,26 @@ class TestNewCommands:
                      "--only", "epd"]) == 0
         assert "epd" in path.read_text()
 
-    def test_transfer(self, capsys):
-        assert main(["transfer", "--bytes", "30000", "--loss", "0.2"]) == 0
-        out = capsys.readouterr().out
-        assert "silently corrupted" in out
-        assert "delivered clean" in out
+    def test_channel_run_without_crc_delivers_corruption(self, capsys):
+        # Section 7's warning end to end: over a congested queue that
+        # splices adjacent packets, the TCP checksum alone lets
+        # corrupted frames reach the application (degraded, exit 4);
+        # the AAL5 CRC catches every one of them.
+        argv = ["channel", "run", "--plan", "congested-queue",
+                "--bytes", "30000"]
+        assert main(argv + ["--no-crc"]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert "silently corrupted 40" in out
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "silently corrupted 0" in out
+        assert "frames abandoned   0" in out
+
+    def test_transfer_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["transfer"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'transfer'" in capsys.readouterr().err
 
     def test_splice_with_workers(self, capsys):
         assert main(["splice", "--profile", "uniform", "--bytes", "50000",

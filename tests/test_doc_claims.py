@@ -1,4 +1,5 @@
-"""README.md and docs/*.md claim only what the tree contains.
+"""README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md claim only what
+the tree contains.
 
 Five checks over the user-facing docs:
 
@@ -28,7 +29,8 @@ import repro.api
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+        *sorted((ROOT / "docs").glob("*.md"))]
 
 _FENCE = re.compile(r"^\s*```")
 _CLI_LINE = re.compile(
@@ -111,7 +113,7 @@ def _all_options(parser):
 
 def is_subcommand_path(words):
     """True if ``words`` is a path of subcommands ``build_parser()``
-    accepts (``channel replay``, ``transfer``)."""
+    accepts (``channel replay``, ``lint``)."""
     parser = build_parser()
     for word in words:
         choices = _subparsers(parser)
