@@ -13,22 +13,29 @@ test:
 quicktest:
 	$(PYTHON) -m pytest tests/ -x -q -m "not slow"
 
-# Rewrite the committed corpus, report and channel trace digests
-# (tests/golden/) after a deliberate output change; prints the
-# profiles, generator kinds, experiments and plan/ARQ pairs whose
-# digest moved.
+# Rewrite the committed corpus, report and channel trace digests and
+# the chaos outputs (tests/golden/) after a deliberate output change;
+# prints the profiles, generator kinds, experiments, plan/ARQ pairs
+# and fault plans whose digest or output moved.
 bless:
 	PYTHONPATH=src $(PYTHON) -m tests.golden.corpus
 	PYTHONPATH=src $(PYTHON) -m tests.golden.reports
 	PYTHONPATH=src $(PYTHON) -m tests.golden.traces
+	PYTHONPATH=src $(PYTHON) -m tests.golden.chaos
 
 # Fault-injection verification: the chaos-marked tests (crash
 # consistency at every shard boundary, chaotic sweeps) plus the CLI
 # harness that injects worker crashes, bit rot, and ENOSPC into a real
-# sweep and asserts the counters come out bit-identical.
+# sweep and asserts the counters come out bit-identical, under the
+# default plan and under every plan that faults the store.
+CHAOS_STORE_PLANS = bitrot full-disk flaky-network replica-outage
+
 chaos:
 	$(PYTHON) -m pytest tests/ -q -m chaos
 	$(PYTHON) -m repro.cli chaos --bytes 120000
+	@for plan in $(CHAOS_STORE_PLANS); do \
+		$(PYTHON) -m repro.cli chaos --bytes 120000 --plan $$plan || exit 1; \
+	done
 
 # Channel simulator verification: the conformance + replay suite and
 # the pinned event streams of every plan and ARQ kind, then a traced

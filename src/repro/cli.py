@@ -19,8 +19,8 @@ Subcommands:
 * ``cache stats|audit|clear`` -- inspect, integrity-audit, or empty the
   content-addressed artifact store (default root
   ``~/.cache/repro-checksums``, overridable with ``--cache-dir`` or
-  ``$REPRO_CHECKSUMS_CACHE``); ``stats`` includes the per-backend
-  hit/miss/byte counters.
+  ``$REPRO_CHECKSUMS_CACHE``); ``stats`` counts each namespace's
+  objects and bytes.
 * ``chaos`` -- run a splice sweep under a named fault-injection plan
   (worker crashes, store bit rot, ENOSPC, ...) and assert the final
   counters are bit-identical to a fault-free run.
@@ -529,15 +529,6 @@ def _cmd_cache(args):
                 name, entry["objects"], entry["bytes"]))
         print("%-11s %8d objects %12d bytes" % (
             "total", total_objects, total_bytes))
-        print("")
-        print("backend counters (this process):")
-        for name, entry in store.backend_stats().items():
-            c = entry["counters"]
-            print("%-11s %-9s %4d gets (%d hits/%d misses) %4d puts "
-                  "%10d B read %10d B written %d errors" % (
-                      name, entry["kind"], c["gets"], c["hits"],
-                      c["misses"], c["puts"], c["bytes_read"],
-                      c["bytes_written"], c["errors"]))
         return 0
     if args.cache_command == "audit":
         report = audit_run_store(store, evict=args.evict)

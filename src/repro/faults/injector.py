@@ -26,7 +26,7 @@ import os
 import signal
 import time
 
-from repro.store.objstore import frame_object, unframe_object
+from repro.store.objstore import atomic_write, frame_object, unframe_object
 
 __all__ = [
     "FaultInjected",
@@ -141,7 +141,7 @@ class FaultyObjectStore:
             # the next read, which evicts and recomputes.
             path = self.inner.path_for(key)
             blob = frame_object(bytes(payload), self.inner.algorithm)
-            self.inner._atomic_write(path, blob[: max(1, (len(blob) * 3) // 5)])
+            atomic_write(path, blob[: max(1, (len(blob) * 3) // 5)])
             return key
         return self.inner.put_keyed(key, payload, overwrite=overwrite)
 

@@ -146,15 +146,6 @@ class LintConfig:
         "repro.store.journal",
     ))
 
-    # -- hand-rolled retries (REP404) ----------------------------------
-
-    #: The one place except-and-retry loops are legitimate: the
-    #: RetryPolicy engine itself.  Every other store module must
-    #: delegate its retries there (attempt budget, telemetry).
-    resilience_modules: tuple = field(default_factory=lambda: _tuple(
-        "repro.store.resilience",
-    ))
-
     # -- verified store reads (REP403) ---------------------------------
 
     #: Class-name suffixes held to the verified-read contract: their
@@ -232,9 +223,6 @@ class LintConfig:
 
     def is_journal(self, module):
         return _prefixed(module, self.journal_prefixes)
-
-    def is_resilience(self, module):
-        return _prefixed(module, self.resilience_modules)
 
     def is_verified_read_class(self, class_name):
         return class_name.endswith(self.verified_read_class_suffixes)

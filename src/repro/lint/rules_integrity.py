@@ -1,4 +1,4 @@
-"""Crash-consistency and protocol-conformance rules: REP401-404, REP501.
+"""Crash-consistency and protocol-conformance rules: REP401-403, REP501.
 
 REP401 guards the store's durability contract: an ``os.replace`` into
 place is only crash-safe if the file contents were fsynced *before*
@@ -15,22 +15,14 @@ fsynced) -- one raw ``open(..., "wb")``, ``open(..., "ab")`` or
 ``Path.write_bytes`` and a kill mid-write can tear records already
 written, silently discarding hours of completed shards.
 
-REP403 guards the store's verified-read contract: the backend split
-moved frame storage behind an interface, and every *payload-returning*
-``get`` method on a store-layer class must re-verify the integrity
-trailer (or delegate to a method that does) before handing bytes out
--- a backend that returns raw stored bytes from a payload path
-silently reintroduces the undetected-corruption failure mode the whole
-subsystem exists to prevent.  Methods whose names mark them as
-frame-level (``get_frame``) are the deliberate exception: they return
-trailer-carrying bytes for the caller's own unframe boundary.
-
-REP404 guards the store's retry discipline: retries live in
-``repro.store.resilience.RetryPolicy`` (an attempt budget and
-telemetry), so a hand-rolled ``for _ in range(2)`` loop that swallows
-transport errors and retries is a policy fork -- its retries are
-invisible to telemetry and to the store guard's error ledger, which
-the chaos tests' health accounting relies on.
+REP403 guards the store's verified-read contract: every
+*payload-returning* ``get`` method on a store-layer class must
+re-verify the integrity trailer (or delegate to a method that does)
+before handing bytes out -- a store that returns raw stored bytes from
+a payload path silently reintroduces the undetected-corruption failure
+mode the whole subsystem exists to prevent.  Methods whose names mark
+them as frame-level (``get_frame``) are the deliberate exception: they
+return trailer-carrying bytes for the caller's own unframe boundary.
 
 REP501 statically re-checks part of what the runtime conformance tests
 check dynamically: every algorithm registered in ``checksums.registry``
@@ -49,7 +41,6 @@ from repro.lint.engine import Rule, dotted_name, register
 
 __all__ = [
     "FsyncOrderedRenameRule",
-    "HandRolledRetryRule",
     "JournalAtomicWriteRule",
     "RegistryConformanceRule",
     "VerifiedReadRule",
@@ -296,86 +287,6 @@ class VerifiedReadRule(Rule):
                 # Delegation to another payload get method -- that
                 # callee is itself held to this rule (get_frame and
                 # friends deliberately do NOT count).
-                return True
-        return False
-
-
-#: Exception leaves whose swallow-and-retry marks a hand-rolled retry
-#: loop (REP404): the transport/OSError family the RetryPolicy owns.
-_TRANSPORT_EXCEPTION_LEAVES = {
-    "OSError", "IOError", "EnvironmentError", "ConnectionError",
-    "ConnectionResetError", "ConnectionRefusedError", "TimeoutError",
-    "timeout", "HTTPException", "RemoteStoreError",
-}
-
-
-@register
-class HandRolledRetryRule(Rule):
-    """REP404: store retries delegate to resilience.RetryPolicy."""
-
-    id = "REP404"
-    title = "hand-rolled-retry"
-    severity = "error"
-    category = "resilience"
-    invariant = (
-        "Every except-and-retry loop under repro.store delegates to "
-        "resilience.RetryPolicy (no hand-rolled for-range loops that "
-        "swallow transport errors and loop), so retries are budgeted "
-        "and telemetry-counted."
-    )
-
-    def check(self, module, ctx):
-        if not ctx.config.is_store(module.name):
-            return
-        if ctx.config.is_resilience(module.name):
-            # The policy engine is the one legitimate implementation
-            # of the loop everything else must delegate to.
-            return
-        for loop in ast.walk(module.tree):
-            if not isinstance(loop, ast.For):
-                continue
-            if not self._is_counted(loop.iter):
-                continue
-            if self._swallows_transport_error(loop):
-                yield self.finding(
-                    module, loop,
-                    "hand-rolled retry loop (for over range swallowing "
-                    "a transport error): delegate to repro.store."
-                    "resilience.RetryPolicy.run() so the retry is "
-                    "budgeted and telemetry-counted",
-                )
-
-    @staticmethod
-    def _is_counted(node):
-        """True for ``range(...)`` iterables (the attempt-budget shape)."""
-        return isinstance(node, ast.Call) \
-            and (dotted_name(node.func) or "") == "range"
-
-    def _swallows_transport_error(self, loop):
-        """True if the loop body catches the OSError family, no re-raise."""
-        for node in ast.walk(loop):
-            if not isinstance(node, ast.Try):
-                continue
-            for handler in node.handlers:
-                if not self._catches_transport(handler.type):
-                    continue
-                raises = any(
-                    isinstance(inner, ast.Raise)
-                    for stmt in handler.body
-                    for inner in ast.walk(stmt)
-                )
-                if not raises:
-                    return True
-        return False
-
-    @staticmethod
-    def _catches_transport(node):
-        if node is None:
-            return True  # a bare except swallows OSError too
-        elements = node.elts if isinstance(node, ast.Tuple) else [node]
-        for element in elements:
-            chain = dotted_name(element) or ""
-            if chain.rsplit(".", 1)[-1] in _TRANSPORT_EXCEPTION_LEAVES:
                 return True
         return False
 

@@ -3,11 +3,10 @@
 The persistence layer behind cached and resumable experiments:
 
 * :mod:`repro.store.framing` -- the integrity-trailed frame format
-  every backend stores (CRC-32/AAL5 by default);
-* :mod:`repro.store.backends` -- the frame-backend interface and its
-  implementation, a pathsliced local directory;
-* :mod:`repro.store.objstore` -- the framing layer over a backend:
-  content-addressed payload storage with self-checking objects;
+  of every stored object (CRC-32/AAL5 by default);
+* :mod:`repro.store.objstore` -- content-addressed payload storage
+  with self-checking objects, one fan-out directory per namespace,
+  and the store's atomic-write and durable-append disciplines;
 * :mod:`repro.store.keys` -- canonical cache keys over experiment
   parameters, corpus identity and the code schema version;
 * :mod:`repro.store.cache` -- the counting result cache (hit / miss /
@@ -19,9 +18,7 @@ The persistence layer behind cached and resumable experiments:
   sweep computed but no store kept, for ``--resume``;
 * :mod:`repro.store.corpora` -- the stored form of a synthetic corpus,
   which :meth:`RunStore.filesystem` serves to the splice tables;
-* :mod:`repro.store.audit` -- re-verify every stored object;
-* :mod:`repro.store.resilience` -- the retry policy behind the
-  runner's store guard.
+* :mod:`repro.store.audit` -- re-verify every stored object.
 
 Corruption is always survivable: a failed trailer evicts the entry and
 the caller recomputes — the cache can cost time, never correctness.
@@ -33,7 +30,6 @@ The audit's names resolve on first attribute use (PEP 562): only
 import importlib
 from typing import Any
 
-from repro.store.backends import Backend, BackendCounters
 from repro.store.cache import ResultCache
 from repro.store.keys import SCHEMA_VERSION, experiment_key, shard_key
 from repro.store.objstore import (
@@ -46,8 +42,6 @@ from repro.store.runner import RunStore, run_sharded_splice
 
 __all__ = [
     "AuditReport",
-    "Backend",
-    "BackendCounters",
     "DEFAULT_ALGORITHM",
     "IntegrityError",
     "ObjectStore",

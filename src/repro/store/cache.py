@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from repro.store.objstore import DEFAULT_ALGORITHM, IntegrityError, ObjectStore
+from repro.store.objstore import IntegrityError
 from repro.telemetry.core import current as _telemetry
 
 __all__ = ["CacheStats", "ResultCache"]
@@ -53,11 +53,6 @@ class ResultCache:
     def __init__(self, store):
         self.store = store
         self.stats = CacheStats()
-
-    @classmethod
-    def at(cls, root, algorithm=DEFAULT_ALGORITHM):
-        """A cache rooted at ``root`` (creating the store lazily)."""
-        return cls(ObjectStore(root, algorithm))
 
     # -- raw bytes ---------------------------------------------------------
 

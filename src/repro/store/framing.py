@@ -1,7 +1,6 @@
 """Integrity-trailed object frames: the store's disk format.
 
-Every object the store subsystem persists — on disk or in memory — is
-stored as a *frame*:
+Every object the store subsystem persists is stored as a *frame*:
 ``payload || value || name || name_len(1) || value_len(1) || magic(4)``
 where ``value`` is the check value of one of the paper's own check
 codes (CRC-32/AAL5 unless the caller picks another).  The trailer
@@ -9,9 +8,8 @@ parses backwards from the end of the frame, so no header seek is
 needed and truncation is always detectable.
 
 This module is the single definition of that format.  It sits below
-:mod:`repro.store.objstore` and the :mod:`repro.store.backends`
-package so both can share it without an import cycle; ``objstore``
-re-exports the names for backwards compatibility.
+:mod:`repro.store.objstore`, which re-exports its names, so the
+trailer code has no dependency on where frames are kept.
 """
 
 from __future__ import annotations

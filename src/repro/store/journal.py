@@ -24,10 +24,10 @@ Contract:
   about to run; a mismatch discards it with one warning -- stale
   checkpoints are never merged;
 * the first write of a run creates the file whole through
-  :func:`~repro.store.backends.local.atomic_write` (so does the first
+  :func:`~repro.store.objstore.atomic_write` (so does the first
   write after ``--resume``: a torn tail never has new records behind
   it), and every later record is appended and fsynced by
-  :func:`~repro.store.backends.local.durable_append` -- statically
+  :func:`~repro.store.objstore.durable_append` -- statically
   enforced by reprolint REP402;
 * a reader keeps the records before the first torn or failing one, so
   a kill mid-append costs that one shard; a bad header (torn, failed
@@ -49,12 +49,13 @@ import struct
 import warnings
 from pathlib import Path
 
-from repro.store.backends.local import atomic_write, durable_append
 from repro.store.keys import SCHEMA_VERSION
 from repro.store.objstore import (
     DEFAULT_ALGORITHM,
     IntegrityError,
+    atomic_write,
     default_root,
+    durable_append,
     frame_object,
     verify_frame,
 )

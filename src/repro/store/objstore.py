@@ -6,39 +6,32 @@ of the check codes the paper studies (CRC-32/AAL5 by default, any
 dogfoods its own subject matter: a flipped bit in a cached artifact is
 caught the same way a corrupted AAL5 frame would be.
 
-:class:`ObjectStore` is the *framing* layer: it turns payloads into
-integrity-trailed frames (and back, verifying) and delegates frame
-storage to a :class:`~repro.store.backends.base.Backend` — the
-pathsliced local directory (``root/ab/cd/abcd...``, atomic
-fsync-disciplined writes).
+:class:`ObjectStore` is one directory of integrity-trailed frames
+(:mod:`repro.store.framing`): each object is a file under a two-level
+fan-out (``root/ab/cd/abcd...``) named by its hex key, framed on write
+and verified on read.
 
 Addresses are either the SHA-256 of the payload (:meth:`ObjectStore.put`
 — true content addressing) or a caller-chosen hex key
 (:meth:`ObjectStore.put_keyed` — used by the result cache, whose keys
 are digests of experiment *parameters* rather than of the payload).
 
-The frame format and the atomic-write discipline now live in
-:mod:`repro.store.framing` and :mod:`repro.store.backends.local`;
-their names are re-exported here for backwards compatibility.
+The store's two write disciplines live here too: :func:`atomic_write`
+for every object, and :func:`durable_append` for the sweep journal's
+append-only log.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 import time
 from pathlib import Path
 
 from repro.checksums.registry import get_algorithm
-from repro.store.backends.local import (  # noqa: F401 - re-exports
-    LocalBackend,
-    _fsync_dir,
-    _is_object_name,
-    atomic_write,
-)
 from repro.store.framing import (  # noqa: F401 - re-exports
     DEFAULT_ALGORITHM,
-    FRAME_MAGIC,
     IntegrityError,
     frame_object,
     unframe_object,
@@ -52,12 +45,13 @@ __all__ = [
     "ObjectStore",
     "atomic_write",
     "default_root",
+    "durable_append",
 ]
 
 #: Environment variable overriding the default store root.
 ROOT_ENV_VAR = "REPRO_CHECKSUMS_CACHE"
 
-_MAGIC = FRAME_MAGIC
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def default_root():
@@ -68,17 +62,98 @@ def default_root():
     return Path.home() / ".cache" / "repro-checksums"
 
 
-class ObjectStore:
-    """Integrity-trailed payload storage over a local frame backend."""
+def _fsync_dir(path):
+    """Best-effort fsync of a directory (making renames durable).
 
-    def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM, backend=None):
-        if backend is None:
-            backend = LocalBackend(
-                Path(root) if root is not None else default_root()
-            )
-        self.backend = backend
-        #: The backend's filesystem root.
-        self.root = backend.root
+    Platforms without ``O_DIRECTORY`` (or filesystems refusing
+    directory fsync) degrade silently — the write is still atomic,
+    just not guaranteed durable across power loss.
+    """
+    flags = getattr(os, "O_DIRECTORY", None)
+    if flags is None:  # pragma: no cover - non-POSIX platforms
+        return
+    try:
+        fd = os.open(path, os.O_RDONLY | flags)
+    except OSError:  # pragma: no cover - directory vanished / no perms
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - fs refuses directory fsync
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path, blob):
+    """The store's atomic-write discipline, reusable outside the store.
+
+    A temp file in the destination directory is populated, flushed,
+    and fsynced, then ``os.replace``-d into place, and the parent
+    directory entry is fsynced so a power cut can neither resurrect a
+    half-written file nor forget a fully-written one ever had a name.
+    Readers therefore observe the old bytes or the new bytes, never a
+    mixture (reprolint REP401 checks the ordering statically).  The
+    sweep checkpoint journal creates its file through this helper
+    (enforced statically by reprolint REP402).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    # Crash durability: the rename itself lives in the directory
+    # entry, so fsync the parent too — otherwise a power cut can
+    # forget a fully-fsynced object ever had a name.
+    _fsync_dir(path.parent)
+
+
+def durable_append(path, blob):
+    """Append ``blob`` to the file at ``path`` and fsync it.
+
+    The sweep journal's second write discipline, beside
+    :func:`atomic_write` (which creates the file, so its directory
+    entry is already durable): one write and one fsync make the new
+    bytes durable.  A kill mid-append can tear only the bytes being
+    appended; the journal's records are self-delimiting and
+    trailer-checked, so a reader keeps every record before the tear.
+    """
+    with open(path, "ab") as handle:
+        handle.write(blob)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _check_key(key):
+    """``key`` lowercased; ``ValueError`` unless it is hex, 6+ digits.
+
+    Every entry point passes through here before a key becomes a
+    path, so no key can climb out of the root (``../../etc/passwd``).
+    """
+    key = key.lower()
+    if len(key) < 6 or not _HEX_DIGITS.issuperset(key):
+        raise ValueError("store keys must be hex strings, got %r" % key)
+    return key
+
+
+def _is_object_name(name):
+    """True for fan-out object filenames (hex, no temp suffix)."""
+    return len(name) >= 6 and _HEX_DIGITS.issuperset(name)
+
+
+class ObjectStore:
+    """Integrity-trailed payloads in a fan-out directory under ``root``."""
+
+    def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM):
+        self.root = Path(root) if root is not None else default_root()
         self.algorithm = algorithm
         get_algorithm(algorithm)  # fail fast on unknown names
 
@@ -90,8 +165,9 @@ class ObjectStore:
         return hashlib.sha256(payload).hexdigest()
 
     def path_for(self, digest):
-        """On-disk path of ``digest``."""
-        return self.backend.path_for(digest)
+        """On-disk path of ``digest`` (two-level fan-out)."""
+        key = _check_key(digest)
+        return self.root / key[:2] / key[2:4] / key
 
     # -- write ------------------------------------------------------------
 
@@ -110,19 +186,14 @@ class ObjectStore:
         """
         telemetry = _telemetry()
         t0 = time.perf_counter()
-        if not overwrite and self.backend.contains(key):
+        path = self.path_for(key)
+        if not overwrite and path.exists():
             return key
-        self.backend.put_frame(
-            key, frame_object(bytes(payload), self.algorithm)
-        )
+        atomic_write(path, frame_object(bytes(payload), self.algorithm))
         telemetry.count("store.puts")
         telemetry.meter("store.put_bytes", len(payload))
         telemetry.observe("store.put_seconds", time.perf_counter() - t0)
         return key
-
-    #: Kept as a method for wrappers (the fault injector tears writes
-    #: through it); the discipline itself is :func:`atomic_write`.
-    _atomic_write = staticmethod(atomic_write)
 
     # -- read -------------------------------------------------------------
 
@@ -134,8 +205,7 @@ class ObjectStore:
         """
         telemetry = _telemetry()
         t0 = time.perf_counter()
-        blob = self.backend.get_frame(digest)
-        payload, _ = unframe_object(blob, verify=verify)
+        payload, _ = unframe_object(self.get_frame(digest), verify=verify)
         telemetry.count("store.gets")
         telemetry.meter("store.get_bytes", len(payload))
         telemetry.observe("store.get_seconds", time.perf_counter() - t0)
@@ -147,17 +217,30 @@ class ObjectStore:
         For integrity tooling (the audit) that needs the trailer
         bytes themselves; payload readers use :meth:`get`.
         """
-        return self.backend.get_frame(digest)
+        try:
+            return self.path_for(digest).read_bytes()
+        except FileNotFoundError:
+            raise KeyError(digest) from None
 
     def __contains__(self, digest):
-        return self.backend.contains(digest)
+        return self.path_for(digest).exists()
 
     def __iter__(self):
         return self.digests()
 
     def digests(self):
         """Iterate over every stored address (sorted for determinism)."""
-        return iter(self.backend.keys())
+        if not self.root.is_dir():
+            return
+        for first in sorted(self.root.iterdir()):
+            if not first.is_dir() or len(first.name) != 2:
+                continue
+            for second in sorted(first.iterdir()):
+                if not second.is_dir():
+                    continue
+                for path in sorted(second.iterdir()):
+                    if path.is_file() and _is_object_name(path.name):
+                        yield path.name
 
     def __len__(self):
         return sum(1 for _ in self.digests())
@@ -168,10 +251,15 @@ class ObjectStore:
         """Remove ``digest``; True if *this call* removed it.
 
         Idempotent under concurrent eviction: when two processes race
-        to evict the same corrupt shard, the loser observes the object
-        already gone and reports False instead of raising.
+        to evict the same corrupt shard, the loser (including one whose
+        fan-out directory was removed underneath it) observes the
+        object already gone and reports False instead of raising.
         """
-        return self.backend.delete(digest)
+        try:
+            self.path_for(digest).unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
     def clear(self):
         """Delete every object (leaves any directory tree in place)."""
@@ -180,25 +268,13 @@ class ObjectStore:
             removed += bool(self.delete(digest))
         return removed
 
-    def total_bytes(self):
-        """Total stored bytes of frames."""
-        total = 0
-        for digest in self.digests():
-            try:
-                total += self.backend.size(digest)
-            except KeyError:  # pragma: no cover - concurrent eviction
-                continue
-        return total
-
     def stats(self):
-        """Object count and byte totals for status displays."""
-        stats = self.backend.stats()
-        return {
-            "root": stats.get("backend", self.backend.describe()),
-            "objects": stats.get("objects", 0),
-            "bytes": stats.get("bytes", 0),
-        }
-
-    def counters(self):
-        """Per-backend operation counters (hit/miss/byte accounting)."""
-        return self.backend.counters.as_dict()
+        """``{"root", "objects", "bytes"}`` for status displays."""
+        objects = size = 0
+        for digest in self.digests():
+            objects += 1
+            try:
+                size += self.path_for(digest).stat().st_size
+            except FileNotFoundError:  # pragma: no cover - concurrent eviction
+                continue
+        return {"root": str(self.root), "objects": objects, "bytes": size}

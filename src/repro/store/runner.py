@@ -19,14 +19,12 @@ independent, so the sweep shards naturally per file:
 Execution goes through :class:`repro.core.supervisor.SupervisedPool`
 (retry → pool respawn → in-process fallback), and store I/O goes
 through a **degradation ladder** of its own: an ``OSError`` from the
-cache root is retried once under
-:class:`~repro.store.resilience.RetryPolicy`, a persistently failing
-store demotes the run to store-less computation with a single
-warning, and every intervention lands in the run's
-:class:`RunHealth` record.  A full disk or a read-only cache can
-therefore never abort a sweep: a shard the store did not keep is
-recorded in the sweep journal when one is open, and otherwise costs
-only its own resumability.
+cache root is retried once, a persistently failing store demotes the
+run to store-less computation with a single warning, and every
+intervention lands in the run's :class:`RunHealth` record.  A full
+disk or a read-only cache can therefore never abort a sweep: a shard
+the store did not keep is recorded in the sweep journal when one is
+open, and otherwise costs only its own resumability.
 
 ``run_splice_experiment(..., store=RunStore(...))`` routes through
 :func:`run_sharded_splice`; results are bit-identical to the direct
@@ -47,9 +45,7 @@ from repro.telemetry.core import current as _telemetry
 from repro.store.cache import ResultCache
 from repro.store.corpora import decode_corpus, encode_corpus
 from repro.store.keys import SCHEMA_VERSION, corpus_key, digest_key, shard_key
-from repro.store.backends.local import LocalBackend
 from repro.store.objstore import DEFAULT_ALGORITHM, ObjectStore, default_root
-from repro.store.resilience import RetryPolicy
 
 __all__ = ["RunStore", "run_key_for", "run_sharded_splice"]
 
@@ -81,11 +77,10 @@ class RunStore:
 
     def __init__(self, root=None, algorithm=DEFAULT_ALGORITHM):
         self.root = Path(root) if root is not None else default_root()
-        self.backend = LocalBackend(self.root)
         self.algorithm = algorithm
 
         def namespace(name):
-            return ObjectStore(algorithm=algorithm, backend=self.backend.sub(name))
+            return ObjectStore(self.root / name, algorithm)
 
         self.objects = namespace("objects")
         self.results = ResultCache(namespace("results"))
@@ -93,8 +88,8 @@ class RunStore:
         self.corpora = ResultCache(namespace("corpora"))
 
     def describe(self):
-        """Human-readable identity of the backing store."""
-        return self.backend.describe()
+        """Human-readable identity of the store: its root."""
+        return str(self.root)
 
     @property
     def namespaces(self):
@@ -143,24 +138,6 @@ class RunStore:
             out[name] = store.stats()
         return out
 
-    def backend_stats(self):
-        """Per-namespace backend operation counters (hits/misses/bytes).
-
-        The instrumentation behind ``repro-checksums cache stats``:
-        every namespace reports its backend kind, identity, and the
-        :class:`~repro.store.backends.base.BackendCounters` accumulated
-        over this process's lifetime.
-        """
-        out = {}
-        for name, store in self.namespaces:
-            backend = store.backend
-            out[name] = {
-                "kind": backend.kind,
-                "backend": backend.describe(),
-                "counters": backend.counters.as_dict(),
-            }
-        return out
-
     def clear(self):
         """Delete every stored object across all namespaces.
 
@@ -186,15 +163,13 @@ class _StoreGuard:
     """The store degradation ladder: retry, then go store-less.
 
     Every store operation the runner performs goes through
-    :meth:`_attempt`, driven by a
-    :class:`~repro.store.resilience.RetryPolicy` (two attempts, no
-    backoff, telemetry-counted).  Each caught
-    ``OSError`` is added to the run's store-error ledger; a final
-    failure skips the operation (the run keeps its in-memory
-    counters, and a shard the store did not keep goes to the sweep
-    journal).  Once :data:`DEMOTE_AFTER` errors have accumulated the
-    guard demotes the whole run to store-less mode with a single
-    warning — the store is no longer used, correctness is untouched.
+    :meth:`_attempt`: an ``OSError`` is added to the run's store-error
+    ledger and the call is made once more.  A second failure skips the
+    operation (the run keeps its in-memory counters, and a shard the
+    store did not keep goes to the sweep journal).  Once
+    :data:`DEMOTE_AFTER` errors have accumulated the guard demotes the
+    whole run to store-less mode with a single warning — the store is
+    no longer used, correctness is untouched.
     """
 
     #: Cumulative store errors after which the run goes store-less.
@@ -204,17 +179,18 @@ class _StoreGuard:
         self.store = store
         self.health = health
         self.active = store is not None
-        self.policy = RetryPolicy("guard", max_attempts=2)
-
-    def _count_error(self, exc):
-        self.health.store_errors += 1
 
     def _attempt(self, what, call, default=None):
         if not self.active:
             return default
         try:
-            return self.policy.run(what, call, on_error=self._count_error)
+            return call()
+        except OSError:
+            self.health.store_errors += 1
+        try:
+            return call()  # the one retry
         except OSError as exc:
+            self.health.store_errors += 1
             if self.health.store_errors >= self.DEMOTE_AFTER:
                 self._demote(what, exc)
             return default

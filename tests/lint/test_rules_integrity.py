@@ -106,7 +106,7 @@ class TestJournalAtomicWrite:
     def test_atomic_helper_route_is_clean(self, lint):
         result = lint({
             "repro/store/journal.py": """
-                from repro.store.backends.local import (
+                from repro.store.objstore import (
                     atomic_write, durable_append,
                 )
 
@@ -212,8 +212,8 @@ class TestVerifiedStoreReads:
 
     def test_frame_named_getters_are_exempt(self, lint):
         result = lint({
-            "repro/store/backends/local.py": """
-                class LocalBackend:
+            "repro/store/objstore.py": """
+                class ObjectStore:
                     def get_frame(self, key):
                         return self._path(key).read_bytes()
 
@@ -251,125 +251,6 @@ class TestVerifiedStoreReads:
                         return self._frames[key]
             """,
         }, rules=["REP403"])
-        assert result.active == []
-
-
-class TestHandRolledRetry:
-    def test_for_range_swallowing_oserror_is_flagged(self, lint):
-        result = lint({
-            "repro/store/api/client.py": """
-                def request(connection, path):
-                    last = None
-                    for _ in range(2):
-                        try:
-                            return connection.get(path)
-                        except OSError as exc:
-                            last = exc
-                    raise last
-            """,
-        }, rules=["REP404"])
-        assert active_rules(result) == ["REP404"]
-        assert "RetryPolicy" in result.active[0].message
-
-    def test_tuple_of_transport_errors_is_flagged(self, lint):
-        result = lint({
-            "repro/store/api/client.py": """
-                import socket
-
-                def request(connection, path):
-                    for attempt in range(3):
-                        try:
-                            return connection.get(path)
-                        except (ConnectionError, socket.timeout):
-                            continue
-            """,
-        }, rules=["REP404"])
-        assert active_rules(result) == ["REP404"]
-
-    def test_policy_delegation_is_clean(self, lint):
-        result = lint({
-            "repro/store/api/client.py": """
-                from repro.store.resilience import RetryPolicy
-
-                def request(connection, path):
-                    policy = RetryPolicy("http", max_attempts=2)
-                    return policy.run(path, lambda: connection.get(path))
-            """,
-        }, rules=["REP404"])
-        assert result.active == []
-
-    def test_reraising_handler_is_clean(self, lint):
-        # A loop that re-raises in the handler is classification, not
-        # a retry: the exception still propagates on every iteration.
-        result = lint({
-            "repro/store/backends/remote.py": """
-                def probe(children, key):
-                    for child in range(len(children)):
-                        try:
-                            return children[child].get_frame(key)
-                        except OSError as exc:
-                            raise KeyError(key) from exc
-            """,
-        }, rules=["REP404"])
-        assert result.active == []
-
-    def test_non_range_loops_are_exempt(self, lint):
-        # Fan-out over replicas swallows per-child errors by design --
-        # that is degradation, not a retry of the same operation.
-        result = lint({
-            "repro/store/backends/multiplex.py": """
-                def put_all(children, key, frame):
-                    stored = 0
-                    for child in children:
-                        try:
-                            child.put_frame(key, frame)
-                            stored += 1
-                        except OSError:
-                            continue
-                    return stored
-            """,
-        }, rules=["REP404"])
-        assert result.active == []
-
-    def test_resilience_module_itself_is_exempt(self, lint):
-        result = lint({
-            "repro/store/resilience.py": """
-                def run(call, attempts):
-                    last = None
-                    for _ in range(attempts):
-                        try:
-                            return call()
-                        except OSError as exc:
-                            last = exc
-                    raise last
-            """,
-        }, rules=["REP404"])
-        assert result.active == []
-
-    def test_loops_outside_the_store_are_exempt(self, lint):
-        result = lint({
-            "repro/corpus/ingest.py": """
-                def read(paths):
-                    for index in range(len(paths)):
-                        try:
-                            return open(paths[index], "rb").read()
-                        except OSError:
-                            continue
-            """,
-        }, rules=["REP404"])
-        assert result.active == []
-
-    def test_pragma_suppresses(self, lint):
-        result = lint({
-            "repro/store/api/client.py": """
-                def request(connection, path):
-                    for _ in range(2):  # reprolint: disable=REP404
-                        try:
-                            return connection.get(path)
-                        except OSError:
-                            continue
-            """,
-        }, rules=["REP404"])
         assert result.active == []
 
 

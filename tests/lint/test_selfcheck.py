@@ -109,16 +109,6 @@ _SEEDED = {
         "    def get(self, key):\n"
         "        return self._frames[key]\n"  # REP403
     ),
-    "repro/store/net.py": (
-        "def fetch(client, path):\n"
-        "    last = None\n"
-        "    for _ in range(2):\n"
-        "        try:\n"
-        "            return client.request(path)\n"
-        "        except OSError as exc:\n"  # REP404
-        "            last = exc\n"
-        "    raise last\n"
-    ),
     "repro/core/engine.py": (
         "def verdicts(cells, engine):\n"
         "    out = []\n"
@@ -181,7 +171,7 @@ _SEEDED = {
 _EXPECTED_RULES = {
     "REP101", "REP102", "REP103", "REP111", "REP201", "REP202",
     "REP211", "REP301", "REP302", "REP303", "REP304", "REP401",
-    "REP402", "REP403", "REP404", "REP411", "REP501", "REP601",
+    "REP402", "REP403", "REP411", "REP501", "REP601",
 }
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.store import journal as journal_module
-from repro.store.backends import local as local_backend
+from repro.store import objstore
 
 
 @pytest.fixture(autouse=True)
@@ -34,8 +34,8 @@ def durable_writes(monkeypatch):
             return real(path, blob)
         return write
 
-    monkeypatch.setattr(local_backend, "atomic_write",
-                        spy("whole", local_backend.atomic_write))
+    monkeypatch.setattr(objstore, "atomic_write",
+                        spy("whole", objstore.atomic_write))
     monkeypatch.setattr(journal_module, "atomic_write",
                         spy("whole", journal_module.atomic_write))
     monkeypatch.setattr(journal_module, "durable_append",

@@ -2,7 +2,8 @@
 
 Covers the robustness satellites on the store itself:
 :meth:`ObjectStore.delete` is idempotent under concurrent eviction,
-and :meth:`ObjectStore._atomic_write` leaves durable, whole frames.
+and :func:`~repro.store.objstore.atomic_write` leaves durable, whole
+frames.
 """
 
 from __future__ import annotations

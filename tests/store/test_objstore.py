@@ -38,6 +38,38 @@ class TestAddressing:
         with pytest.raises(ValueError):
             store.path_for("zz" * 10)
 
+    @pytest.mark.parametrize("bad", ["../../etc/passwd", "short", "NOTHEX!",
+                                     "aaaaa"])
+    @pytest.mark.parametrize("entry", [
+        lambda store, key: store.get(key),
+        lambda store, key: store.get_frame(key),
+        lambda store, key: store.put_keyed(key, b"payload"),
+        lambda store, key: store.delete(key),
+        lambda store, key: key in store,
+    ], ids=["get", "get_frame", "put_keyed", "delete", "in"])
+    def test_every_entry_point_rejects_bad_keys(self, cache_root, entry, bad):
+        store = ObjectStore()
+        with pytest.raises(ValueError):
+            entry(store, bad)
+        assert not cache_root.exists()  # nothing was written anywhere
+
+    def test_upper_case_key_reaches_the_same_object(self):
+        store = ObjectStore()
+        digest = store.put(b"case-insensitive")
+        assert store.get(digest.upper()) == b"case-insensitive"
+        assert digest.upper() in store
+        assert store.path_for(digest.upper()) == store.path_for(digest)
+
+    def test_stores_under_sibling_roots_are_isolated(self, cache_root):
+        objects = ObjectStore(cache_root / "objects")
+        shards = ObjectStore(cache_root / "shards")
+        digest = objects.put(b"namespaced")
+        assert digest in objects
+        assert digest not in shards
+        with pytest.raises(KeyError):
+            shards.get_frame(digest)
+        assert list(shards.digests()) == []
+
 
 class TestRoundTrip:
     def test_put_get(self):
@@ -47,8 +79,19 @@ class TestRoundTrip:
         assert digest in store
 
     def test_missing_raises_keyerror(self):
+        store = ObjectStore()
         with pytest.raises(KeyError):
-            ObjectStore().get("ab" * 32)
+            store.get("ab" * 32)
+        with pytest.raises(KeyError):
+            store.get_frame("ab" * 32)
+        assert "ab" * 32 not in store
+
+    def test_get_frame_returns_the_stored_frame(self):
+        store = ObjectStore()
+        digest = store.put(b"hello, frames")
+        assert store.get_frame(digest) == frame_object(b"hello, frames")
+        payload, algorithm = unframe_object(store.get_frame(digest))
+        assert (payload, algorithm) == (b"hello, frames", "crc32-aal5")
 
     def test_empty_payload(self):
         store = ObjectStore()
@@ -61,6 +104,8 @@ class TestRoundTrip:
         store.put_keyed(key, b"first")
         store.put_keyed(key, b"second")
         assert store.get(key) == b"second"
+        assert store.put_keyed(key, b"third", overwrite=False) == key
+        assert store.get_frame(key) == frame_object(b"second")
 
     def test_iteration_and_len(self):
         store = ObjectStore()
@@ -69,6 +114,23 @@ class TestRoundTrip:
         assert len(store) == 5
         listed = list(store.digests())
         assert listed == sorted(listed)
+
+    def test_walk_is_sorted_across_fanout_directories(self):
+        store = ObjectStore()
+        keys = [prefix + "0" * 60 for prefix in
+                ("ffff", "0000", "ab12", "ab01", "7f00", "00ff")]
+        for key in keys:
+            store.put_keyed(key, b"walked")
+        # Stray files are not objects: a temp file and a short name.
+        (store.root / "ab" / "12" / "ab12deadbeef.tmp").write_bytes(b"")
+        (store.root / "ab" / "12" / "ab1").write_bytes(b"")
+        assert list(store.digests()) == sorted(keys)
+        assert list(iter(store)) == sorted(keys)
+
+    def test_walk_of_a_missing_root_is_empty(self, cache_root):
+        store = ObjectStore(cache_root / "never-written")
+        assert list(store.digests()) == []
+        assert len(store) == 0
 
     def test_delete_and_clear(self):
         store = ObjectStore()
@@ -82,10 +144,14 @@ class TestRoundTrip:
 
     def test_stats(self):
         store = ObjectStore()
-        store.put(b"x" * 100)
-        stats = store.stats()
-        assert stats["objects"] == 1
-        assert stats["bytes"] > 100  # payload plus trailer
+        payloads = (b"x" * 100, b"stats payload")
+        for payload in payloads:
+            store.put(payload)
+        assert store.stats() == {
+            "root": str(store.root),
+            "objects": 2,
+            "bytes": sum(len(frame_object(p)) for p in payloads),
+        }
 
 
 class TestIntegrityTrailer:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.experiment import run_splice_experiment
+from repro.core.supervisor import RunHealth
 from repro.corpus.profiles import build_filesystem
-from repro.store.runner import RunStore
+from repro.store.runner import RunStore, _StoreGuard
 
 
 def small_fs(profile="uniform", nbytes=50_000, seed=3):
@@ -131,3 +132,64 @@ class TestShardsSharedAcrossCommands:
             counters = telemetry.snapshot()["counters"]
         assert counters["store.shard_hits"] > 0
         assert counters["store.shard_hits"] == counters["store.shard_misses"]
+
+
+class Flaky:
+    """A store call failing ``failures`` times before returning "ok"."""
+
+    def __init__(self, failures, exc=None):
+        self.failures = failures
+        self.exc = exc if exc is not None else OSError("transient")
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise self.exc
+        return "ok"
+
+
+class TestStoreGuard:
+    """The guard's ladder: one retry per call, then store-less at 6 errors."""
+
+    @staticmethod
+    def guard():
+        return _StoreGuard(store=object(), health=RunHealth())
+
+    def test_success_needs_one_call(self):
+        guard, call = self.guard(), Flaky(0)
+        assert guard._attempt("op", call) == "ok"
+        assert (call.calls, guard.health.store_errors) == (1, 0)
+
+    def test_one_failure_is_retried_and_counted(self):
+        guard, call = self.guard(), Flaky(1)
+        assert guard._attempt("op", call, default="skipped") == "ok"
+        assert (call.calls, guard.health.store_errors) == (2, 1)
+
+    def test_two_failures_return_the_default_and_count_twice(self):
+        guard, call = self.guard(), Flaky(10)
+        assert guard._attempt("op", call, default="skipped") == "skipped"
+        assert (call.calls, guard.health.store_errors) == (2, 2)
+        assert guard.active and not guard.health.storeless
+
+    def test_sixth_error_demotes_the_run_once(self):
+        guard = self.guard()
+        with pytest.warns(RuntimeWarning, match="artifact store is failing") \
+                as caught:
+            for _ in range(3):
+                assert guard._attempt("shard write", Flaky(10),
+                                      default=False) is False
+        assert len(caught) == 1
+        assert guard.health.store_errors == 6
+        assert not guard.active and guard.health.storeless
+        assert "store-less mode after 6 store errors" in guard.health.render()
+        later = Flaky(0)
+        assert guard._attempt("shard write", later, default=False) is False
+        assert later.calls == 0
+        assert guard.health.store_errors == 6
+
+    def test_non_oserror_propagates_without_a_retry(self):
+        guard, call = self.guard(), Flaky(1, ValueError("not the store"))
+        with pytest.raises(ValueError):
+            guard._attempt("op", call)
+        assert (call.calls, guard.health.store_errors) == (1, 0)

@@ -1,7 +1,7 @@
 """README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md claim only what
 the tree contains.
 
-Five checks over the user-facing docs:
+Seven checks over the user-facing docs:
 
 * every ``BENCH_<n>.json`` they name exists at the repository root;
 * every repository path they name in inline code under ``src/``,
@@ -14,21 +14,28 @@ Five checks over the user-facing docs:
 * every inline code span in the meaning column of an exit-code table
   names a subcommand path the parser accepts (``channel replay``), an
   option some subcommand accepts (``--rules``), or a
-  ``repro.api`` name (``RunAborted``).
+  ``repro.api`` name (``RunAborted``);
+* the span table of ``docs/architecture.md`` names exactly the spans
+  that a ``span("<name>")`` literal in src opens (``repro.telemetry``'s
+  own self-test spans aside);
+* the rule catalogue of ``docs/architecture.md`` lists exactly the
+  rule ids that ``repro-checksums lint --list-rules`` prints.
 
 Other command lines (perfbench, pytest, pip) are not checked: their
 options belong to other programs.
 """
 
 import argparse
+import ast
 import re
 import shlex
 from pathlib import Path
 
 import repro.api
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
+ARCHITECTURE = ROOT / "docs" / "architecture.md"
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 
@@ -102,6 +109,46 @@ def exit_table_meanings(path):
             meanings += [(number, cell) for index, cell in enumerate(cells)
                          if index != exit_column]
     return meanings
+
+
+def section_table_first_cells(path, heading):
+    """``(line_number, first cell)`` of each body row of the first
+    Markdown table under the ``heading`` line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index(heading)
+    cells, rows = [], 0
+    for number, line in enumerate(lines[start + 1:], start + 2):
+        row = _TABLE_ROW.match(line)
+        if row is None:
+            if rows:
+                break
+            continue
+        rows += 1
+        if rows > 2:  # past the header and its rule
+            cells.append((number, row.group("cells").split("|")[0].strip()))
+    return cells
+
+
+def src_span_names():
+    """Every ``span("<name>")`` literal under src/repro, outside
+    ``repro.telemetry``, as ``{name: [path:line, ...]}``."""
+    names = {}
+    src = ROOT / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
+        if path.relative_to(src).parts[0] == "telemetry":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                continue
+            func = node.func
+            leaf = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if leaf == "span":
+                names.setdefault(node.args[0].value, []).append(
+                    where(path, node.lineno))
+    return names
 
 
 def _all_options(parser):
@@ -204,3 +251,25 @@ def test_exit_code_tables_name_real_commands():
                     problems.append("%s: %r" % (where(path, number), span))
     assert checked >= 5
     assert not problems, "\n".join(problems)
+
+
+def test_span_table_names_the_spans_src_opens():
+    documented = {span for _, cell in section_table_first_cells(
+        ARCHITECTURE, "### Spans") for span in _CODE_SPAN.findall(cell)}
+    opened = src_span_names()
+    assert len(documented) >= 10
+    assert sorted(documented - set(opened)) == [], "documented, never opened"
+    undocumented = {name: opened[name] for name in sorted(set(opened) - documented)}
+    assert not undocumented, "opened, not in the span table: %s" % undocumented
+
+
+def test_rule_catalogue_matches_the_registry(capsys):
+    catalogue = [match.group(0)
+                 for _, cell in section_table_first_cells(
+                     ARCHITECTURE, "### The rule catalogue")
+                 for match in [re.match(r"`(REP\d{3})`", cell)] if match]
+    assert main(["lint", "--list-rules"]) == 0
+    listed = re.findall(r"^(REP\d{3}) ", capsys.readouterr().out, re.MULTILINE)
+    assert len(listed) >= 10
+    assert sorted(set(catalogue)) == sorted(catalogue)  # no row twice
+    assert sorted(match.strip("`") for match in catalogue) == sorted(listed)
