@@ -47,8 +47,9 @@ shards the store did not keep (all of them without ``--cache``), so
 
 Flags shared between subcommands (``--bytes``/``--seed``,
 ``--workers``, ``--cache``/``--cache-dir``, ``--metrics``) are defined
-once as argparse *parent* parsers -- per-subcommand defaults differ,
-so the builders below take the defaults as parameters.
+once, as functions that add them to a subcommand's parser --
+per-subcommand defaults differ, so they take the defaults as
+parameters.
 
 Layering contract (enforced by reprolint REP301): this module imports
 project code only through the stable :mod:`repro.api` facade -- plus
@@ -56,12 +57,23 @@ project code only through the stable :mod:`repro.api` facade -- plus
 building the parser itself needs (subcommand ``choices``) is imported
 eagerly; everything else loads inside its handler so a warm
 ``--cache`` hit never imports the splice engine (REP303).
+
+A process pays only for the command it runs.  :func:`main` registers
+every subcommand by name and help, but adds flags and ``choices`` only
+to the one its first argument names: ``run`` builds 12
+``ArgumentParser`` objects where the full parser builds 18, and the
+usage, help and error texts stay the same.  :func:`console_main`, the
+entry of the console script and of ``python -m repro.cli``, also skips
+the interpreter's final garbage collection when nothing but the main
+thread is left.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import threading
 
 from repro.api import (
     algorithm_names,
@@ -108,40 +120,34 @@ _CHANNEL_PLAN_CHOICES = (
     "reordering-link",
 )
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "console_main", "main"]
 
 
 # ----------------------------------------------------------------------
-# shared flag groups (argparse parent parsers)
+# shared flag groups
 
-def _corpus_parent(bytes_default, seed_default):
+def _corpus_flags(parser, bytes_default, seed_default):
     """``--bytes``/``--seed``: the synthetic corpus of a run."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--bytes", type=int, default=bytes_default,
+    parser.add_argument("--bytes", type=int, default=bytes_default,
                         help="synthetic filesystem size in bytes")
-    parent.add_argument("--seed", type=int, default=seed_default)
-    return parent
+    parser.add_argument("--seed", type=int, default=seed_default)
 
 
-def _workers_parent(default=None,
-                    help_text="fan splice runs out over N processes"):
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--workers", type=int, default=default,
+def _workers_flag(parser, default=None,
+                  help_text="fan splice runs out over N processes"):
+    parser.add_argument("--workers", type=int, default=default,
                         help=help_text)
-    return parent
 
 
-def _cache_parent(toggle=True):
+def _cache_flags(parser, toggle=True):
     """``--cache``/``--cache-dir``: a run's store."""
-    parent = argparse.ArgumentParser(add_help=False)
     if toggle:
-        parent.add_argument("--cache", action=argparse.BooleanOptionalAction,
+        parser.add_argument("--cache", action=argparse.BooleanOptionalAction,
                             default=False,
                             help="serve repeat runs from the artifact store")
-    parent.add_argument("--cache-dir", default=None,
+    parser.add_argument("--cache-dir", default=None,
                         help="store root (default: $REPRO_CHECKSUMS_CACHE or "
                              "~/.cache/repro-checksums)")
-    return parent
 
 
 def _positive_seconds(text):
@@ -179,147 +185,134 @@ def _mss(text):
     return value
 
 
-def _sweep_parent(journal=True):
+def _sweep_flags(parser, journal=True):
     """``--shard-timeout``/``--deadline`` (+ journal/resume knobs)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--shard-timeout", type=_positive_seconds,
+    parser.add_argument("--shard-timeout", type=_positive_seconds,
                         metavar="SECONDS", default=None,
                         help="condemn and respawn a worker pool when one "
                              "shard exceeds this many seconds")
-    parent.add_argument("--deadline", type=_positive_seconds,
+    parser.add_argument("--deadline", type=_positive_seconds,
                         metavar="SECONDS", default=None,
                         help="stop the sweep cleanly at a shard boundary "
                              "once this time budget is spent (partial "
                              "report, exit 3)")
     if journal:
-        parent.add_argument("--journal",
+        parser.add_argument("--journal",
                             action=argparse.BooleanOptionalAction,
                             default=True,
                             help="checkpoint completed shards so an "
                                  "interrupted sweep can --resume")
-        parent.add_argument("--resume",
+        parser.add_argument("--resume",
                             action=argparse.BooleanOptionalAction,
                             default=False,
                             help="merge a fingerprint-matching sweep "
                                  "journal before dispatching shards")
-    return parent
 
 
-def _metrics_parent():
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--metrics", metavar="DEST", default=None,
+def _metrics_flag(parser):
+    parser.add_argument("--metrics", metavar="DEST", default=None,
                         help="collect run telemetry and write it: 'json' or "
                              "'md' print to stdout; any other value is a "
                              "file path (.json suffix -> JSON, else "
                              "markdown)")
-    return parent
 
 
-def _profile_parent(default):
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--profile", default=default,
+def _profile_flag(parser, default):
+    parser.add_argument("--profile", default=default,
                         choices=_PROFILE_CHOICES)
-    return parent
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="repro-checksums",
-        description="Reproduction of 'Performance of Checksums and CRCs over "
-        "Real Data' (SIGCOMM 1995)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ----------------------------------------------------------------------
+# each subcommand's flags
 
-    sub.add_parser("algorithms", help="list available checksum/CRC algorithms")
+def _sum_arguments(parser):
+    parser.add_argument("files", nargs="+")
+    parser.add_argument("--algorithm", "-a", default="internet",
+                        choices=algorithm_names())
 
-    sub.add_parser("profiles", help="list synthetic filesystem profiles")
 
-    p_sum = sub.add_parser("sum", help="checksum one or more files")
-    p_sum.add_argument("files", nargs="+")
-    p_sum.add_argument("--algorithm", "-a", default="internet",
-                       choices=algorithm_names())
+def _run_arguments(parser):
+    _corpus_flags(parser, None, None)
+    _cache_flags(parser)
+    _workers_flag(parser)
+    _metrics_flag(parser)
+    _sweep_flags(parser)
+    parser.add_argument("experiment", choices=sorted(experiment_ids()))
+    parser.add_argument("--svg", metavar="PATH", default=None,
+                        help="for figure experiments: also write an SVG chart")
 
-    p_run = sub.add_parser(
-        "run", help="regenerate a paper table or figure",
-        parents=[_corpus_parent(None, None), _cache_parent(),
-                 _workers_parent(), _metrics_parent(), _sweep_parent()],
-    )
-    p_run.add_argument("experiment", choices=sorted(experiment_ids()))
-    p_run.add_argument("--svg", metavar="PATH", default=None,
-                       help="for figure experiments: also write an SVG chart")
 
-    p_report = sub.add_parser(
-        "report", help="regenerate every experiment into one Markdown file",
-        parents=[_corpus_parent(400_000, 3), _cache_parent(),
-                 _workers_parent(), _metrics_parent()],
-    )
-    p_report.add_argument("--output", "-o", default="report.md")
-    p_report.add_argument("--only", nargs="*", default=None,
-                          help="restrict to these experiment ids")
+def _report_arguments(parser):
+    _corpus_flags(parser, 400_000, 3)
+    _cache_flags(parser)
+    _workers_flag(parser)
+    _metrics_flag(parser)
+    parser.add_argument("--output", "-o", default="report.md")
+    parser.add_argument("--only", nargs="*", default=None,
+                        help="restrict to these experiment ids")
 
-    p_splice = sub.add_parser(
-        "splice", help="run a custom splice simulation",
-        parents=[_profile_parent("stanford-u1"), _corpus_parent(500_000, 3),
-                 _cache_parent(),
-                 _workers_parent(help_text="fan files out over N processes"),
-                 _metrics_parent(), _sweep_parent()],
-    )
-    p_splice.add_argument("--mss", type=_mss, default=256)
-    p_splice.add_argument("--algorithm", default="tcp",
-                          choices=["tcp", "fletcher255", "fletcher256"])
-    p_splice.add_argument("--placement", default="header",
-                          choices=list(_PLACEMENT_CHOICES))
 
-    p_cache = sub.add_parser(
-        "cache", help="inspect or maintain the artifact store"
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    cache_sub.add_parser("stats", parents=[_cache_parent(toggle=False)],
-                         help="per-namespace object counts")
+def _splice_arguments(parser):
+    _profile_flag(parser, "stanford-u1")
+    _corpus_flags(parser, 500_000, 3)
+    _cache_flags(parser)
+    _workers_flag(parser, help_text="fan files out over N processes")
+    _metrics_flag(parser)
+    _sweep_flags(parser)
+    parser.add_argument("--mss", type=_mss, default=256)
+    parser.add_argument("--algorithm", default="tcp",
+                        choices=["tcp", "fletcher255", "fletcher256"])
+    parser.add_argument("--placement", default="header",
+                        choices=list(_PLACEMENT_CHOICES))
+
+
+def _cache_arguments(parser):
+    cache_sub = parser.add_subparsers(dest="cache_command", required=True)
+    _cache_flags(cache_sub.add_parser(
+        "stats", help="per-namespace object counts"), toggle=False)
     p_audit = cache_sub.add_parser(
-        "audit", parents=[_cache_parent(toggle=False)],
-        help="re-verify every stored object's integrity trailer",
+        "audit", help="re-verify every stored object's integrity trailer",
     )
+    _cache_flags(p_audit, toggle=False)
     p_audit.add_argument("--evict", action="store_true",
                          help="delete corrupt objects so runs recompute them")
-    cache_sub.add_parser("clear", parents=[_cache_parent(toggle=False)],
-                         help="delete every stored object")
+    _cache_flags(cache_sub.add_parser(
+        "clear", help="delete every stored object"), toggle=False)
 
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="run a sweep under fault injection; verify counters survive",
-        parents=[_profile_parent("stanford-u1"), _corpus_parent(120_000, 3),
-                 _workers_parent(2, "pool width for the chaotic pass"),
-                 _metrics_parent(), _sweep_parent(journal=False)],
-    )
-    p_chaos.add_argument("--mss", type=_mss, default=256)
-    p_chaos.add_argument("--plan", default="monkey",
-                         choices=_CHAOS_PLAN_CHOICES,
-                         help="named fault plan (default: monkey)")
-    p_chaos.add_argument("--fault-seed", type=int, default=0,
-                         help="seed of the fault schedule (replayable)")
-    p_chaos.add_argument("--cache-dir", default=None,
-                         help="root for the chaotic run's stores "
-                              "(default: a temporary directory, removed "
-                              "when the command ends)")
 
-    p_channel = sub.add_parser(
-        "channel",
-        help="timed channel simulation with ARQ recovery "
-             "(run | replay | plans)",
-    )
-    channel_sub = p_channel.add_subparsers(dest="channel_command",
-                                           required=True)
+def _chaos_arguments(parser):
+    _profile_flag(parser, "stanford-u1")
+    _corpus_flags(parser, 120_000, 3)
+    _workers_flag(parser, 2, "pool width for the chaotic pass")
+    _metrics_flag(parser)
+    _sweep_flags(parser, journal=False)
+    parser.add_argument("--mss", type=_mss, default=256)
+    parser.add_argument("--plan", default="monkey",
+                        choices=_CHAOS_PLAN_CHOICES,
+                        help="named fault plan (default: monkey)")
+    parser.add_argument("--fault-seed", type=int, default=0,
+                        help="seed of the fault schedule (replayable)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="root for the chaotic run's stores "
+                             "(default: a temporary directory, removed "
+                             "when the command ends)")
+
+
+def _channel_arguments(parser):
+    channel_sub = parser.add_subparsers(dest="channel_command",
+                                        required=True)
     channel_sub.add_parser("plans", help="list the named channel plans")
     p_crun = channel_sub.add_parser(
         "run",
         help="sweep a corpus through a simulated link under ARQ "
              "(exit 4 when delivery degraded)",
-        parents=[_profile_parent("nsc05"), _corpus_parent(120_000, 2),
-                 _cache_parent(),
-                 _workers_parent(help_text="fan files out over N processes"),
-                 _metrics_parent(), _sweep_parent()],
     )
+    _profile_flag(p_crun, "nsc05")
+    _corpus_flags(p_crun, 120_000, 2)
+    _cache_flags(p_crun)
+    _workers_flag(p_crun, help_text="fan files out over N processes")
+    _metrics_flag(p_crun)
+    _sweep_flags(p_crun)
     p_crun.add_argument("--plan", default="bursty-link",
                         choices=_CHANNEL_PLAN_CHOICES,
                         help="named channel plan (default: bursty-link)")
@@ -345,57 +338,73 @@ def build_parser():
         "replay",
         help="re-run a recorded trace; exit 0 iff every event and "
              "verdict reproduces (1 diverged, 2 unreadable/tampered)",
-        parents=[_workers_parent(help_text="worker count for the replay "
-                                           "(the result must not depend "
-                                           "on it)")],
     )
+    _workers_flag(p_creplay, help_text="worker count for the replay "
+                                       "(the result must not depend on it)")
     p_creplay.add_argument("trace", help="trace file written by "
                                          "'channel run --trace'")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the benchmark workload matrix, write BENCH_<n>.json",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="smaller matrix for CI smoke runs")
-    p_bench.add_argument("--out", default=".", metavar="DIR",
-                         help="directory for BENCH_<n>.json snapshots "
-                              "(default: current directory)")
-    p_bench.add_argument("--check", metavar="PATH", default=None,
-                         help="validate an existing snapshot against the "
-                              "bench schema and exit (CI drift gate)")
 
-    p_lint = sub.add_parser(
-        "lint",
-        help="run reprolint, the repo's domain-aware static analysis",
-    )
-    p_lint.add_argument("paths", nargs="*", default=None,
+def _bench_arguments(parser):
+    parser.add_argument("--quick", action="store_true",
+                        help="smaller matrix for CI smoke runs")
+    parser.add_argument("--out", default=".", metavar="DIR",
+                        help="directory for BENCH_<n>.json snapshots "
+                             "(default: current directory)")
+    parser.add_argument("--check", metavar="PATH", default=None,
+                        help="validate an existing snapshot against the "
+                             "bench schema and exit (CI drift gate)")
+
+
+def _lint_arguments(parser):
+    parser.add_argument("paths", nargs="*", default=None,
                         help="source roots to scan (default: ./src if it "
                              "exists, else .)")
-    p_lint.add_argument("--format", dest="fmt", default="text",
+    parser.add_argument("--format", dest="fmt", default="text",
                         choices=["text", "json", "md", "sarif"],
                         help="report format (default: text)")
-    p_lint.add_argument("--baseline", metavar="PATH", default=None,
+    parser.add_argument("--baseline", metavar="PATH", default=None,
                         help="baseline file (default: "
                              ".reprolint-baseline.json if present)")
-    p_lint.add_argument("--no-baseline", action="store_true",
+    parser.add_argument("--no-baseline", action="store_true",
                         help="ignore the committed baseline")
-    p_lint.add_argument("--fix-baseline", action="store_true",
+    parser.add_argument("--fix-baseline", action="store_true",
                         help="rewrite the baseline from current findings")
-    p_lint.add_argument("--rules", metavar="IDS", default=None,
+    parser.add_argument("--rules", metavar="IDS", default=None,
                         help="comma-separated rule ids to run "
                              "(default: all)")
-    p_lint.add_argument("--list-rules", action="store_true",
+    parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    p_lint.add_argument("--cache", metavar="PATH", default=None,
+    parser.add_argument("--cache", metavar="PATH", default=None,
                         help="incremental result cache: unchanged "
                              "files replay their stored findings")
-    p_lint.add_argument("--contract", metavar="PATH", default=None,
+    parser.add_argument("--contract", metavar="PATH", default=None,
                         help="layer contract for REP311 (default: "
                              ".reprolint.toml if present)")
-    p_lint.add_argument("--no-contract", action="store_true",
+    parser.add_argument("--no-contract", action="store_true",
                         help="skip the layer contract even if "
                              ".reprolint.toml exists")
+
+
+def build_parser(command=None):
+    """The ``repro-checksums`` argument parser.
+
+    Every subcommand is registered by name and help, so usage, help and
+    error texts do not depend on ``command``.  Only the subcommand that
+    ``command`` names gets its flags and choices; ``None``, or a word
+    that names no subcommand, builds them all.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro-checksums",
+        description="Reproduction of 'Performance of Checksums and CRCs over "
+        "Real Data' (SIGCOMM 1995)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    build_all = command not in _SUBCOMMANDS
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+        child = sub.add_parser(name, help=help_text)
+        if add_arguments is not None and (build_all or name == command):
+            add_arguments(child)
     return parser
 
 
@@ -406,7 +415,7 @@ def _make_store(args):
     return open_store(args.cache_dir)
 
 
-def _cmd_algorithms():
+def _cmd_algorithms(_args):
     from repro.api import algorithm_summaries
 
     for name, width, kind in algorithm_summaries():
@@ -414,7 +423,7 @@ def _cmd_algorithms():
     return 0
 
 
-def _cmd_profiles():
+def _cmd_profiles(_args):
     from repro.api import profile_summaries
 
     for name, description in profile_summaries():
@@ -857,26 +866,33 @@ def _cmd_lint(args):
     return result.exit_code
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "report": _cmd_report,
-    "splice": _cmd_splice,
-    "channel": _cmd_channel,
-    "cache": _cmd_cache,
-    "chaos": _cmd_chaos,
-    "sum": _cmd_sum,
-    "bench": _cmd_bench,
-    "lint": _cmd_lint,
+#: Each subcommand in ``--help`` order: its help line, the function that
+#: adds its flags (None when it takes none) and its handler.
+_SUBCOMMANDS = {
+    "algorithms": ("list available checksum/CRC algorithms", None,
+                   _cmd_algorithms),
+    "profiles": ("list synthetic filesystem profiles", None, _cmd_profiles),
+    "sum": ("checksum one or more files", _sum_arguments, _cmd_sum),
+    "run": ("regenerate a paper table or figure", _run_arguments, _cmd_run),
+    "report": ("regenerate every experiment into one Markdown file",
+               _report_arguments, _cmd_report),
+    "splice": ("run a custom splice simulation", _splice_arguments,
+               _cmd_splice),
+    "cache": ("inspect or maintain the artifact store", _cache_arguments,
+              _cmd_cache),
+    "chaos": ("run a sweep under fault injection; verify counters survive",
+              _chaos_arguments, _cmd_chaos),
+    "channel": ("timed channel simulation with ARQ recovery "
+                "(run | replay | plans)", _channel_arguments, _cmd_channel),
+    "bench": ("run the benchmark workload matrix, write BENCH_<n>.json",
+              _bench_arguments, _cmd_bench),
+    "lint": ("run reprolint, the repo's domain-aware static analysis",
+             _lint_arguments, _cmd_lint),
 }
 
 
 def _dispatch(args):
-    if args.command == "algorithms":
-        return _cmd_algorithms()
-    if args.command == "profiles":
-        return _cmd_profiles()
-    handler = _COMMANDS.get(args.command)
-    return handler(args) if handler else 1
+    return _SUBCOMMANDS[args.command][2](args)
 
 
 #: Commands dispatched under a sweep guard (signal + deadline control).
@@ -902,7 +918,10 @@ def _sweep_kwargs(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command line (default ``sys.argv[1:]``); its exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     metrics_dest = getattr(args, "metrics", None)
     if metrics_dest:
         from repro.api import activate_telemetry
@@ -959,5 +978,23 @@ def main(argv=None):
             deactivate_telemetry()
 
 
+def console_main():
+    """Entry of the ``repro-checksums`` script and ``python -m repro.cli``.
+
+    Returns :func:`main`'s exit code.  If the main thread is the last
+    one left, it first freezes every live object (:func:`gc.freeze`),
+    so the interpreter's collections at exit skip what NumPy and the
+    run leave alive.  That is safe because every file the CLI writes is
+    closed before :func:`main` returns; a thread still running, such as
+    a pool's manager, may need finalizers at exit, so then nothing is
+    frozen.  :func:`main` never freezes: tests and benchmarks call it
+    in-process.
+    """
+    code = main()
+    if threading.active_count() == 1:
+        gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

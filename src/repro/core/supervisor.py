@@ -346,6 +346,13 @@ class SupervisedPool:
                         pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
                     self.health.pool_restarts += 1
+            if pool is not None:
+                # Drained: join the idle workers and the manager thread,
+                # so no pool thread outlives the sweep.
+                pool.shutdown(wait=True)
+                pool = None
         finally:
             if pool is not None:
+                # An exception, or a caller that stopped consuming: a
+                # stuck worker must not hang the run.
                 pool.shutdown(wait=False, cancel_futures=True)

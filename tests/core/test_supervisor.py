@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -179,6 +180,29 @@ class TestBitIdenticalResults:
         ).map(jobs)
         assert chaotic == clean
         assert chaotic == [j * 10 for j in jobs]
+
+
+class TestDrainedPool:
+    def test_sweeps_leave_no_pool_thread_behind(self, small_mixed_fs):
+        # A drained pool is joined: neither its manager thread nor its
+        # queue feeder outlives the sweep, so an exiting CLI process is
+        # down to its main thread.  (A thread an earlier test's
+        # condemned pool left may end meanwhile, so only new threads
+        # count.)
+        from repro.channel.plan import named_channel_plan
+        from repro.channel.sweep import run_channel_sweep
+        from repro.core.experiment import run_splice_experiment
+
+        before = set(threading.enumerate())
+        result = run_splice_experiment(small_mixed_fs, workers=2)
+        assert result.counters.files == len(small_mixed_fs)
+        assert set(threading.enumerate()) - before == set()
+        report = run_channel_sweep(
+            small_mixed_fs, named_channel_plan("lossy-link", seed=2),
+            workers=2,
+        )
+        assert report.files == len(small_mixed_fs)
+        assert set(threading.enumerate()) - before == set()
 
 
 # ---------------------------------------------------------------------------

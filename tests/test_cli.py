@@ -1,8 +1,23 @@
 """Tests for the repro-checksums command-line interface."""
 
+import argparse
+import ast
+import contextlib
+import gc
+import importlib
+import io
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -360,3 +375,154 @@ class TestLintCommand:
         assert main(["lint", root, "--no-baseline",
                      "--contract", str(contract)]) == 2
         assert "broken.toml" in capsys.readouterr().err
+
+
+def _parse(parser, argv):
+    """``(exit code, stdout, stderr, namespace)`` of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def _parse_both(argv):
+    """One parse by the full parser and one by the parser ``main(argv)``
+    builds, which has only ``argv[0]``'s flags."""
+    return (_parse(build_parser(), argv),
+            _parse(build_parser(argv[0] if argv else None), argv))
+
+
+class TestOneSubcommandParser:
+    """``main`` builds the flags of the one subcommand it runs; what a
+    user sees must not tell the two parsers apart."""
+
+    SUBCOMMAND_PATHS = [
+        ["algorithms"], ["profiles"], ["sum"], ["run"], ["report"],
+        ["splice"], ["cache"], ["cache", "stats"], ["cache", "audit"],
+        ["cache", "clear"], ["chaos"], ["channel"], ["channel", "plans"],
+        ["channel", "run"], ["channel", "replay"], ["bench"], ["lint"],
+    ]
+
+    #: The argv vectors the CLI tests hand to ``parse_args``, and a few
+    #: usage errors.
+    PARSED = [
+        [], ["sum", "f1", "f2", "-a", "crc32-aal5"], ["run", "table99"],
+        ["run", "table1", "--workers", "4"], ["report", "--workers", "2"],
+        ["run", "table1", "--cache"], ["run", "table1", "--no-cache"],
+        ["run", "table1"], ["chaos"], ["chaos", "--plan", "gremlins"],
+        ["splice", "--mss", "65495"],
+        ["run", "table4", "--shard-timeout", "2", "--deadline", "60",
+         "--resume", "--no-journal"],
+        ["splice", "--shard-timeout", "0.5"], ["chaos", "--shard-timeout", "1"],
+        ["run", "table5", "--metrics", "json"], ["report", "--metrics", "md"],
+        ["splice", "--metrics", "out.json"], ["chaos", "--metrics", "out.md"],
+        ["run", "table5"], ["channel", "run", "--plan", "lossy-link",
+                            "--arq", "selective-repeat", "--trace", "t"],
+        ["channel", "replay", "t", "--workers", "2"],
+        ["cache", "audit", "--evict", "--cache-dir", "d"],
+        ["lint", "src", "--format", "sarif", "--rules", "REP101"],
+        ["transfer"], ["--bogus"], ["splice", "--mss", "65496"],
+        ["cache"], ["channel", "bogus"],
+    ]
+
+    @pytest.mark.parametrize("path", SUBCOMMAND_PATHS, ids=" ".join)
+    def test_help_text_is_identical(self, path):
+        full, one = _parse_both(path + ["--help"])
+        assert full == one
+        assert full[0] == 0 and full[1].startswith("usage: repro-checksums")
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_namespace_or_error_is_identical(self, argv):
+        full, one = _parse_both(argv)
+        assert full == one
+
+    def test_unrecognized_argument_prints_the_top_level_usage(self):
+        full, one = _parse_both(["run", "table1", "bogus"])
+        assert full == one
+        code, _, err, _ = one
+        assert code == 2
+        assert err.startswith("usage: repro-checksums [-h]\n")
+        assert err.endswith("unrecognized arguments: bogus\n")
+
+    def test_run_table1_builds_at_most_17_parsers(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(repro.cli, "_dispatch", lambda args: 0)
+        assert main(["run", "table1", "--no-journal"]) == 0
+        assert 0 < len(built) <= 17
+
+
+class TestExitPath:
+    def test_main_never_freezes(self, capsys):
+        assert main(["profiles"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("threads, freezes", [(1, 1), (2, 0)])
+    def test_console_main_freezes_only_as_the_last_thread(
+            self, monkeypatch, threads, freezes):
+        calls = []
+        monkeypatch.setattr(repro.cli, "main", lambda: 5)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(
+            repro.cli.threading, "active_count", lambda: threads)
+        assert repro.cli.console_main() == 5
+        assert len(calls) == freezes
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
+                             ids=["serial", "workers"])
+    def test_python_m_prints_what_main_prints(self, workers, capsys):
+        argv = ["run", "table1", "--bytes", "20000", "--seed", "3", *workers]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            cwd=str(ROOT), env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
+
+    def test_every_file_the_cli_writes_is_closed(self, tmp_path, capsys):
+        # The exit freeze leaves cycles uncollected, so a file the CLI
+        # had not closed would never be flushed.
+        trace = tmp_path / "run.trace"
+        commands = [
+            ["report", "--only", "table1", "figure2", "--bytes", "20000",
+             "-o", str(tmp_path / "report.md")],
+            ["run", "figure2", "--bytes", "20000",
+             "--svg", str(tmp_path / "figure2.svg")],
+            ["run", "table1", "--bytes", "20000",
+             "--metrics", str(tmp_path / "metrics.json")],
+            ["channel", "run", "--bytes", "20000", "--trace", str(trace)],
+            ["channel", "replay", str(trace)],
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            codes = [main(argv) for argv in commands]
+            gc.collect()
+        assert codes[:3] == [0, 0, 0] and codes[4] == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
+    def test_console_script_is_what_python_m_runs(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads(
+            (ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        module, _, name = project["scripts"]["repro-checksums"].partition(":")
+        target = getattr(importlib.import_module(module), name)
+        assert target is repro.cli.console_main
+        tree = ast.parse(Path(repro.cli.__file__).read_text(encoding="utf-8"))
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(node) for node in block.body] == [
+            "sys.exit(%s())" % name]
