@@ -94,12 +94,12 @@ cache-stats:
 cache-audit:
 	$(PYTHON) -m repro.cli cache audit
 
-# Static analysis: the domain-aware reprolint rules always run (with
-# the incremental cache, so edit-lint loops stay fast); ruff and mypy
-# run only when installed (CI installs them; the hermetic dev
-# container may not have them, and lint must not demand a network).
+# Static analysis: the domain-aware reprolint rules always run (one
+# cold pass, no cache); ruff and mypy run only when installed (CI
+# installs them; the hermetic dev container may not have them, and
+# lint must not demand a network).
 lint:
-	$(PYTHON) -m repro.cli lint --cache .lint-cache.json src
+	$(PYTHON) -m repro.cli lint src
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src tests benchmarks; \
 	else \
@@ -116,5 +116,5 @@ figures:
 	$(PYTHON) -m repro.cli run figure3 --bytes 600000 --svg figure3.svg
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .lint-cache.json
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -29,7 +29,9 @@ Subcommands:
   ``BENCH_<n>.json`` snapshot plus a delta table vs the previous one.
 * ``lint`` -- run reprolint, the domain-aware static analysis that
   enforces the repo's determinism/concurrency/layering/crash-
-  consistency invariants (``--format json|md``, ``--fix-baseline``).
+  consistency invariants in one pass (``--format json|md``); an inline
+  ``# reprolint: disable=RULE`` pragma is the only suppression, and any
+  other finding exits 1.
 
 ``run``/``report``/``splice``/``chaos`` accept ``--metrics DEST``:
 telemetry (span timings, counters, throughput meters, latency
@@ -361,23 +363,13 @@ def _lint_arguments(parser):
                         help="source roots to scan (default: ./src if it "
                              "exists, else .)")
     parser.add_argument("--format", dest="fmt", default="text",
-                        choices=["text", "json", "md", "sarif"],
+                        choices=["text", "json", "md"],
                         help="report format (default: text)")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="baseline file (default: "
-                             ".reprolint-baseline.json if present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the committed baseline")
-    parser.add_argument("--fix-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
     parser.add_argument("--rules", metavar="IDS", default=None,
                         help="comma-separated rule ids to run "
                              "(default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--cache", metavar="PATH", default=None,
-                        help="incremental result cache: unchanged "
-                             "files replay their stored findings")
     parser.add_argument("--contract", metavar="PATH", default=None,
                         help="layer contract for REP311 (default: "
                              ".reprolint.toml if present)")
@@ -796,20 +788,12 @@ def _cmd_lint(args):
 
     from repro.lint import (
         all_rules,
-        load_baseline_entries,
         render_json,
         render_markdown,
-        render_sarif,
         render_text,
         run_lint,
-        write_baseline,
     )
-    from repro.lint.cache import LintCache
-    from repro.lint.config import (
-        DEFAULT_BASELINE_NAME,
-        DEFAULT_CONTRACT_NAME,
-        load_contract,
-    )
+    from repro.lint.config import DEFAULT_CONTRACT_NAME, load_contract
 
     if args.list_rules:
         for rule in all_rules():
@@ -821,15 +805,6 @@ def _cmd_lint(args):
     if not paths:
         paths = ["src"] if Path("src").is_dir() else ["."]
 
-    baseline_path = Path(args.baseline or DEFAULT_BASELINE_NAME)
-    baseline = {}
-    if not args.no_baseline and not args.fix_baseline:
-        try:
-            baseline = load_baseline_entries(baseline_path)
-        except ValueError as exc:
-            print("repro-checksums: %s" % exc, file=sys.stderr)
-            return 2
-
     contract = None
     if not args.no_contract:
         contract_path = Path(args.contract or DEFAULT_CONTRACT_NAME)
@@ -840,28 +815,18 @@ def _cmd_lint(args):
                 print("repro-checksums: %s" % exc, file=sys.stderr)
                 return 2
 
-    cache = LintCache(args.cache) if args.cache else None
-
     rules = None
     if args.rules:
         rules = [token.strip() for token in args.rules.split(",") if token.strip()]
 
     try:
-        result = run_lint(paths, rules=rules, baseline=baseline,
-                          cache=cache, contract=contract,
-                          baseline_path=baseline_path)
+        result = run_lint(paths, rules=rules, contract=contract)
     except KeyError as exc:
         print("repro-checksums: %s" % exc.args[0], file=sys.stderr)
         return 2
 
-    if args.fix_baseline:
-        count = write_baseline(result.findings, baseline_path)
-        print("baseline rewritten: %d finding(s) recorded in %s" % (
-            count, baseline_path))
-        return 0
-
     renderer = {"text": render_text, "json": render_json,
-                "md": render_markdown, "sarif": render_sarif}[args.fmt]
+                "md": render_markdown}[args.fmt]
     print(renderer(result))
     return result.exit_code
 

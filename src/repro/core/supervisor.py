@@ -9,9 +9,10 @@ the same pure per-shard jobs under a **degradation ladder** instead:
 
 1. **retry** — a failed job is resubmitted with exponential backoff
    plus deterministic jitter, up to ``max_retries`` attempts;
-2. **pool respawn** — a broken pool (worker crash / lost process) or a
-   per-shard timeout condemns the executor; it is shut down, a fresh
-   one is spawned, and every unresolved job is requeued;
+2. **pool respawn** — a broken pool (worker crash / lost process,
+   whether a result or a submission reports it) or a per-shard timeout
+   condemns the executor; it is shut down, a fresh one is spawned, and
+   every unresolved job is requeued;
 3. **in-process fallback** — a job that exhausts its retries (or
    outlives ``max_pool_restarts``) runs in the parent process, with
    fault injection disabled, so the sweep always completes;
@@ -304,12 +305,22 @@ class SupervisedPool:
                     with _telemetry().span("supervisor.pool_spawn"):
                         pool = ProcessPoolExecutor(max_workers=self.workers)
                 generation, queue = queue, []
-                futures = [
-                    (pool.submit(
-                        self.function, self.prepare(index, attempt, jobs[index])
-                    ), index, attempt)
-                    for index, attempt in generation
-                ]
+                futures, unsubmitted = [], []
+                for position, (index, attempt) in enumerate(generation):
+                    try:
+                        future = pool.submit(
+                            self.function,
+                            self.prepare(index, attempt, jobs[index]),
+                        )
+                    except BrokenProcessPool:
+                        # A worker died while this generation was still
+                        # being submitted: what was not submitted goes
+                        # back at its current attempt, what was is
+                        # judged below, and the pool is condemned.
+                        self.health.broken_pools += 1
+                        unsubmitted = generation[position:]
+                        break
+                    futures.append((future, index, attempt))
                 condemned = False
                 for future, index, attempt in futures:
                     if condemned:
@@ -341,7 +352,8 @@ class SupervisedPool:
                     else:
                         results_seen.add(index)
                         yield index, result
-                if condemned:
+                queue.extend(unsubmitted)
+                if condemned or unsubmitted:
                     with _telemetry().span("supervisor.pool_teardown"):
                         pool.shutdown(wait=False, cancel_futures=True)
                     pool = None

@@ -19,10 +19,11 @@ Layout:
 * :mod:`repro.lint.engine`    -- project scanner, rule registry, runner.
 * :mod:`repro.lint.callgraph` -- import graph + intra-project call graph.
 * :mod:`repro.lint.dataflow`  -- forward taint summaries over the graph.
-* :mod:`repro.lint.cache`     -- incremental per-file result cache.
-* :mod:`repro.lint.baseline`  -- committed-baseline load/store/match.
-* :mod:`repro.lint.reporters` -- text / JSON / markdown / SARIF renderers.
+* :mod:`repro.lint.reporters` -- text / JSON / markdown renderers.
 * ``repro.lint.rules_*``      -- the rule catalogue (REP1xx-REP6xx).
+
+One cold pass lints the whole tree; an inline pragma is the only way
+to suppress a finding, and any other finding fails the run.
 
 Entry points: ``repro-checksums lint`` (the CLI), ``make lint``, and
 :func:`run_lint` for programmatic use (the test suite's self-check).
@@ -37,26 +38,20 @@ from __future__ import annotations
 import importlib
 
 _EXPORTS = {
-    "BASELINE_SCHEMA": "repro.lint.baseline",
     "CallGraph": "repro.lint.callgraph",
     "DataflowAnalysis": "repro.lint.dataflow",
     "Finding": "repro.lint.findings",
     "LayerContract": "repro.lint.config",
-    "LintCache": "repro.lint.cache",
     "LintConfig": "repro.lint.config",
     "LintResult": "repro.lint.engine",
     "REPORT_SCHEMA": "repro.lint.reporters",
     "all_rules": "repro.lint.engine",
     "findings_from_json": "repro.lint.reporters",
-    "load_baseline": "repro.lint.baseline",
-    "load_baseline_entries": "repro.lint.baseline",
     "load_contract": "repro.lint.config",
     "render_json": "repro.lint.reporters",
     "render_markdown": "repro.lint.reporters",
-    "render_sarif": "repro.lint.reporters",
     "render_text": "repro.lint.reporters",
     "run_lint": "repro.lint.engine",
-    "write_baseline": "repro.lint.baseline",
 }
 
 __all__ = sorted(_EXPORTS)

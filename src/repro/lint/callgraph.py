@@ -130,7 +130,7 @@ class CallGraph:
 
     def _scan_module(self, module, tree):
         table = _ModuleTable()
-        for node, target, alias, is_from in _iter_imports(module, tree):
+        for node, target, alias, is_from in _iter_imports(module):
             if not is_from:
                 # ``import a.b`` binds root ``a``; ``import a.b as c``
                 # binds ``c`` to the full path.
@@ -164,7 +164,7 @@ class CallGraph:
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 if isinstance(node.target, ast.Name):
                     table.assigns[node.target.id] = node.value
-        for outer in ast.walk(tree):
+        for outer in module.nodes:
             if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for inner in ast.walk(outer):
@@ -186,7 +186,7 @@ class CallGraph:
                 if target is not None and target != record.qid:
                     callees.append(target)
             # Sorted and de-duplicated: edge order must not depend on
-            # source position, so cache fingerprints stay stable.
+            # source position.
             self._edges[record.qid] = tuple(sorted(set(callees)))
 
     # -- queries ------------------------------------------------------------
@@ -381,7 +381,7 @@ class CallGraph:
         return None
 
 
-def _iter_imports(module, tree):
+def _iter_imports(module):
     """Like engine.iter_imports but with relative imports resolved."""
     # One leading dot resolves against the containing package (the
     # module itself, for an ``__init__``); each extra dot drops one
@@ -389,7 +389,7 @@ def _iter_imports(module, tree):
     is_package = module.path.name == "__init__.py"
     package = module.name.split(".") if is_package \
         else module.name.split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node, alias.name, None, False

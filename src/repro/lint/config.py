@@ -12,15 +12,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 __all__ = [
-    "DEFAULT_BASELINE_NAME",
     "DEFAULT_CONTRACT_NAME",
     "LayerContract",
     "LintConfig",
     "load_contract",
 ]
-
-#: Conventional baseline filename, committed at the repo root.
-DEFAULT_BASELINE_NAME = ".reprolint-baseline.json"
 
 #: Conventional layer-contract filename, committed at the repo root.
 DEFAULT_CONTRACT_NAME = ".reprolint.toml"
@@ -152,7 +148,7 @@ class LintConfig:
     #: payload-returning ``get*`` methods must verify the integrity
     #: trailer (or delegate to a method that does).
     verified_read_class_suffixes: tuple = field(default_factory=lambda: _tuple(
-        "Backend", "Store", "Cache", "Client",
+        "Store", "Cache",
     ))
     #: Method-name markers exempting a ``get*`` method: it returns raw
     #: trailer-carrying frames by design (verification happens at the

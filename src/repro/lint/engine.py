@@ -8,10 +8,9 @@ a ``check(module, ctx)`` generator; cross-module rules (the protocol
 conformance check) reach sibling modules through
 :meth:`Project.get`.
 
-Findings then pass through two suppression layers: inline
-``# reprolint: disable=`` pragmas (dropped entirely) and the committed
-baseline (kept, but flagged ``baselined`` and exempt from failing the
-run).
+An inline ``# reprolint: disable=`` pragma is the one way to suppress
+a finding: a suppressed finding is counted and dropped, and any other
+finding fails the run.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.lint.baseline import apply_baseline
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.pragmas import PragmaIndex
@@ -45,6 +43,7 @@ class ModuleInfo:
         self.root = Path(root)
         self._source = None
         self._tree = None
+        self._nodes = None
         self._pragmas = None
 
     @property
@@ -76,6 +75,17 @@ class ModuleInfo:
         if self._tree is None:
             self._tree = ast.parse(self.source, filename=str(self.path))
         return self._tree
+
+    @property
+    def nodes(self):
+        """Every node of :attr:`tree` in ``ast.walk`` order, listed once.
+
+        The rules and the call graph that scan a whole module iterate
+        this list instead of each walking the tree again.
+        """
+        if self._nodes is None:
+            self._nodes = list(ast.walk(self.tree))
+        return self._nodes
 
     @property
     def pragmas(self):
@@ -175,9 +185,9 @@ class Rule:
     category = "general"
     #: One sentence: the invariant this rule guards (docs render this).
     invariant = ""
-    #: ``"module"`` rules see one file at a time and cache per file;
-    #: ``"project"`` rules run once over the whole scan (call graphs,
-    #: cross-module resolution, contracts) and cache per project hash.
+    #: ``"module"`` rules see one file at a time; ``"project"`` rules
+    #: run once over the whole scan (call graphs, cross-module
+    #: resolution, contracts).
     scope = "module"
 
     def check(self, module, ctx):  # pragma: no cover - interface
@@ -247,52 +257,32 @@ def all_rules():
 class LintResult:
     """Everything one lint run produced."""
 
-    def __init__(self, findings, files_scanned, suppressed, rules,
-                 cache_hits=0, cache_misses=0):
-        #: All findings (baselined ones included), sorted by location.
+    def __init__(self, findings, files_scanned, suppressed, rules):
+        #: Every finding no pragma suppressed, sorted by location.
         self.findings = sorted(findings, key=lambda f: f.sort_key())
         self.files_scanned = files_scanned
         #: Count of findings silenced by inline pragmas.
         self.suppressed = suppressed
         self.rules = rules
-        #: Modules replayed from / recomputed into the incremental
-        #: cache (both zero when no cache was supplied).
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
-
-    @property
-    def active(self):
-        """Findings not excused by the baseline."""
-        return [f for f in self.findings if not f.baselined]
-
-    @property
-    def baselined(self):
-        return [f for f in self.findings if f.baselined]
 
     @property
     def exit_code(self):
-        return 1 if self.active else 0
+        return 1 if self.findings else 0
 
     def counts_by_rule(self):
         counts = {}
-        for finding in self.active:
+        for finding in self.findings:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return dict(sorted(counts.items()))
 
 
-def run_lint(paths, config=None, rules=None, baseline=None,
-             cache=None, contract=None, baseline_path=None):
+def run_lint(paths, config=None, rules=None, contract=None):
     """Lint ``paths`` and return a :class:`LintResult`.
 
     ``paths`` are source roots (directories) or single files;
-    ``rules`` restricts to an iterable of rule ids; ``baseline`` is a
-    fingerprint set from :func:`repro.lint.baseline.load_baseline` or
-    the richer ``fingerprint -> entry`` mapping from
-    :func:`~repro.lint.baseline.load_baseline_entries`; ``cache`` is a
-    :class:`repro.lint.cache.LintCache` for incremental runs;
-    ``contract`` is a :class:`repro.lint.config.LayerContract` (REP311
-    is inert without one); ``baseline_path`` labels stale-baseline
-    findings (REP601).
+    ``rules`` restricts to an iterable of rule ids; ``contract`` is a
+    :class:`repro.lint.config.LayerContract` (REP311 is inert without
+    one).
     """
     config = config or LintConfig()
     project = Project(paths)
@@ -309,171 +299,54 @@ def run_lint(paths, config=None, rules=None, baseline=None,
             )
         selected = [rule for rule in selected if rule.id in wanted]
     ctx.selected_ids = frozenset(rule.id for rule in selected)
-    module_rules = [rule for rule in selected if rule.scope == "module"]
-    project_rules = [rule for rule in selected if rule.scope == "project"]
-
-    if cache is not None:
-        cache.begin(config, ctx.selected_ids, contract)
 
     findings = []
     suppressed = 0
-    hits = misses = 0
-    content_hashes = {}
-    for module in project.modules():
-        content_hash = None
-        if cache is not None:
-            content_hash = cache.content_hash(module)
-            content_hashes[module.name] = content_hash
-            cached = cache.get_module(module.name, content_hash)
-            if cached is not None:
-                hits += 1
-                module_findings, module_suppressed, usage = cached
-                findings.extend(module_findings)
-                suppressed += module_suppressed
-                if usage:
-                    ctx.suppression_usage.setdefault(
-                        module.relpath, set()).update(usage)
-                continue
-            misses += 1
-        module_findings, module_suppressed, usage = _check_module(
-            module, module_rules, ctx)
-        findings.extend(module_findings)
-        suppressed += module_suppressed
-        if usage:
-            ctx.suppression_usage.setdefault(
-                module.relpath, set()).update(usage)
-        if cache is not None:
-            cache.put_module(module.name, content_hash,
-                             module_findings, module_suppressed, usage)
-
-    cached_project = None
-    if cache is not None and project_rules:
-        project_hash = cache.project_hash(content_hashes)
-        cached_project = cache.get_project(project_hash)
-    if project_rules:
-        if cached_project is not None:
-            project_findings, project_suppressed, usage_map = cached_project
-            findings.extend(project_findings)
-            suppressed += project_suppressed
-            for relpath, usage in usage_map.items():
-                ctx.suppression_usage.setdefault(
-                    relpath, set()).update(usage)
+    for module, finding in _raw_findings(selected, ctx):
+        if module is not None and module.pragmas.suppressed(
+                finding.rule, finding.line):
+            suppressed += 1
+            ctx.suppression_usage.setdefault(module.relpath, set()).add(
+                (finding.rule, finding.line))
         else:
-            project_findings, project_suppressed, usage_map = \
-                _check_project(project_rules, ctx)
-            findings.extend(project_findings)
-            suppressed += project_suppressed
-            if cache is not None:
-                cache.put_project(project_hash, project_findings,
-                                  project_suppressed, usage_map)
-
-    if cache is not None:
-        cache.save()
-
-    if baseline:
-        fingerprints = set(baseline)
-        matched = apply_baseline(findings, fingerprints)
-        stale = fingerprints - matched
-        if stale and "REP601" in ctx.selected_ids:
-            findings.extend(_stale_baseline_findings(
-                stale, baseline, baseline_path))
-    return LintResult(findings, len(project), suppressed, selected,
-                      cache_hits=hits, cache_misses=misses)
+            findings.append(finding)
+    return LintResult(findings, len(project), suppressed, selected)
 
 
-def _check_module(module, rules, ctx):
-    """Run module-scope ``rules`` on one file.
+def _raw_findings(rules, ctx):
+    """``(module, finding)`` for every finding before pragmas apply.
 
-    Returns ``(findings, suppressed_count, usage)`` where ``usage`` is
-    the set of ``(rule_id, line)`` suppressions that fired -- exactly
-    the shape the incremental cache persists per content hash.
+    Module-scope rules run file by file, then project-scope rules run
+    once each.  The caller records each suppression as it consumes the
+    stream, so REP601 -- last in registry order -- sees every
+    suppression that fired.  A file that does not parse yields one
+    REP000 finding with ``module`` None: no pragma suppresses it.
     """
-    try:
-        module.tree
-    except SyntaxError as exc:
-        broken = Finding(
-            rule="REP000",
-            severity="error",
-            path=module.relpath,
-            line=exc.lineno or 0,
-            col=(exc.offset or 1) - 1,
-            message="syntax error: %s" % exc.msg,
-            snippet=module.line_at(exc.lineno or 0),
-        )
-        return [broken], 0, set()
-    findings = []
-    suppressed = 0
-    usage = set()
-    for rule in rules:
-        for finding in rule.check(module, ctx):
-            if module.pragmas.suppressed(finding.rule, finding.line):
-                suppressed += 1
-                usage.add((finding.rule, finding.line))
-            else:
-                findings.append(finding)
-    return findings, suppressed, usage
-
-
-def _check_project(rules, ctx):
-    """Run project-scope ``rules`` once over the whole scan.
-
-    Suppression usage merges into ``ctx.suppression_usage`` *as rules
-    run* so REP601 -- last in registry order -- sees every suppression
-    that fired, including those from other project rules.
-    """
+    module_rules = [rule for rule in rules if rule.scope == "module"]
+    for module in ctx.project.modules():
+        try:
+            module.tree
+        except SyntaxError as exc:
+            yield None, Finding(
+                rule="REP000",
+                severity="error",
+                path=module.relpath,
+                line=exc.lineno or 0,
+                col=(exc.offset or 1) - 1,
+                message="syntax error: %s" % exc.msg,
+                snippet=module.line_at(exc.lineno or 0),
+            )
+            continue
+        for rule in module_rules:
+            for finding in rule.check(module, ctx):
+                yield module, finding
     by_relpath = {
         module.relpath: module for module in ctx.project.modules()
     }
-    findings = []
-    suppressed = 0
-    usage_map = {}
     for rule in rules:
-        for finding in rule.check_project(ctx):
-            module = by_relpath.get(finding.path)
-            if module is not None and module.pragmas.suppressed(
-                    finding.rule, finding.line):
-                suppressed += 1
-                usage_map.setdefault(finding.path, set()).add(
-                    (finding.rule, finding.line))
-                ctx.suppression_usage.setdefault(
-                    finding.path, set()).add(
-                        (finding.rule, finding.line))
-            else:
-                findings.append(finding)
-    return findings, suppressed, usage_map
-
-
-def _stale_baseline_findings(stale, baseline, baseline_path):
-    """REP601 findings for baseline entries no finding matched.
-
-    Emitted by the runner (not the rule) because staleness is only
-    known after :func:`apply_baseline`; gated on REP601 being in the
-    selection so ``--rules`` runs stay scoped.
-    """
-    entries = baseline if isinstance(baseline, dict) else {}
-    label = Path(baseline_path).name if baseline_path \
-        else "reprolint-baseline"
-    findings = []
-    for fingerprint in sorted(stale):
-        entry = entries.get(fingerprint) or {}
-        detail = ""
-        if entry:
-            detail = " (%s at %s: %s)" % (
-                entry.get("rule", "?"), entry.get("path", "?"),
-                entry.get("message", "?"),
-            )
-        findings.append(Finding(
-            rule="REP601",
-            severity="warning",
-            path=label,
-            line=0,
-            col=0,
-            message="stale baseline entry %s%s: no current finding "
-                    "matches it; re-run --fix-baseline"
-                    % (fingerprint, detail),
-            snippet=fingerprint,
-        ))
-    return findings
+        if rule.scope == "project":
+            for finding in rule.check_project(ctx):
+                yield by_relpath.get(finding.path), finding
 
 
 # ----------------------------------------------------------------------
@@ -491,8 +364,9 @@ def dotted_name(node):
     return None
 
 
-def iter_imports(tree, module_scope_only=False):
-    """Yield ``(node, target, alias_name, is_from)`` for every import.
+def iter_imports(module, module_scope_only=False):
+    """Yield ``(node, target, alias_name, is_from)`` for every import
+    in ``module`` (a :class:`ModuleInfo`).
 
     ``target`` is the imported module (``a.b`` for both
     ``import a.b`` and ``from a.b import c``); ``alias_name`` is the
@@ -501,9 +375,9 @@ def iter_imports(tree, module_scope_only=False):
     imports are skipped.
     """
     if module_scope_only:
-        nodes = _module_scope_statements(tree)
+        nodes = _module_scope_statements(module.tree)
     else:
-        nodes = ast.walk(tree)
+        nodes = module.nodes
     for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -546,10 +420,11 @@ def module_level_functions(tree):
     }
 
 
-def nested_function_names(tree):
-    """Names of functions defined *inside other functions* (closures)."""
+def nested_function_names(nodes):
+    """Names of functions defined *inside other functions* (closures),
+    given every node of a module (:attr:`ModuleInfo.nodes`)."""
     nested = set()
-    for outer in ast.walk(tree):
+    for outer in nodes:
         if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for inner in ast.walk(outer):

@@ -1,15 +1,13 @@
 """The :class:`Finding` record every rule emits.
 
 A finding is one violation of one rule at one source location.  The
-``snippet`` (the stripped source line) rides along so that baseline
-fingerprints survive pure line-number drift: inserting a docstring
-above a violation must not un-baseline it.
+``snippet`` (the stripped source line) rides along so a JSON report
+shows the offending code without the file at hand.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 __all__ = ["SEVERITIES", "Finding"]
 
@@ -33,10 +31,8 @@ class Finding:
     col: int
     #: Human-readable description of the violation.
     message: str
-    #: The stripped source line (fingerprint material).
+    #: The stripped source line.
     snippet: str = ""
-    #: True once matched against the committed baseline.
-    baselined: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.severity not in SEVERITIES:
@@ -47,18 +43,6 @@ class Finding:
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    def fingerprint(self, occurrence=0):
-        """Stable identity for baseline matching.
-
-        Deliberately excludes the line number: the fingerprint is the
-        rule, the file, the source text of the offending line, and an
-        occurrence index to disambiguate identical lines in one file.
-        """
-        material = "\x1f".join(
-            [self.rule, self.path, self.snippet, str(occurrence)]
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def location(self):
         return "%s:%d:%d" % (self.path, self.line, self.col + 1)

@@ -73,6 +73,11 @@ class PragmaIndex:
     @classmethod
     def from_source(cls, source):
         index = cls()
+        if _PRAGMA_RE.search(source) is None:
+            # A comment that matches is a substring of a line that
+            # matches, so no line matching means no pragma: skip the
+            # tokenizer (most files never mention reprolint at all).
+            return index
         for lineno, text, comment in _comments(source):
             match = _PRAGMA_RE.search(comment)
             if match is None:

@@ -2,12 +2,9 @@
 
 * ``text`` -- one ``path:line:col RULE severity message`` per finding
   (the default, editor-clickable);
-* ``json`` -- a stable ``repro-lint/1`` document that round-trips
+* ``json`` -- a stable ``repro-lint/2`` document that round-trips
   through :func:`findings_from_json` (CI consumers, the test suite);
-* ``md`` -- a markdown table plus the rule catalogue (docs, PR bots);
-* ``sarif`` -- a minimal SARIF 2.1.0 run for code-scanning upload
-  (baselined findings carry a suppression record instead of being
-  dropped, so scanners see the debt without failing on it).
+* ``md`` -- a markdown table plus the rule catalogue (docs, PR bots).
 """
 
 from __future__ import annotations
@@ -18,53 +15,35 @@ from repro.lint.findings import Finding
 
 __all__ = [
     "REPORT_SCHEMA",
-    "SARIF_VERSION",
     "findings_from_json",
     "render_json",
     "render_markdown",
-    "render_sarif",
     "render_text",
 ]
 
-REPORT_SCHEMA = "repro-lint/1"
-
-SARIF_VERSION = "2.1.0"
-
-_SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
+REPORT_SCHEMA = "repro-lint/2"
 
 
 def _summary(result):
     return {
         "files_scanned": result.files_scanned,
         "findings": len(result.findings),
-        "active": len(result.active),
-        "baselined": len(result.baselined),
         "suppressed": result.suppressed,
         "by_rule": result.counts_by_rule(),
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
     }
 
 
 def render_text(result):
     lines = []
     for finding in result.findings:
-        suffix = "  [baselined]" if finding.baselined else ""
-        lines.append("%s %s %s %s%s" % (
+        lines.append("%s %s %s %s" % (
             finding.location(), finding.rule, finding.severity,
-            finding.message, suffix,
+            finding.message,
         ))
-    summary = _summary(result)
     lines.append(
-        "%(files_scanned)d files scanned: %(active)d finding(s), "
-        "%(baselined)d baselined, %(suppressed)d pragma-suppressed"
-        % summary
+        "%(files_scanned)d files scanned: %(findings)d finding(s), "
+        "%(suppressed)d pragma-suppressed" % _summary(result)
     )
-    if result.cache_hits or result.cache_misses:
-        lines.append(
-            "incremental cache: %(cache_hits)d hit(s), "
-            "%(cache_misses)d miss(es)" % summary
-        )
     return "\n".join(lines)
 
 
@@ -89,69 +68,12 @@ def findings_from_json(text):
     return [Finding.from_dict(entry) for entry in payload["findings"]]
 
 
-def render_sarif(result, indent=2):
-    """A minimal SARIF 2.1.0 document for code-scanning ingestion."""
-    rules = []
-    rule_index = {}
-    for rule in result.rules:
-        rule_index[rule.id] = len(rules)
-        rules.append({
-            "id": rule.id,
-            "name": rule.title,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.invariant or rule.title},
-            "defaultConfiguration": {
-                "level": "error" if rule.severity == "error"
-                else "warning",
-            },
-        })
-    results = []
-    for finding in result.findings:
-        entry = {
-            "ruleId": finding.rule,
-            "level": "error" if finding.severity == "error"
-            else "warning",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        # SARIF regions are 1-based; runner-level
-                        # findings (stale baseline) carry line 0.
-                        "startLine": max(1, finding.line),
-                        "startColumn": finding.col + 1,
-                    },
-                },
-            }],
-        }
-        if finding.rule in rule_index:
-            entry["ruleIndex"] = rule_index[finding.rule]
-        if finding.baselined:
-            entry["suppressions"] = [{"kind": "external"}]
-        results.append(entry)
-    payload = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "reprolint",
-                    "rules": rules,
-                },
-            },
-            "results": results,
-        }],
-    }
-    return json.dumps(payload, indent=indent, sort_keys=True)
-
-
 def render_markdown(result):
     lines = ["# reprolint report", ""]
     summary = _summary(result)
     lines.append(
-        "%(files_scanned)d files scanned -- **%(active)d active**, "
-        "%(baselined)d baselined, %(suppressed)d pragma-suppressed."
-        % summary
+        "%(files_scanned)d files scanned -- **%(findings)d finding(s)**, "
+        "%(suppressed)d pragma-suppressed." % summary
     )
     lines.append("")
     if result.findings:
@@ -161,8 +83,6 @@ def render_markdown(result):
         ]
         for finding in result.findings:
             message = finding.message.replace("|", "\\|")
-            if finding.baselined:
-                message += " *(baselined)*"
             lines.append("| `%s` | %s | %s | %s |" % (
                 finding.location(), finding.rule, finding.severity, message,
             ))

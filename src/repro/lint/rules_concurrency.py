@@ -27,9 +27,11 @@ _SUBMIT_METHODS = {"submit"}
 _TELEMETRY_MUTATORS = {"count", "meter", "gauge", "observe"}
 
 
-def _submitted_callables(tree, config):
-    """Yield ``(call_node, callable_expr)`` for every pool submission."""
-    for node in ast.walk(tree):
+def _submitted_callables(nodes, config):
+    """Yield ``(call_node, callable_expr)`` for every pool submission
+    among ``nodes`` (a module's :attr:`~repro.lint.engine.ModuleInfo.nodes`
+    or one function's ``ast.walk``)."""
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -54,10 +56,10 @@ def _first_callable_arg(call, keyword):
     return None
 
 
-def _local_assignments(tree):
+def _local_assignments(nodes):
     """name -> list of RHS expressions for simple local assignments."""
     assignments = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -65,7 +67,7 @@ def _local_assignments(tree):
     return assignments
 
 
-def _enclosing_methods(tree):
+def _enclosing_methods(nodes):
     """node id -> method names of the nearest enclosing class.
 
     Used to tell a genuine bound method (``self.run`` where ``run`` is
@@ -74,7 +76,7 @@ def _enclosing_methods(tree):
     pickles by value and is a supported submission pattern.
     """
     owner = {}
-    for cls in ast.walk(tree):
+    for cls in nodes:
         if not isinstance(cls, ast.ClassDef):
             continue
         methods = frozenset(
@@ -104,12 +106,15 @@ class NonPicklableWorkerRule(Rule):
     )
 
     def check(self, module, ctx):
-        tree = module.tree
-        nested = nested_function_names(tree)
-        top_level = module_level_functions(tree)
-        assignments = _local_assignments(tree)
-        methods = _enclosing_methods(tree)
-        for call, target in _submitted_callables(tree, ctx.config):
+        nodes = module.nodes
+        submissions = list(_submitted_callables(nodes, ctx.config))
+        if not submissions:
+            return  # the helper maps below serve submissions only
+        nested = nested_function_names(nodes)
+        top_level = module_level_functions(module.tree)
+        assignments = _local_assignments(nodes)
+        methods = _enclosing_methods(nodes)
+        for call, target in submissions:
             yield from self._judge(
                 module, call, target, nested, top_level, assignments,
                 methods.get(id(call), frozenset()),
@@ -176,11 +181,13 @@ class WorkerSideAccountingRule(Rule):
     )
 
     def check(self, module, ctx):
-        tree = module.tree
-        top_level = module_level_functions(tree)
-        assignments = _local_assignments(tree)
+        submissions = list(_submitted_callables(module.nodes, ctx.config))
+        if not submissions:
+            return  # no worker to inspect
+        top_level = module_level_functions(module.tree)
+        assignments = _local_assignments(module.nodes)
         workers = set()
-        for _, target in _submitted_callables(tree, ctx.config):
+        for _, target in submissions:
             workers |= self._resolve_names(target, assignments, depth=0)
         for name in sorted(workers):
             func = top_level.get(name)

@@ -75,7 +75,7 @@ class UnseededRandomnessRule(Rule):
     def check(self, module, ctx):
         if not ctx.config.is_deterministic(module.name):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)
@@ -139,7 +139,7 @@ class WallClockResultRule(Rule):
     def check(self, module, ctx):
         if not ctx.config.is_deterministic(module.name):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)
@@ -177,7 +177,7 @@ class UnsortedSerializationRule(Rule):
     def check(self, module, ctx):
         if not ctx.config.is_deterministic(module.name):
             return
-        for func in ast.walk(module.tree):
+        for func in module.nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not ctx.config.is_serializer_name(func.name):

@@ -6,8 +6,7 @@ serializer (REP111), a closure smuggled into a process pool through an
 import and a module-level alias (REP211), and a store resource that
 leaks when the statement after its acquisition raises (REP411).
 REP111/REP211 run project-scope on the shared call graph; REP411 is a
-per-function escape analysis and stays module-scope (and therefore
-per-file cacheable).
+per-function escape analysis and stays module-scope.
 """
 
 from __future__ import annotations
@@ -132,10 +131,10 @@ class TransitivePicklabilityRule(Rule):
         submitters = self._submitting_functions(ctx)
         for module in ctx.project.modules():
             try:
-                tree = module.tree
+                nodes = module.nodes
             except SyntaxError:
                 continue
-            for call, target in _submitted_callables(tree, ctx.config):
+            for call, target in _submitted_callables(nodes, ctx.config):
                 resolved = callgraph.resolve_callable(module, target)
                 if resolved is not None and resolved.crossed \
                         and resolved.kind in ("lambda", "nested"):
@@ -179,7 +178,7 @@ class TransitivePicklabilityRule(Rule):
         submitters = set()
         for record in ctx.callgraph.functions():
             for _call, _target in _submitted_callables(
-                    record.node, ctx.config):
+                    ast.walk(record.node), ctx.config):
                 submitters.add(record.qid)
                 break
         return submitters
@@ -230,10 +229,7 @@ def _unpicklable_reason(expr):
 
 
 #: Leaf callee names that acquire a resource needing explicit close.
-_ACQUIRE_LEAVES = {"open", "open_backend", "open_store", "connect"}
-
-#: Class-name suffixes whose constructor acquires a closeable.
-_ACQUIRE_SUFFIXES = ("Backend", "Client", "Connection", "Pool")
+_ACQUIRE_LEAVES = {"open"}
 
 #: Method names recognised as releasing the resource.
 _CLOSE_METHODS = {"close", "release", "shutdown", "disconnect"}
@@ -249,17 +245,16 @@ class ExceptionPathResourceRule(Rule):
     category = "crash-consistency"
     scope = "module"
     invariant = (
-        "Every backend/connection/handle a store function acquires "
-        "and keeps local is released on *every* path: a with block, "
-        "or a close in a finally -- an exception between acquire and "
-        "close must not leak the handle a retrying caller will "
-        "re-acquire."
+        "Every file handle a store function opens and keeps local is "
+        "released on *every* path: a with block, or a close in a "
+        "finally -- an exception between open and close must not leak "
+        "the handle a retrying caller will re-open."
     )
 
     def check(self, module, ctx):
         if not ctx.config.is_store(module.name):
             return
-        for func in ast.walk(module.tree):
+        for func in module.nodes:
             if not isinstance(func, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue
@@ -317,7 +312,7 @@ class ExceptionPathResourceRule(Rule):
         container, or passed as a call argument: in every case the
         close obligation moved elsewhere and this rule stays quiet.
         Using the resource as a method/attribute *receiver*
-        (``conn.request(...)``) is not an escape -- that is just
+        (``handle.read(...)``) is not an escape -- that is just
         using it.
         """
         for node in ast.walk(func):
@@ -343,9 +338,10 @@ class ExceptionPathResourceRule(Rule):
 def _escaping_use(expr, name):
     """True if ``name`` occurs in ``expr`` outside receiver position.
 
-    ``conn`` in ``conn.request(path)`` or ``conn.sock`` is a use, not
-    a transfer of custody; ``conn`` bare -- in a return, a container,
-    a call argument -- hands the close obligation to someone else.
+    ``handle`` in ``handle.read(size)`` or ``handle.name`` is a use,
+    not a transfer of custody; ``handle`` bare -- in a return, a
+    container, a call argument -- hands the close obligation to someone
+    else.
     """
     receivers = set()
     for node in ast.walk(expr):
@@ -376,8 +372,6 @@ def _acquisition_kind(call):
     leaf = chain.rsplit(".", 1)[-1]
     if leaf.lstrip("_") in _ACQUIRE_LEAVES:
         return "handle from %s()" % leaf
-    if leaf[:1].isupper() and leaf.endswith(_ACQUIRE_SUFFIXES):
-        return "%s instance" % leaf
     return None
 
 

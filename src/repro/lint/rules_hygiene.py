@@ -1,12 +1,9 @@
 """Suppression hygiene: REP601.
 
-Pragmas and baseline entries are debt with a justification attached;
-both go stale silently when the code they excuse is fixed or deleted.
-REP601 closes the loop: a ``# reprolint: disable=`` pragma that
-suppressed nothing this run, or one naming a rule id that does not
-exist, is itself a finding.  (The stale-*baseline* half lives in the
-runner -- staleness is only knowable after baseline matching -- but
-reports under this same rule id.)
+A pragma is debt with a justification attached; it goes stale silently
+when the code it excuses is fixed or deleted.  REP601 closes the loop:
+a ``# reprolint: disable=`` pragma that suppressed nothing this run, or
+one naming a rule id that does not exist, is itself a finding.
 
 The rule runs project-scope and *last* (registry order is lexicographic
 by id), so it observes every suppression the other rules triggered,
@@ -40,10 +37,9 @@ class StaleSuppressionRule(Rule):
     category = "hygiene"
     scope = "project"
     invariant = (
-        "Every committed suppression still earns its keep: each "
-        "pragma silenced at least one finding this run, names only "
-        "real rule ids, and no baseline entry outlives the finding "
-        "it excused."
+        "Every committed pragma still earns its keep: each one "
+        "silenced at least one finding this run and names only real "
+        "rule ids."
     )
 
     def check_project(self, ctx):

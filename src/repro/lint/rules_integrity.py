@@ -66,7 +66,7 @@ class FsyncOrderedRenameRule(Rule):
     def check(self, module, ctx):
         if not ctx.config.is_store(module.name):
             return
-        for func in ast.walk(module.tree):
+        for func in module.nodes:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             yield from self._check_function(module, func)
@@ -227,15 +227,15 @@ class VerifiedReadRule(Rule):
     category = "crash-consistency"
     invariant = (
         "Every payload-returning get method on a store-layer class "
-        "(suffix Backend/Store/Cache/Client under repro.store) calls "
-        "an unframe/verify helper or delegates to a get method that "
+        "(suffix Store/Cache under repro.store) calls an "
+        "unframe/verify helper or delegates to a get method that "
         "does, so raw stored bytes never leave the store unverified."
     )
 
     def check(self, module, ctx):
         if not ctx.config.is_store(module.name):
             return
-        for class_def in ast.walk(module.tree):
+        for class_def in module.nodes:
             if not isinstance(class_def, ast.ClassDef):
                 continue
             if not ctx.config.is_verified_read_class(class_def.name):
@@ -300,8 +300,7 @@ class RegistryConformanceRule(Rule):
     severity = "error"
     category = "protocol"
     # Resolves registered classes across modules (Project.get), so its
-    # result is a function of the whole scan, not one file: project
-    # scope keeps it out of the per-file incremental cache.
+    # result is a function of the whole scan, not one file.
     scope = "project"
     invariant = (
         "Every algorithm in checksums.registry statically defines "
@@ -320,7 +319,7 @@ class RegistryConformanceRule(Rule):
                 "registry module defines no _FACTORIES dict to check",
             )
             return
-        imports = self._import_map(module.tree)
+        imports = self._import_map(module.nodes)
         for key_node, value_node in zip(factories.keys, factories.values):
             entry = self._literal(key_node) or "<dynamic>"
             class_name = self._factory_class(value_node)
@@ -375,10 +374,10 @@ class RegistryConformanceRule(Rule):
         return None
 
     @staticmethod
-    def _import_map(tree):
+    def _import_map(nodes):
         """Imported name -> defining module (from-imports only)."""
         mapping = {}
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.ImportFrom) and node.module:
                 for alias in node.names:
                     mapping[alias.asname or alias.name] = node.module

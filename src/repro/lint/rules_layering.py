@@ -48,7 +48,7 @@ class CliFacadeOnlyRule(Rule):
         if not ctx.config.is_cli(module.name):
             return
         allowed = ctx.config.cli_allowed_prefixes
-        for node, target, alias, is_from in iter_imports(module.tree):
+        for node, target, alias, is_from in iter_imports(module):
             if not (target == "repro" or target.startswith("repro.")):
                 continue
             if target == "repro" or not _matches(target, allowed):
@@ -79,7 +79,7 @@ class PureLayerRule(Rule):
     def check(self, module, ctx):
         if not ctx.config.is_pure_layer(module.name):
             return
-        for node, target, alias, is_from in iter_imports(module.tree):
+        for node, target, alias, is_from in iter_imports(module):
             if not (target == "repro" or target.startswith("repro.")):
                 continue
             if _matches(target, ctx.config.pure_layer_prefixes):
@@ -112,7 +112,7 @@ class EagerEngineImportRule(Rule):
         if not config.is_cold(module.name):
             return
         for node, target, alias, is_from in iter_imports(
-            module.tree, module_scope_only=True,
+            module, module_scope_only=True,
         ):
             if config.is_hot_target(target):
                 yield self.finding(
@@ -167,14 +167,14 @@ class LayerContractRule(Rule):
             return
         for module in ctx.project.modules():
             try:
-                tree = module.tree
+                module.tree
             except SyntaxError:
                 continue
             source_layer = contract.layer_of(module.name)
             if source_layer is None:
                 continue
             for node, target, alias, is_from in iter_imports(
-                tree, module_scope_only=not contract.include_lazy,
+                module, module_scope_only=not contract.include_lazy,
             ):
                 target_layer = contract.layer_of(target)
                 if target_layer is None and is_from and alias:

@@ -39,7 +39,7 @@ class ScalarHotLoopRule(Rule):
             return
         names = set(ctx.config.scalar_kernel_names)
         seen = set()
-        for loop in ast.walk(module.tree):
+        for loop in module.nodes:
             if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
                 continue
             # The body re-executes per iteration; a For's iterable is

@@ -143,6 +143,32 @@ class TestPoolRecovery:
             for note in pool.health.degradations
         )
 
+    def test_broken_pool_at_submit_condemns_pool_and_recovers(
+            self, monkeypatch):
+        # A worker that dies while a generation is still being submitted
+        # makes ``submit`` itself raise; the jobs already submitted are
+        # judged, the rest are requeued, and the pool is replaced.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        submits = []
+
+        class BreaksOnSecondSubmit(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(self)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died during submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        pool = SupervisedPool(double, workers=2)
+        assert pool.map([1, 2, 3, 4]) == [2, 4, 6, 8]
+        assert pool.health.broken_pools >= 1
+        assert pool.health.pool_restarts >= 1
+        assert pool.health.fallbacks == 0
+        assert len(set(submits)) == 2  # one condemned pool, one fresh
+
     def test_timeout_condemns_pool(self):
         # A stalled worker (sleeps forever relative to the timeout).
         prepare = scripted_prepare({(0, 0): "stall"})

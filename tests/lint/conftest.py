@@ -36,14 +36,14 @@ def tree(tmp_path):
 
 @pytest.fixture
 def lint(tree):
-    """``lint(files, rules=None, baseline=None) -> LintResult``."""
+    """``lint(files, rules=None) -> LintResult``."""
 
-    def run(files, rules=None, baseline=None):
-        return run_lint([tree(files)], rules=rules, baseline=baseline)
+    def run(files, rules=None):
+        return run_lint([tree(files)], rules=rules)
 
     return run
 
 
-def active_rules(result):
-    """The rule ids of the active findings, in report order."""
-    return [finding.rule for finding in result.active]
+def finding_rules(result):
+    """The rule ids of the findings, in report order."""
+    return [finding.rule for finding in result.findings]

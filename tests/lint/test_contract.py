@@ -6,7 +6,7 @@ import pytest
 
 from repro.lint.config import LayerContract, load_contract
 from repro.lint.engine import run_lint
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -113,8 +113,8 @@ class TestRep311:
                     return runner
             """,
         }, contract(allowed=(("store", ("checksums",)),)))
-        assert active_rules(result) == ["REP311"]
-        message = result.active[0].message
+        assert finding_rules(result) == ["REP311"]
+        message = result.findings[0].message
         assert "'checksums'" in message and "'store'" in message
 
     def test_declared_edge_is_allowed(self, tree):
@@ -126,7 +126,7 @@ class TestRep311:
                     return crc
             """,
         }, contract(allowed=(("store", ("checksums",)),)))
-        assert result.active == []
+        assert result.findings == []
 
     def test_lazy_import_is_exempt_by_default(self, tree):
         result = self._lint(tree, {
@@ -136,7 +136,7 @@ class TestRep311:
                     return runner
             """,
         }, contract(allowed=()))
-        assert result.active == []
+        assert result.findings == []
 
     def test_include_lazy_holds_function_imports_to_the_dag(self, tree):
         result = self._lint(tree, {
@@ -146,7 +146,7 @@ class TestRep311:
                     return runner
             """,
         }, contract(allowed=(), include_lazy=True))
-        assert active_rules(result) == ["REP311"]
+        assert finding_rules(result) == ["REP311"]
 
     def test_declared_cycle_reports_once_and_stops(self, tree):
         result = self._lint(tree, {
@@ -160,8 +160,8 @@ class TestRep311:
             ("core", ("store",)),
             ("store", ("core",)),
         )))
-        assert active_rules(result) == ["REP311"]
-        finding = result.active[0]
+        assert finding_rules(result) == ["REP311"]
+        finding = result.findings[0]
         assert finding.path == "test-contract.toml"
         assert "cycle" in finding.message
         assert finding.snippet == "[contract.allowed]"
@@ -175,7 +175,7 @@ class TestRep311:
                     return runner
             """,
         })], rules=["REP311"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_unmapped_modules_are_ignored(self, tree):
         result = self._lint(tree, {
@@ -187,4 +187,4 @@ class TestRep311:
             """,
         }, contract(allowed=()))
         # ``repro.analysis`` is outside the declared layers: no claim.
-        assert result.active == []
+        assert result.findings == []

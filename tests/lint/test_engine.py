@@ -1,23 +1,17 @@
-"""Engine mechanics: pragmas, baseline, reporters, rule selection."""
+"""Engine mechanics: pragmas, reporters, rule selection."""
 
 import json
 
 import pytest
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import all_rules, run_lint
 from repro.lint.reporters import (
     findings_from_json,
     render_json,
     render_markdown,
-    render_sarif,
     render_text,
 )
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 _VIOLATION = """
     import random
@@ -53,8 +47,8 @@ class TestRuleRegistry:
 class TestSyntaxErrors:
     def test_broken_source_reports_rep000(self, lint):
         result = lint({"repro/core/broken.py": "def oops(:\n"})
-        assert active_rules(result) == ["REP000"]
-        assert "syntax error" in result.active[0].message
+        assert finding_rules(result) == ["REP000"]
+        assert "syntax error" in result.findings[0].message
 
 
 class TestPragmas:
@@ -67,7 +61,7 @@ class TestPragmas:
                     return random.choice(items)  # reprolint: disable=REP101
             """,
         }, rules=["REP101"])
-        assert result.active == []
+        assert result.findings == []
         assert result.suppressed == 1
 
     def test_prose_prefixed_comment_line_pragma_suppresses(self, lint):
@@ -80,7 +74,7 @@ class TestPragmas:
                     return random.choice(items)
             """,
         }, rules=["REP101"])
-        assert result.active == []
+        assert result.findings == []
         assert result.suppressed == 1
 
     def test_file_pragma_suppresses_everywhere(self, lint):
@@ -96,7 +90,7 @@ class TestPragmas:
                     return random.shuffle(items)
             """,
         }, rules=["REP101"])
-        assert result.active == []
+        assert result.findings == []
         assert result.suppressed == 2
 
     def test_pragma_for_another_rule_does_not_suppress(self, lint):
@@ -108,77 +102,7 @@ class TestPragmas:
                     return random.choice(items)  # reprolint: disable=REP103
             """,
         }, rules=["REP101"])
-        assert active_rules(result) == ["REP101"]
-
-
-class TestBaseline:
-    def test_round_trip_marks_findings_baselined(self, lint, tmp_path):
-        files = {"repro/core/sweep.py": _VIOLATION}
-        first = lint(files, rules=["REP101"])
-        assert first.exit_code == 1
-
-        path = tmp_path / "baseline.json"
-        write_baseline(first.findings, path)
-        fingerprints = load_baseline(path)
-        assert len(fingerprints) == 1
-
-        second = lint(files, rules=["REP101"], baseline=fingerprints)
-        assert second.exit_code == 0
-        assert [f.rule for f in second.baselined] == ["REP101"]
-
-    def test_fingerprints_survive_line_drift(self, lint, tmp_path):
-        first = lint({"repro/core/sweep.py": _VIOLATION}, rules=["REP101"])
-        path = tmp_path / "baseline.json"
-        write_baseline(first.findings, path)
-        fingerprints = load_baseline(path)
-
-        # Same code, pushed down by unrelated edits above it.  (Dedent
-        # here: mixing indented and flush lines defeats the fixture's
-        # own dedent.)
-        import textwrap
-
-        drifted = lint({
-            "repro/core/sweep.py":
-                "\n\nHEADER = 1\n" + textwrap.dedent(_VIOLATION),
-        }, rules=["REP101"], baseline=fingerprints)
-        assert drifted.exit_code == 0
-        assert len(drifted.baselined) == 1
-
-    def test_duplicate_findings_need_distinct_occurrences(self, lint,
-                                                          tmp_path):
-        files = {
-            "repro/core/sweep.py": """
-                import random
-
-                def pick(items):
-                    return random.choice(items)
-
-                def pick2(items):
-                    return random.choice(items)
-            """,
-        }
-        first = lint(files, rules=["REP101"])
-        assert len(first.active) == 2
-        path = tmp_path / "baseline.json"
-        write_baseline(first.findings, path)
-        assert len(load_baseline(path)) == 2
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == set()
-
-    def test_wrong_schema_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": "bogus/9"}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_apply_baseline_returns_matched_fingerprints(self, lint):
-        result = lint({"repro/core/sweep.py": _VIOLATION}, rules=["REP101"])
-        assert apply_baseline(result.findings, set()) == set()
-
-        fingerprint = result.findings[0].fingerprint(0)
-        matched = apply_baseline(result.findings, {fingerprint, "feed"})
-        assert matched == {fingerprint}  # stale "feed" not matched
+        assert finding_rules(result) == ["REP101"]
 
 
 class TestReporters:
@@ -194,8 +118,13 @@ class TestReporters:
     def test_json_round_trips(self, lint):
         result = self._result(lint)
         payload = json.loads(render_json(result))
-        assert payload["schema"] == "repro-lint/1"
-        assert payload["summary"]["active"] == 1
+        assert payload["schema"] == "repro-lint/2"
+        assert payload["summary"] == {
+            "by_rule": {"REP101": 1}, "files_scanned": 3, "findings": 1,
+            "suppressed": 0,
+        }
+        assert sorted(payload["findings"][0]) == [
+            "col", "line", "message", "path", "rule", "severity", "snippet"]
         findings = findings_from_json(render_json(result))
         assert [f.rule for f in findings] == ["REP101"]
         assert findings[0].path == "repro/core/sweep.py"
@@ -218,40 +147,3 @@ class TestReporters:
         for rule_id in ("REP101", "REP111", "REP201", "REP211", "REP301",
                         "REP311", "REP401", "REP411", "REP501", "REP601"):
             assert rule_id in text
-
-    def test_sarif_is_valid_2_1_0(self, lint):
-        result = self._result(lint)
-        payload = json.loads(render_sarif(result))
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["REP101"]  # only the selected rule ran
-        entry = run["results"][0]
-        assert entry["ruleId"] == "REP101"
-        assert entry["level"] == "error"
-        assert entry["ruleIndex"] == 0
-        region = entry["locations"][0]["physicalLocation"]
-        assert region["artifactLocation"]["uri"] == "repro/core/sweep.py"
-        assert region["region"]["startLine"] == 5
-
-    def test_sarif_marks_baselined_findings_suppressed(self, lint):
-        first = self._result(lint)
-        fingerprint = first.findings[0].fingerprint(0)
-        baselined = lint({"repro/core/sweep.py": _VIOLATION},
-                         rules=["REP101"], baseline={fingerprint})
-        payload = json.loads(render_sarif(baselined))
-        entry = payload["runs"][0]["results"][0]
-        assert entry["suppressions"] == [{"kind": "external"}]
-
-    def test_text_reports_cache_traffic(self, tree, tmp_path):
-        from repro.lint.cache import LintCache
-
-        root = tree({"repro/core/sweep.py": _VIOLATION})
-        cache_path = tmp_path / "lint-cache.json"
-        run_lint([root], rules=["REP101"],
-                 cache=LintCache(cache_path))
-        warm = run_lint([root], rules=["REP101"],
-                        cache=LintCache(cache_path))
-        assert "incremental cache" in render_text(warm)
-        assert "hit(s)" in render_text(warm)

@@ -1,6 +1,6 @@
 """REP201 / REP202: the concurrency rules."""
 
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 
 class TestNonPicklableWorker:
@@ -11,8 +11,8 @@ class TestNonPicklableWorker:
                     return pool.submit(lambda: shard)
             """,
         }, rules=["REP201"])
-        assert active_rules(result) == ["REP201"]
-        assert "lambda" in result.active[0].message
+        assert finding_rules(result) == ["REP201"]
+        assert "lambda" in result.findings[0].message
 
     def test_nested_function_submission_is_flagged(self, lint):
         result = lint({
@@ -23,8 +23,8 @@ class TestNonPicklableWorker:
                     return pool.submit(work)
             """,
         }, rules=["REP201"])
-        assert active_rules(result) == ["REP201"]
-        assert "nested scope" in result.active[0].message
+        assert finding_rules(result) == ["REP201"]
+        assert "nested scope" in result.findings[0].message
 
     def test_module_level_function_is_clean(self, lint):
         result = lint({
@@ -36,7 +36,7 @@ class TestNonPicklableWorker:
                     return pool.submit(work, shard)
             """,
         }, rules=["REP201"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_bound_method_submission_is_flagged(self, lint):
         result = lint({
@@ -49,8 +49,8 @@ class TestNonPicklableWorker:
                         return pool.submit(self.work, shard)
             """,
         }, rules=["REP201"])
-        assert active_rules(result) == ["REP201"]
-        assert "bound method" in result.active[0].message
+        assert finding_rules(result) == ["REP201"]
+        assert "bound method" in result.findings[0].message
 
     def test_attribute_holding_module_function_is_clean(self, lint):
         # The SupervisedPool pattern: ``self.function`` is an instance
@@ -69,7 +69,7 @@ class TestNonPicklableWorker:
                         return pool.submit(self.function, shard)
             """,
         }, rules=["REP201"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_lambda_via_pool_constructor_is_flagged(self, lint):
         result = lint({
@@ -81,7 +81,7 @@ class TestNonPicklableWorker:
                     return pool
             """,
         }, rules=["REP201"])
-        assert active_rules(result) == ["REP201"]
+        assert finding_rules(result) == ["REP201"]
 
 
 class TestWorkerSideAccounting:
@@ -98,8 +98,8 @@ class TestWorkerSideAccounting:
                     return pool.submit(work, payload)
             """,
         }, rules=["REP202"])
-        assert active_rules(result) == ["REP202"]
-        assert "parent-side" in result.active[0].message
+        assert finding_rules(result) == ["REP202"]
+        assert "parent-side" in result.findings[0].message
 
     def test_health_mutation_in_worker_is_flagged(self, lint):
         result = lint({
@@ -112,7 +112,7 @@ class TestWorkerSideAccounting:
                     return pool.submit(work, payload, health)
             """,
         }, rules=["REP202"])
-        assert active_rules(result) == ["REP202"]
+        assert finding_rules(result) == ["REP202"]
 
     def test_pure_worker_is_clean(self, lint):
         result = lint({
@@ -124,7 +124,7 @@ class TestWorkerSideAccounting:
                     return pool.submit(work, payload)
             """,
         }, rules=["REP202"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_parent_side_accounting_is_clean(self, lint):
         # Mutating telemetry in the *parent*, from returned counters,
@@ -145,4 +145,4 @@ class TestWorkerSideAccounting:
                     return counters
             """,
         }, rules=["REP202"])
-        assert result.active == []
+        assert result.findings == []

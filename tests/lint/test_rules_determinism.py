@@ -1,6 +1,6 @@
 """REP101 / REP102 / REP103: the determinism rules."""
 
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 
 class TestUnseededRandomness:
@@ -13,8 +13,8 @@ class TestUnseededRandomness:
                     return random.choice(items)
             """,
         }, rules=["REP101"])
-        assert active_rules(result) == ["REP101"]
-        assert "random.choice()" in result.active[0].message
+        assert finding_rules(result) == ["REP101"]
+        assert "random.choice()" in result.findings[0].message
 
     def test_unseeded_constructors_are_flagged(self, lint):
         result = lint({
@@ -28,7 +28,7 @@ class TestUnseededRandomness:
                     return a, b
             """,
         }, rules=["REP101"])
-        assert active_rules(result) == ["REP101", "REP101"]
+        assert finding_rules(result) == ["REP101", "REP101"]
 
     def test_seeded_constructors_are_clean(self, lint):
         result = lint({
@@ -42,7 +42,7 @@ class TestUnseededRandomness:
                     return a.random() + float(b.random())
             """,
         }, rules=["REP101"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_machine_entropy_is_flagged(self, lint):
         result = lint({
@@ -53,7 +53,7 @@ class TestUnseededRandomness:
                     return os.urandom(16)
             """,
         }, rules=["REP101"])
-        assert active_rules(result) == ["REP101"]
+        assert finding_rules(result) == ["REP101"]
 
     def test_modules_outside_the_contract_are_exempt(self, lint):
         result = lint({
@@ -64,7 +64,7 @@ class TestUnseededRandomness:
                     return random.choice(items)
             """,
         }, rules=["REP101"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_pragma_suppresses_the_line(self, lint):
         result = lint({
@@ -76,7 +76,7 @@ class TestUnseededRandomness:
                     return random.choice(items)
             """,
         }, rules=["REP101"])
-        assert result.active == []
+        assert result.findings == []
         assert result.suppressed == 1
 
 
@@ -90,8 +90,8 @@ class TestWallClock:
                     return time.time()
             """,
         }, rules=["REP102"])
-        assert active_rules(result) == ["REP102"]
-        assert result.active[0].severity == "warning"
+        assert finding_rules(result) == ["REP102"]
+        assert result.findings[0].severity == "warning"
 
     def test_datetime_now_is_flagged(self, lint):
         result = lint({
@@ -102,7 +102,7 @@ class TestWallClock:
                     return datetime.datetime.now()
             """,
         }, rules=["REP102"])
-        assert active_rules(result) == ["REP102"]
+        assert finding_rules(result) == ["REP102"]
 
     def test_perf_counter_is_clean(self, lint):
         result = lint({
@@ -113,7 +113,7 @@ class TestWallClock:
                     return time.perf_counter() - t0
             """,
         }, rules=["REP102"])
-        assert result.active == []
+        assert result.findings == []
 
 
 class TestUnsortedSerialization:
@@ -124,8 +124,8 @@ class TestUnsortedSerialization:
                     return {k: v for k, v in data.items()}
             """,
         }, rules=["REP103"])
-        assert active_rules(result) == ["REP103"]
-        assert "dict.items()" in result.active[0].message
+        assert finding_rules(result) == ["REP103"]
+        assert "dict.items()" in result.findings[0].message
 
     def test_sorted_wrapping_is_clean(self, lint):
         result = lint({
@@ -134,7 +134,7 @@ class TestUnsortedSerialization:
                     return {k: v for k, v in sorted(data.items())}
             """,
         }, rules=["REP103"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_set_literal_iteration_is_flagged(self, lint):
         result = lint({
@@ -146,7 +146,7 @@ class TestUnsortedSerialization:
                     return lines
             """,
         }, rules=["REP103"])
-        assert active_rules(result) == ["REP103"]
+        assert finding_rules(result) == ["REP103"]
 
     def test_non_serializer_functions_are_exempt(self, lint):
         result = lint({
@@ -158,4 +158,4 @@ class TestUnsortedSerialization:
                     return total
             """,
         }, rules=["REP103"])
-        assert result.active == []
+        assert result.findings == []

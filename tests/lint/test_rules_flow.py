@@ -1,6 +1,6 @@
 """Interprocedural flow rules: REP111, REP211, REP411."""
 
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 
 class TestRep111InterproceduralTaint:
@@ -19,8 +19,8 @@ class TestRep111InterproceduralTaint:
                     return {"rows": rows, "at": grab_clock()}
             """,
         }, rules=["REP111"])
-        assert active_rules(result) == ["REP111"]
-        finding = result.active[0]
+        assert finding_rules(result) == ["REP111"]
+        finding = result.findings[0]
         assert finding.path == "repro/analysis/export.py"
         assert "wall clock" in finding.message
         assert "via repro.analysis.helpers.grab_clock" in finding.message
@@ -36,7 +36,7 @@ class TestRep111InterproceduralTaint:
                     return {"rows": rows, "at": time.time()}
             """,
         }, rules=["REP111"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_json_dump_sink_catches_tainted_argument(self, lint):
         result = lint({
@@ -56,8 +56,8 @@ class TestRep111InterproceduralTaint:
                     return json.dumps(payload)
             """,
         }, rules=["REP111"])
-        assert active_rules(result) == ["REP111"]
-        assert "unseeded entropy" in result.active[0].message
+        assert finding_rules(result) == ["REP111"]
+        assert "unseeded entropy" in result.findings[0].message
 
     def test_sanitized_value_is_clean(self, lint):
         result = lint({
@@ -76,7 +76,7 @@ class TestRep111InterproceduralTaint:
         }, rules=["REP111"])
         # "canonical" is a configured sanitizer marker: deriving the
         # stamp is the helper's deliberate job, not an accident.
-        assert result.active == []
+        assert result.findings == []
 
     def test_nondeterministic_package_is_exempt(self, lint):
         result = lint({
@@ -93,7 +93,7 @@ class TestRep111InterproceduralTaint:
                     return {"at": grab_clock()}
             """,
         }, rules=["REP111"])
-        assert result.active == []
+        assert result.findings == []
 
 
 class TestRep211TransitivePicklability:
@@ -114,8 +114,8 @@ class TestRep211TransitivePicklability:
                     return pool.submit(WORKER, shard)
             """,
         }, rules=["REP211"])
-        assert active_rules(result) == ["REP211"]
-        message = result.active[0].message
+        assert finding_rules(result) == ["REP211"]
+        message = result.findings[0].message
         assert "nested function" in message
         assert "repro.core.factory.make_worker" in message
 
@@ -131,8 +131,8 @@ class TestRep211TransitivePicklability:
                     return pool.submit(WORKER, shard)
             """,
         }, rules=["REP211"])
-        assert active_rules(result) == ["REP211"]
-        assert "lambda" in result.active[0].message
+        assert finding_rules(result) == ["REP211"]
+        assert "lambda" in result.findings[0].message
 
     def test_same_module_lambda_is_rep201_turf(self, lint):
         result = lint({
@@ -141,7 +141,7 @@ class TestRep211TransitivePicklability:
                     return pool.submit(lambda: shard)
             """,
         }, rules=["REP211"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_unpicklable_payload_argument(self, lint):
         result = lint({
@@ -155,8 +155,8 @@ class TestRep211TransitivePicklability:
                     return pool.submit(work, shard, threading.Lock())
             """,
         }, rules=["REP211"])
-        assert active_rules(result) == ["REP211"]
-        assert "threading lock" in result.active[0].message
+        assert finding_rules(result) == ["REP211"]
+        assert "threading lock" in result.findings[0].message
 
     def test_nested_pool_submission_deadlock(self, lint):
         result = lint({
@@ -174,7 +174,7 @@ class TestRep211TransitivePicklability:
                     return pool.submit(work, shard)
             """,
         }, rules=["REP211"])
-        messages = [f.message for f in result.active]
+        messages = [f.message for f in result.findings]
         assert any("transitively submits" in m for m in messages)
 
     def test_plain_module_function_is_clean(self, lint):
@@ -190,87 +190,89 @@ class TestRep211TransitivePicklability:
                     return pool.submit(work, shard)
             """,
         }, rules=["REP211"])
-        assert result.active == []
+        assert result.findings == []
 
 
 class TestRep411ExceptionPathResources:
     def test_never_closed_handle(self, lint):
         result = lint({
-            "repro/store/net.py": """
+            "repro/store/reader.py": """
                 def fetch(path):
-                    client = connect(path)
-                    return client.request(path).body
+                    handle = open(path, "rb")
+                    return handle.read()
             """,
         }, rules=["REP411"])
-        # ``client`` is used as a receiver only -- no escape -- and
+        # ``handle`` is used as a receiver only -- no escape -- and
         # never closed.
-        assert active_rules(result) == ["REP411"]
-        assert "never closed" in result.active[0].message
+        assert finding_rules(result) == ["REP411"]
+        assert "never closed" in result.findings[0].message
 
     def test_success_path_only_close(self, lint):
         result = lint({
-            "repro/store/net.py": """
+            "repro/store/reader.py": """
                 def fetch(path):
-                    client = connect(path)
-                    data = client.request(path)
-                    client.close()
+                    handle = open(path, "rb")
+                    data = handle.read()
+                    handle.close()
                     return data
             """,
         }, rules=["REP411"])
-        assert active_rules(result) == ["REP411"]
-        assert "success path" in result.active[0].message
+        assert finding_rules(result) == ["REP411"]
+        assert "success path" in result.findings[0].message
 
     def test_close_in_finally_is_clean(self, lint):
         result = lint({
-            "repro/store/net.py": """
+            "repro/store/reader.py": """
                 def fetch(path):
-                    client = connect(path)
+                    handle = open(path, "rb")
                     try:
-                        return client.request(path)
+                        return handle.read()
                     finally:
-                        client.close()
+                        handle.close()
             """,
         }, rules=["REP411"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_returned_handle_transfers_custody(self, lint):
         result = lint({
-            "repro/store/net.py": """
-                def open_channel(path):
-                    client = connect(path)
-                    return client
+            "repro/store/reader.py": """
+                def open_for_append(path):
+                    handle = open(path, "ab")
+                    return handle
             """,
         }, rules=["REP411"])
-        assert result.active == []
+        assert result.findings == []
 
-    def test_constructor_suffix_counts_as_acquisition(self, lint):
+    def test_qualified_open_is_an_acquisition(self, lint):
         result = lint({
-            "repro/store/pooling.py": """
-                def probe(spec):
-                    backend = DiskBackend(spec)
-                    return backend.stat()
+            "repro/store/objstore.py": """
+                import io
+
+                def probe(path):
+                    handle = io.open(path, "rb")
+                    return handle.read(16)
             """,
         }, rules=["REP411"])
-        assert active_rules(result) == ["REP411"]
-        assert "DiskBackend instance" in result.active[0].message
+        assert finding_rules(result) == ["REP411"]
+        assert "handle from open()" in result.findings[0].message
 
     def test_self_accessor_is_exempt(self, lint):
         result = lint({
-            "repro/store/client.py": """
-                class StoreClient:
+            "repro/store/objstore.py": """
+                class ObjectStore:
                     def fetch(self, path):
-                        connection = self._connect()
-                        return connection.request(path)
+                        handle = self._open(path)
+                        return handle.read()
             """,
         }, rules=["REP411"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_non_store_module_is_exempt(self, lint):
         result = lint({
-            "repro/analysis/net.py": """
+            "repro/analysis/reader.py": """
                 def fetch(path):
-                    client = connect(path)
-                    return client.request(path).body
+                    handle = open(path, "rb")
+                    return handle.read()
             """,
         }, rules=["REP411"])
-        assert result.active == []
+        assert result.findings == []

@@ -1,13 +1,10 @@
-"""Suppression hygiene (REP601) and baseline round-trips.
+"""Suppression hygiene (REP601).
 
-Satellite of the PR contract: a pragma that stops suppressing after an
-edit, and a baseline entry whose finding was fixed, must both surface
-as REP601 -- suppressions are debt, and the ledger must stay honest.
+A pragma that stops suppressing after an edit must surface as REP601:
+a suppression is debt, and the ledger must stay honest.
 """
 
-from repro.lint.baseline import load_baseline_entries, write_baseline
-from repro.lint.engine import run_lint
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 
 class TestStalePragmas:
@@ -18,8 +15,8 @@ class TestStalePragmas:
                     return a + b  # reprolint: disable=REP101
             """,
         })
-        assert active_rules(result) == ["REP601"]
-        finding = result.active[0]
+        assert finding_rules(result) == ["REP601"]
+        finding = result.findings[0]
         assert finding.severity == "warning"
         assert "suppressed nothing" in finding.message
 
@@ -32,7 +29,7 @@ class TestStalePragmas:
                     return random.choice(items)  # reprolint: disable=REP101
             """,
         }, rules=["REP101", "REP601"])
-        assert result.active == []
+        assert result.findings == []
         assert result.suppressed == 1
 
     def test_stale_file_pragma_is_reported(self, lint):
@@ -43,7 +40,7 @@ class TestStalePragmas:
                     return a + b
             """,
         })
-        assert active_rules(result) == ["REP601"]
+        assert finding_rules(result) == ["REP601"]
 
     def test_unknown_rule_id_lists_valid_ids(self, lint):
         result = lint({
@@ -52,8 +49,8 @@ class TestStalePragmas:
                     return a + b  # reprolint: disable=REP999
             """,
         })
-        assert active_rules(result) == ["REP601"]
-        message = result.active[0].message
+        assert finding_rules(result) == ["REP601"]
+        message = result.findings[0].message
         assert "unknown rule id REP999" in message
         assert "REP101" in message and "REP601" in message
 
@@ -68,7 +65,7 @@ class TestStalePragmas:
                     return random.choice(items)  # reprolint: disable=REP101
             """,
         }, rules=["REP601"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_docstring_prose_about_pragmas_is_not_a_pragma(self, lint):
         result = lint({
@@ -79,7 +76,7 @@ class TestStalePragmas:
                     return a + b
             ''',
         })
-        assert result.active == []
+        assert result.findings == []
 
     def test_pragma_suppressing_a_project_rule_counts_as_used(self, lint):
         # REP111 findings come from the project phase; REP601 (also
@@ -99,106 +96,5 @@ class TestStalePragmas:
                     return {"rows": rows, "at": grab_clock()}
             """,
         }, rules=["REP111", "REP601"])
-        assert result.active == []
+        assert result.findings == []
         assert result.suppressed == 1
-
-
-_VIOLATION = {
-    "repro/core/sweep.py": (
-        "import random\n"
-        "\n"
-        "def pick(items):\n"
-        "    return random.choice(items)\n"
-    ),
-}
-
-
-class TestBaselineRoundTrip:
-    def _baseline(self, tree, files, path, rules=None):
-        result = run_lint([tree(files)], rules=rules)
-        write_baseline(result.findings, path)
-        return load_baseline_entries(path)
-
-    def test_line_shifting_edit_stays_clean(self, tree, tmp_path):
-        path = tmp_path / "baseline.json"
-        entries = self._baseline(tree, _VIOLATION, path, rules=["REP101"])
-        assert len(entries) == 1
-
-        # Unrelated lines above the finding: the content fingerprint
-        # still matches, and no stale-baseline REP601 appears.
-        drifted = dict(_VIOLATION)
-        drifted["repro/core/sweep.py"] = (
-            "'''sweep module.'''\n\nLIMIT = 3\n\n"
-            + _VIOLATION["repro/core/sweep.py"]
-        )
-        result = run_lint([tree(drifted)], baseline=entries,
-                          baseline_path=path)
-        assert result.exit_code == 0
-        assert [f.rule for f in result.baselined] == ["REP101"]
-
-    def test_fixed_finding_turns_baseline_entry_stale(self, tree,
-                                                      tmp_path):
-        path = tmp_path / "baseline.json"
-        entries = self._baseline(tree, _VIOLATION, path, rules=["REP101"])
-
-        fixed = {
-            "repro/core/sweep.py": (
-                "def pick(items, rng):\n"
-                "    return rng.choice(items)\n"
-            ),
-        }
-        result = run_lint([tree(fixed)], baseline=entries,
-                          baseline_path=path)
-        assert active_rules(result) == ["REP601"]
-        finding = result.active[0]
-        assert finding.path == "baseline.json"
-        assert "stale baseline entry" in finding.message
-        # The entry's context (rule, original path) rides along so the
-        # operator knows what was excused without opening the file.
-        assert "REP101" in finding.message
-        assert "repro/core/sweep.py" in finding.message
-
-    def test_stale_entries_are_scoped_to_selection(self, tree, tmp_path):
-        path = tmp_path / "baseline.json"
-        entries = self._baseline(tree, _VIOLATION, path, rules=["REP101"])
-
-        fixed = {"repro/core/sweep.py": "X = 1\n"}
-        result = run_lint([tree(fixed)], rules=["REP101"],
-                          baseline=entries, baseline_path=path)
-        # REP601 deselected: the stale entry stays quiet.
-        assert result.active == []
-
-    def test_pragma_then_fix_reports_both_halves(self, tree, tmp_path):
-        # The satellite scenario end-to-end: baseline a finding, then
-        # pragma a second one; after the code is fixed, the pragma is
-        # stale (REP601) and so is the baseline entry (REP601).
-        files = {
-            "repro/core/sweep.py": (
-                "import random\n"
-                "\n"
-                "def pick(items):\n"
-                "    return random.choice(items)\n"
-                "\n"
-                "def jitter():\n"
-                "    return random.random()  # reprolint: disable=REP101\n"
-            ),
-        }
-        path = tmp_path / "baseline.json"
-        entries = self._baseline(tree, files, path, rules=["REP101"])
-        assert len(entries) == 1  # the pragma'd finding never lands
-
-        # Both violations fixed; the pragma comment survives the edit.
-        fixed = {
-            "repro/core/sweep.py": (
-                "def pick(items, rng):\n"
-                "    return rng.choice(items)\n"
-                "\n"
-                "def jitter(rng):\n"
-                "    return rng.random()  # reprolint: disable=REP101\n"
-            ),
-        }
-        result = run_lint([tree(fixed)], baseline=entries,
-                          baseline_path=path)
-        assert active_rules(result) == ["REP601", "REP601"]
-        paths = sorted(f.path for f in result.active)
-        assert paths == ["baseline.json", "repro/core/sweep.py"]

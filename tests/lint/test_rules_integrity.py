@@ -1,7 +1,7 @@
 """REP401 / REP402 / REP403 / REP501: crash-consistency and protocol
 conformance."""
 
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 
 class TestFsyncOrderedRename:
@@ -14,8 +14,8 @@ class TestFsyncOrderedRename:
                     os.replace(tmp, final)
             """,
         }, rules=["REP401"])
-        assert active_rules(result) == ["REP401"]
-        message = result.active[0].message
+        assert finding_rules(result) == ["REP401"]
+        message = result.findings[0].message
         assert "no os.fsync" in message
         assert "parent-directory" in message
 
@@ -39,7 +39,7 @@ class TestFsyncOrderedRename:
                     _fsync_dir(parent)
             """,
         }, rules=["REP401"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_missing_directory_fsync_is_flagged(self, lint):
         result = lint({
@@ -51,8 +51,8 @@ class TestFsyncOrderedRename:
                     os.replace(tmp, final)
             """,
         }, rules=["REP401"])
-        assert active_rules(result) == ["REP401"]
-        assert "parent-directory" in result.active[0].message
+        assert finding_rules(result) == ["REP401"]
+        assert "parent-directory" in result.findings[0].message
 
     def test_renames_outside_the_store_are_exempt(self, lint):
         result = lint({
@@ -63,7 +63,7 @@ class TestFsyncOrderedRename:
                     os.replace(tmp, final)
             """,
         }, rules=["REP401"])
-        assert result.active == []
+        assert result.findings == []
 
 
 class TestJournalAtomicWrite:
@@ -75,8 +75,8 @@ class TestJournalAtomicWrite:
                         handle.write(blob)
             """,
         }, rules=["REP402"])
-        assert active_rules(result) == ["REP402"]
-        assert "atomic_write" in result.active[0].message
+        assert finding_rules(result) == ["REP402"]
+        assert "atomic_write" in result.findings[0].message
 
     def test_raw_open_append_is_flagged(self, lint):
         result = lint({
@@ -86,8 +86,8 @@ class TestJournalAtomicWrite:
                         handle.write(record)
             """,
         }, rules=["REP402"])
-        assert active_rules(result) == ["REP402"]
-        assert "durable_append" in result.active[0].message
+        assert finding_rules(result) == ["REP402"]
+        assert "durable_append" in result.findings[0].message
 
     def test_write_bytes_and_replace_are_flagged(self, lint):
         result = lint({
@@ -99,9 +99,9 @@ class TestJournalAtomicWrite:
                     os.replace(tmp, path)
             """,
         }, rules=["REP402"])
-        assert active_rules(result) == ["REP402", "REP402"]
-        assert "write_bytes" in result.active[0].message
-        assert "os.replace" in result.active[1].message
+        assert finding_rules(result) == ["REP402", "REP402"]
+        assert "write_bytes" in result.findings[0].message
+        assert "os.replace" in result.findings[1].message
 
     def test_atomic_helper_route_is_clean(self, lint):
         result = lint({
@@ -120,7 +120,7 @@ class TestJournalAtomicWrite:
                     return path.read_bytes()
             """,
         }, rules=["REP402"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_raw_writes_inside_the_atomic_helper_are_exempt(self, lint):
         result = lint({
@@ -138,7 +138,7 @@ class TestJournalAtomicWrite:
                     _atomic_write(path, blob)
             """,
         }, rules=["REP402"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_modules_outside_the_journal_are_exempt(self, lint):
         result = lint({
@@ -147,7 +147,7 @@ class TestJournalAtomicWrite:
                     path.write_bytes(blob)
             """,
         }, rules=["REP402"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_pragma_suppresses(self, lint):
         result = lint({
@@ -157,7 +157,7 @@ class TestJournalAtomicWrite:
                     path.write_bytes(blob)
             """,
         }, rules=["REP402"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_read_only_opens_are_clean(self, lint):
         result = lint({
@@ -167,35 +167,35 @@ class TestJournalAtomicWrite:
                         return handle.read()
             """,
         }, rules=["REP402"])
-        assert result.active == []
+        assert result.findings == []
 
 
 class TestVerifiedStoreReads:
     def test_raw_byte_return_is_flagged(self, lint):
         result = lint({
-            "repro/store/backends/remote.py": """
-                class WireBackend:
+            "repro/store/objstore.py": """
+                class ObjectStore:
                     def get(self, key):
                         return self._frames[key]
             """,
         }, rules=["REP403"])
-        assert active_rules(result) == ["REP403"]
-        message = result.active[0].message
-        assert "WireBackend.get" in message
+        assert finding_rules(result) == ["REP403"]
+        message = result.findings[0].message
+        assert "ObjectStore.get" in message
         assert "verify" in message
 
     def test_verifying_getter_is_clean(self, lint):
         result = lint({
-            "repro/store/backends/remote.py": """
+            "repro/store/objstore.py": """
                 from repro.store.framing import unframe_object
 
-                class WireBackend:
+                class ObjectStore:
                     def get(self, key):
                         payload, _ = unframe_object(self._frames[key])
                         return payload
             """,
         }, rules=["REP403"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_delegating_getter_is_clean(self, lint):
         result = lint({
@@ -208,7 +208,7 @@ class TestVerifiedStoreReads:
                         return self.get_bytes(key)
             """,
         }, rules=["REP403"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_frame_named_getters_are_exempt(self, lint):
         result = lint({
@@ -221,7 +221,7 @@ class TestVerifiedStoreReads:
                         return self._path(key).read_bytes()
             """,
         }, rules=["REP403"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_unsuffixed_classes_are_exempt(self, lint):
         result = lint({
@@ -231,7 +231,7 @@ class TestVerifiedStoreReads:
                         return self.shards[key]
             """,
         }, rules=["REP403"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_modules_outside_the_store_are_exempt(self, lint):
         result = lint({
@@ -241,17 +241,17 @@ class TestVerifiedStoreReads:
                         return self.inner._frames[key]
             """,
         }, rules=["REP403"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_pragma_suppresses(self, lint):
         result = lint({
-            "repro/store/backends/scratch.py": """
+            "repro/store/scratch.py": """
                 class ScratchStore:
                     def get(self, key):  # reprolint: disable=REP403
                         return self._frames[key]
             """,
         }, rules=["REP403"])
-        assert result.active == []
+        assert result.findings == []
 
 
 class TestRegistryConformance:
@@ -298,8 +298,8 @@ class TestRegistryConformance:
                 }
             """,
         }, rules=["REP501"])
-        assert active_rules(result) == ["REP501"]
-        message = result.active[0].message
+        assert finding_rules(result) == ["REP501"]
+        message = result.findings[0].message
         assert "'bad'" in message
         assert "field" in message and "verify" in message
 
@@ -338,8 +338,8 @@ class TestRegistryConformance:
                 }
             """,
         }, rules=["REP501"])
-        assert active_rules(result) == ["REP501"]
-        assert "0xFFF" in result.active[0].message
+        assert finding_rules(result) == ["REP501"]
+        assert "0xFFF" in result.findings[0].message
 
     def test_mixin_members_and_init_assignments_count(self, lint):
         result = lint({
@@ -379,7 +379,7 @@ class TestRegistryConformance:
                 }
             """,
         }, rules=["REP501"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_missing_batch_member_is_flagged(self, lint):
         # The batch members are protocol members too: an algorithm the
@@ -414,8 +414,8 @@ class TestRegistryConformance:
                 }
             """,
         }, rules=["REP501"])
-        assert active_rules(result) == ["REP501"]
-        message = result.active[0].message
+        assert finding_rules(result) == ["REP501"]
+        message = result.findings[0].message
         assert "'nocombine'" in message
         assert message.endswith("protocol member(s): combine")
 
@@ -436,7 +436,7 @@ class TestRegistryConformance:
                 }
             """,
         }, rules=["REP501"])
-        assert active_rules(result) == ["REP501"]
+        assert finding_rules(result) == ["REP501"]
 
     def test_unresolvable_factory_is_a_warning(self, lint):
         result = lint({
@@ -450,5 +450,5 @@ class TestRegistryConformance:
                 }
             """,
         }, rules=["REP501"])
-        assert active_rules(result) == ["REP501"]
-        assert result.active[0].severity == "warning"
+        assert finding_rules(result) == ["REP501"]
+        assert result.findings[0].severity == "warning"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 
 class TestCliFacadeOnly:
@@ -15,8 +15,8 @@ class TestCliFacadeOnly:
                     return RunStore
             """,
         }, rules=["REP301"])
-        assert active_rules(result) == ["REP301"]
-        assert "repro.api" in result.active[0].message
+        assert finding_rules(result) == ["REP301"]
+        assert "repro.api" in result.findings[0].message
 
     def test_facade_import_is_clean(self, lint):
         result = lint({
@@ -27,7 +27,7 @@ class TestCliFacadeOnly:
                     return run_experiment
             """,
         }, rules=["REP301"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_lint_tooling_import_is_clean(self, lint):
         result = lint({
@@ -38,7 +38,7 @@ class TestCliFacadeOnly:
                     return run_lint
             """,
         }, rules=["REP301"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_bare_package_import_is_flagged(self, lint):
         result = lint({
@@ -49,7 +49,7 @@ class TestCliFacadeOnly:
                     return repro.__version__
             """,
         }, rules=["REP301"])
-        assert active_rules(result) == ["REP301"]
+        assert finding_rules(result) == ["REP301"]
 
 
 class TestPureLayer:
@@ -62,7 +62,7 @@ class TestPureLayer:
                     return ObjectStore
             """,
         }, rules=["REP302"])
-        assert active_rules(result) == ["REP302"]
+        assert finding_rules(result) == ["REP302"]
 
     def test_sibling_import_is_clean(self, lint):
         result = lint({
@@ -73,7 +73,7 @@ class TestPureLayer:
                     return Fletcher8(255)
             """,
         }, rules=["REP302"])
-        assert result.active == []
+        assert result.findings == []
 
 
 class TestEagerEngineImport:
@@ -86,7 +86,7 @@ class TestEagerEngineImport:
                     return SpliceEngine
             """,
         }, rules=["REP303"])
-        assert active_rules(result) == ["REP303"]
+        assert finding_rules(result) == ["REP303"]
 
     def test_function_scope_import_is_clean(self, lint):
         result = lint({
@@ -97,7 +97,7 @@ class TestEagerEngineImport:
                     return SpliceEngine
             """,
         }, rules=["REP303"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_hot_attribute_off_lazy_package_is_flagged(self, lint):
         result = lint({
@@ -108,8 +108,8 @@ class TestEagerEngineImport:
                     return SpliceEngine
             """,
         }, rules=["REP303"])
-        assert active_rules(result) == ["REP303"]
-        assert "hot attribute" in result.active[0].message
+        assert finding_rules(result) == ["REP303"]
+        assert "hot attribute" in result.findings[0].message
 
     def test_cheap_attribute_off_lazy_package_is_clean(self, lint):
         result = lint({
@@ -120,7 +120,7 @@ class TestEagerEngineImport:
                     return RunHealth
             """,
         }, rules=["REP303"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_hot_modules_may_import_each_other(self, lint):
         result = lint({
@@ -131,7 +131,7 @@ class TestEagerEngineImport:
                     return SpliceEngine
             """,
         }, rules=["REP303"])
-        assert result.active == []
+        assert result.findings == []
 
     @pytest.mark.parametrize("module, target", [
         ("repro/core/experiment.py", "repro.core.engine"),
@@ -151,7 +151,7 @@ class TestEagerEngineImport:
                     return None
             """ % target,
         }, rules=["REP303"])
-        assert active_rules(result) == ["REP303"]
+        assert finding_rules(result) == ["REP303"]
 
     def test_hot_attribute_off_lazy_corpus_package_is_flagged(self, lint):
         result = lint({
@@ -162,4 +162,4 @@ class TestEagerEngineImport:
                     return build_filesystem
             """,
         }, rules=["REP303"])
-        assert active_rules(result) == ["REP303"]
+        assert finding_rules(result) == ["REP303"]

@@ -1,6 +1,6 @@
 """REP304: the scalar-hot-loop rule."""
 
-from tests.lint.conftest import active_rules
+from tests.lint.conftest import finding_rules
 
 
 class TestScalarHotLoop:
@@ -14,8 +14,8 @@ class TestScalarHotLoop:
                     return out
             """,
         }, rules=["REP304"])
-        assert active_rules(result) == ["REP304"]
-        assert "compute" in result.active[0].message
+        assert finding_rules(result) == ["REP304"]
+        assert "compute" in result.findings[0].message
 
     def test_underscored_helper_name_is_flagged(self, lint):
         result = lint({
@@ -28,7 +28,7 @@ class TestScalarHotLoop:
                     return missed
             """,
         }, rules=["REP304"])
-        assert active_rules(result) == ["REP304"]
+        assert finding_rules(result) == ["REP304"]
 
     def test_call_in_while_test_is_flagged(self, lint):
         result = lint({
@@ -38,7 +38,7 @@ class TestScalarHotLoop:
                         queue.pop()
             """,
         }, rules=["REP304"])
-        assert active_rules(result) == ["REP304"]
+        assert finding_rules(result) == ["REP304"]
 
     def test_comprehension_inside_loop_is_flagged(self, lint):
         result = lint({
@@ -48,7 +48,7 @@ class TestScalarHotLoop:
                         yield {n: e.compute(pair) for n, e in engines}
             """,
         }, rules=["REP304"])
-        assert active_rules(result) == ["REP304"]
+        assert finding_rules(result) == ["REP304"]
 
     def test_call_outside_loop_is_clean(self, lint):
         result = lint({
@@ -57,7 +57,7 @@ class TestScalarHotLoop:
                     return engine.compute(frame)
             """,
         }, rules=["REP304"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_for_iterable_is_evaluated_once_and_clean(self, lint):
         result = lint({
@@ -67,7 +67,7 @@ class TestScalarHotLoop:
                         yield word
             """,
         }, rules=["REP304"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_batch_kernels_in_loop_are_clean(self, lint):
         result = lint({
@@ -80,7 +80,7 @@ class TestScalarHotLoop:
                     return out
             """,
         }, rules=["REP304"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_cold_module_loop_is_clean(self, lint):
         result = lint({
@@ -89,7 +89,7 @@ class TestScalarHotLoop:
                     return [engine.compute(f) for f in frames]
             """,
         }, rules=["REP304"])
-        assert result.active == []
+        assert result.findings == []
 
     def test_nested_loops_report_once(self, lint):
         result = lint({
@@ -102,7 +102,7 @@ class TestScalarHotLoop:
                     return out
             """,
         }, rules=["REP304"])
-        assert active_rules(result) == ["REP304"]
+        assert finding_rules(result) == ["REP304"]
 
     def test_pragma_suppresses_the_reference_path(self, lint):
         result = lint({
@@ -115,5 +115,5 @@ class TestScalarHotLoop:
                     return out
             """,
         }, rules=["REP304"])
-        assert result.active == []
+        assert result.findings == []
         assert result.suppressed == 1

@@ -1,17 +1,20 @@
 """reprolint dogfoods: the repo's own sources pass every rule.
 
-These are the acceptance checks from the PR contract: the CLI exits 0
-on the repository (modulo the committed baseline) and exits nonzero on
-a fixture tree seeded with one violation per rule.
+The CLI exits 0 on the repository and exits nonzero on a fixture tree
+seeded with one violation per rule, and the store rules name only
+classes and calls the store still has.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint.engine import run_lint
+from repro.lint.config import LintConfig
+from repro.lint.engine import Project, call_name, run_lint
+from repro.lint.rules_flow import _ACQUIRE_LEAVES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -31,7 +34,7 @@ class TestOwnSources:
         result = run_lint([SRC])
         messages = [
             "%s %s %s" % (f.location(), f.rule, f.message)
-            for f in result.active
+            for f in result.findings
         ]
         assert messages == []
         assert result.files_scanned > 60
@@ -40,10 +43,29 @@ class TestOwnSources:
         proc = _cli(["lint", "src"], cwd=REPO_ROOT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_committed_baseline_is_loadable_and_empty(self):
-        from repro.lint.baseline import load_baseline
-
-        assert load_baseline(REPO_ROOT / ".reprolint-baseline.json") == set()
+    def test_store_rule_names_match_store_code(self):
+        # A REP403 class suffix or a REP411 acquire leaf that matches
+        # nothing under repro.store guards code that no longer exists.
+        config = LintConfig()
+        classes, leaves = set(), set()
+        for module in Project([SRC]).modules():
+            if not config.is_store(module.name):
+                continue
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ClassDef):
+                    classes.add(node.name)
+                elif isinstance(node, ast.Call):
+                    chain = call_name(node) or ""
+                    leaves.add(chain.rsplit(".", 1)[-1].lstrip("_"))
+        unmatched = [
+            "class suffix %s" % suffix
+            for suffix in config.verified_read_class_suffixes
+            if not any(name.endswith(suffix) for name in classes)
+        ] + [
+            "acquire leaf %s()" % leaf
+            for leaf in sorted(_ACQUIRE_LEAVES) if leaf not in leaves
+        ]
+        assert unmatched == []
 
 
 #: One violation per rule (REP000 syntax errors included) -- the
@@ -104,8 +126,8 @@ _SEEDED = {
         "def checkpoint(path, blob):\n"
         "    path.write_bytes(blob)\n"  # REP402
     ),
-    "repro/store/backends/bad.py": (
-        "class RottenBackend:\n"
+    "repro/store/rotten.py": (
+        "class RottenStore:\n"
         "    def get(self, key):\n"
         "        return self._frames[key]\n"  # REP403
     ),
@@ -155,11 +177,11 @@ _SEEDED = {
         "def run(pool, shard):\n"
         "    return pool.submit(WORKER, shard)\n"  # REP211
     ),
-    "repro/store/conn.py": (
+    "repro/store/reader.py": (
         "def fetch(path):\n"
-        "    client = connect(path)\n"  # REP411
-        "    data = client.request(path)\n"
-        "    client.close()\n"
+        "    handle = open(path, 'rb')\n"  # REP411
+        "    data = handle.read()\n"
+        "    handle.close()\n"
         "    return data\n"
     ),
     "repro/core/quiet.py": (
@@ -193,7 +215,7 @@ class TestSeededFixture:
         root = tmp_path / "seeded"
         _write_seeded(root)
         result = run_lint([root])
-        assert _EXPECTED_RULES <= {f.rule for f in result.active}
+        assert _EXPECTED_RULES <= {f.rule for f in result.findings}
         assert result.exit_code == 1
 
     def test_committed_contract_trips_rep311_on_the_fixture(self, tmp_path):
@@ -205,17 +227,17 @@ class TestSeededFixture:
         _write_seeded(root)
         contract = load_contract(REPO_ROOT / ".reprolint.toml")
         result = run_lint([root], rules=["REP311"], contract=contract)
-        assert {f.rule for f in result.active} == {"REP311"}
+        assert {f.rule for f in result.findings} == {"REP311"}
 
     def test_cli_exits_nonzero_with_parseable_json(self, tmp_path):
         root = tmp_path / "seeded"
         _write_seeded(root)
         proc = _cli(
-            ["lint", "--no-baseline", "--format", "json", str(root)],
+            ["lint", "--format", "json", str(root)],
             cwd=tmp_path,
         )
         assert proc.returncode == 1, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
-        assert payload["schema"] == "repro-lint/1"
+        assert payload["schema"] == "repro-lint/2"
         reported = set(payload["summary"]["by_rule"])
         assert _EXPECTED_RULES <= reported

@@ -316,8 +316,7 @@ class TestLintCommand:
         # "no findings" (0) nor "findings" (1) -- and the message hands
         # the operator the full catalogue to pick from.
         root = self._seed(tmp_path)
-        code = main(["lint", root, "--rules", "REP999",
-                     "--no-baseline", "--no-contract"])
+        code = main(["lint", root, "--rules", "REP999", "--no-contract"])
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown rule id(s): REP999" in err
@@ -328,39 +327,38 @@ class TestLintCommand:
 
     def test_exit_codes_clean_findings_usage(self, tmp_path, capsys):
         root = self._seed(tmp_path)
-        assert main(["lint", root, "--rules", "REP102",
-                     "--no-baseline", "--no-contract"]) == 0
-        assert main(["lint", root, "--rules", "REP101",
-                     "--no-baseline", "--no-contract"]) == 1
+        assert main(["lint", root, "--rules", "REP102", "--no-contract"]) == 0
+        assert main(["lint", root, "--rules", "REP101", "--no-contract"]) == 1
         capsys.readouterr()
 
     def test_sarif_format(self, tmp_path, capsys):
-        import json
-
+        # An unknown format is a usage error that names the valid ones.
         root = self._seed(tmp_path)
-        assert main(["lint", root, "--format", "sarif",
-                     "--no-baseline", "--no-contract"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        results = payload["runs"][0]["results"]
-        assert any(r["ruleId"] == "REP101" for r in results)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", root, "--format", "sarif", "--no-contract"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sarif'" in err
+        assert "'text', 'json', 'md'" in err
 
-    def test_cache_flag_round_trips(self, tmp_path, capsys):
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys):
+        # A pragma is the only suppression and one cold pass the only
+        # run: the baseline and cache flags are unknown arguments.
         root = self._seed(tmp_path)
-        cache = str(tmp_path / "lint-cache.json")
-        argv = ["lint", root, "--cache", cache,
-                "--no-baseline", "--no-contract"]
-        assert main(argv) == 1
-        cold = capsys.readouterr().out
-        assert main(argv) == 1
-        warm = capsys.readouterr().out
-        assert "incremental cache" in warm
-        # Findings identical; only the cache-traffic line differs.
-        def strip(out):
-            return [line for line in out.splitlines()
-                    if "incremental cache" not in line]
-
-        assert strip(warm) == strip(cold)
+        removed = [["--cache", str(tmp_path / "x")], ["--baseline", "b"],
+                   ["--no-baseline"], ["--fix-baseline"]]
+        for flag in removed:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["lint", *flag, root])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: %s" % flag[0] \
+                in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["lint", "--help"])
+        out = capsys.readouterr().out
+        for flag in removed:
+            assert flag[0] not in out
+        assert "sarif" not in out
 
     def test_list_rules_covers_the_flow_family(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -372,8 +370,7 @@ class TestLintCommand:
         root = self._seed(tmp_path)
         contract = tmp_path / "broken.toml"
         contract.write_text("[contract\n", encoding="utf-8")
-        assert main(["lint", root, "--no-baseline",
-                     "--contract", str(contract)]) == 2
+        assert main(["lint", root, "--contract", str(contract)]) == 2
         assert "broken.toml" in capsys.readouterr().err
 
 
@@ -424,9 +421,10 @@ class TestOneSubcommandParser:
                             "--arq", "selective-repeat", "--trace", "t"],
         ["channel", "replay", "t", "--workers", "2"],
         ["cache", "audit", "--evict", "--cache-dir", "d"],
-        ["lint", "src", "--format", "sarif", "--rules", "REP101"],
+        ["lint", "src", "--format", "json", "--rules", "REP101"],
         ["transfer"], ["--bogus"], ["splice", "--mss", "65496"],
         ["cache"], ["channel", "bogus"],
+        ["lint", "src", "--format", "sarif", "--rules", "REP101"],
     ]
 
     @pytest.mark.parametrize("path", SUBCOMMAND_PATHS, ids=" ".join)

@@ -1,7 +1,7 @@
 """README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md claim only what
 the tree contains.
 
-Seven checks over the user-facing docs:
+Eight checks over the user-facing docs:
 
 * every ``BENCH_<n>.json`` they name exists at the repository root;
 * every repository path they name in inline code under ``src/``,
@@ -10,7 +10,9 @@ Seven checks over the user-facing docs:
 * every ``make <target>`` in a code block or inline code span is a
   Makefile target;
 * every option on a ``repro-checksums ...`` or ``python -m repro.cli
-  ...`` line of a code block is accepted by that subcommand's parser;
+  ...`` line of a code block is accepted by that subcommand's parser,
+  and every value that follows an option with ``choices`` on such a
+  line is one of them (``--format json``, not a removed format);
 * every inline code span in the meaning column of an exit-code table
   names a subcommand path the parser accepts (``channel replay``), an
   option some subcommand accepts (``--rules``), or a
@@ -170,17 +172,44 @@ def is_subcommand_path(words):
     return bool(words)
 
 
-def unknown_options(args):
-    """Options in ``args`` that its (sub)command's parser rejects."""
+def command_parser(args):
+    """``(parser, tokens)``: the (sub)command parser ``args`` runs and
+    the tokens left after the subcommand words, or ``(None, [word])``
+    for the first word that names no subcommand."""
     parser, tokens = build_parser(), shlex.split(args)
     while tokens and _subparsers(parser) is not None:
         choices = _subparsers(parser)
         if tokens[0] not in choices:
-            return ["unknown subcommand %r" % tokens[0]]
+            return None, tokens[:1]
         parser = choices[tokens.pop(0)]
+    return parser, tokens
+
+
+def unknown_options(args):
+    """Options in ``args`` that its (sub)command's parser rejects."""
+    parser, tokens = command_parser(args)
+    if parser is None:
+        return ["unknown subcommand %r" % tokens[0]]
     return [token for token in tokens
             if token.startswith("-") and token != "-"
             and token.split("=", 1)[0] not in parser._option_string_actions]
+
+
+def choice_values(args):
+    """``(option, value, choices)`` for each value in ``args`` that
+    follows an option with ``choices`` (``--format json``,
+    ``--plan=bitrot``)."""
+    parser, tokens = command_parser(args)
+    if parser is None:
+        return []
+    values = []
+    for token, following in zip(tokens, tokens[1:] + [None]):
+        option, inline, value = token.partition("=")
+        action = parser._option_string_actions.get(option)
+        if action is not None and action.choices is not None:
+            values.append((option, value if inline else following,
+                           list(action.choices)))
+    return values
 
 
 def test_named_bench_snapshots_exist():
@@ -233,6 +262,23 @@ def test_cli_options_exist():
             for problem in unknown_options(match.group("args")):
                 problems.append("%s: %s: %s" % (where(path, number), problem, line))
     assert checked >= 20
+    assert not problems, "\n".join(problems)
+
+
+def test_cli_option_values_are_valid_choices():
+    checked, problems = 0, []
+    for path in DOCS:
+        for number, line in code_block_lines(path):
+            match = _CLI_LINE.match(line)
+            if match is None:
+                continue
+            for option, value, choices in choice_values(match.group("args")):
+                checked += 1
+                if value not in choices:
+                    problems.append("%s: %s %s is not one of %s: %s" % (
+                        where(path, number), option, value,
+                        ", ".join(choices), line))
+    assert checked >= 15
     assert not problems, "\n".join(problems)
 
 
