@@ -1,24 +1,31 @@
 """Generators for the file families the paper's filesystems contain.
 
-Each generator is a function ``(rng, size) -> bytes`` taking a NumPy
-``Generator`` and a byte count.  The families deliberately reproduce the
-data properties the paper identifies as driving checksum behaviour --
-see the module docstring of :mod:`repro.corpus`.
+Each generator is a function ``(rng, size) -> bytes`` taking a draw
+source and a byte count.  The families deliberately reproduce the data
+properties the paper identifies as driving checksum behaviour -- see
+the module docstring of :mod:`repro.corpus`.
 
-:func:`english_text` (which :func:`wordproc` also calls) makes one or
-two draws per character, so it does not call ``rng.random()`` and
-``rng.integers(n)`` per draw: it replays the generator's PCG64 stream
-from bulk ``random_raw`` blocks (:class:`_PCG64Replay`), decoding each
-draw exactly as NumPy does, and rewinds the generator on return.  Its
-bytes, and the generator state it leaves for the next file, are
-identical to per-draw calls.  It accepts only PCG64-backed generators
-(what ``default_rng`` returns) and raises ``TypeError`` for any other.
-Every other generator draws through NumPy directly.
+The generators make NumPy ``Generator`` calls: ``random()``,
+``random(n)``, ``integers(low, high)``, ``integers(low, high, size=n)``
+and ``choice(a, size, p)``.  They accept a bare ``Generator``, which the
+tests use as the per-draw oracle, but the corpus hands them a
+:class:`_PCG64Replay`: one replay of a PCG64 stream that answers those
+calls from bulk ``random_raw`` blocks, decoding each draw exactly as
+NumPy does, without NumPy's per-call cost.  ``build_filesystem`` makes
+one replay per filesystem and :func:`generate` one per call, rewinding
+the caller's generator on return, so the bytes, and the generator state
+left for the next file, equal those of per-draw calls.  Other bit
+generators pass through :func:`generate` unreplayed, except to
+:func:`english_text` (which :func:`wordproc` also calls): it draws once
+or twice per character, inlines the replay's common case, and raises
+``TypeError`` for a generator that is not PCG64-backed (what
+``default_rng`` returns).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -54,6 +61,15 @@ _MARKOV_ROWS = None
 _TWO32 = 1 << 32
 _MASK32 = _TWO32 - 1
 _REPLAY_BLOCK = 1024
+_NO_RAWS = np.empty(0, dtype=np.uint64)
+#: ``random()`` is ``(raw >> 11) * _TO_UNIT``.
+_TO_UNIT = 2.0**-53
+#: ``integers(..., size=n)`` draws up to this many values one at a time,
+#: which costs less than the vectorized decode's fixed NumPy calls.
+_SCALAR_BULK = 4
+#: A raw output, and the 32-bit words it holds (low half first).
+_RAW_DTYPE = np.dtype("<u8")
+_WORD_DTYPE = np.dtype("<u4")
 #: ``rng.random() < 0.002`` on a raw output ``raw``: ``random()`` is
 #: ``(raw >> 11) * 2**-53``, so the test is ``raw >> 11 < 0.002 * 2**53``,
 #: i.e. ``raw < _REPEAT_RAW``.
@@ -79,9 +95,9 @@ def _markov_rows():
     Ids ``0 .. len(model) - 1`` are the model's states in ``list(model)``
     order, which the start and restart draws index.  A successor that
     is not a key of the model (it only ends the seed passage) gets a
-    later id and an empty row.  ``rows[id]`` is ``(n, chars,
-    successors, threshold)``: the ``n`` possible next characters, the
-    id each one leads to, and Lemire's rejection threshold ``(2**32 -
+    later id and an empty row.  ``rows[id]`` is ``[n, chars,
+    successors, threshold]``: the ``n`` possible next characters, the
+    row each one leads to, and Lemire's rejection threshold ``(2**32 -
     n) % n`` for ``integers(n)``.
     """
     global _MARKOV_ROWS
@@ -101,9 +117,19 @@ def _markov_rows():
                 successors.append(ids[successor])
             n = len(chars)
             threshold = (_TWO32 - n) % n if n else 0
-            rows.append((n, chars, tuple(successors), threshold))
+            rows.append([n, chars, successors, threshold])
+        for row in rows:  # successor ids -> rows, once every row exists
+            row[2] = tuple(rows[i] for i in row[2])
         _MARKOV_ROWS = (names, rows)
     return _MARKOV_ROWS
+
+
+def _count(size):
+    """A ``size`` argument as a number of draws."""
+    size = operator.index(size)  # a shape tuple raises here
+    if size < 0:
+        raise ValueError("negative size: %d" % size)
+    return size
 
 
 class _PCG64Replay:
@@ -111,40 +137,56 @@ class _PCG64Replay:
 
     Raw 64-bit outputs come from ``random_raw`` in blocks of at most
     ``_REPLAY_BLOCK`` words and are decoded exactly as NumPy decodes
-    them: ``random()`` is ``(raw >> 11) * 2**-53``, and ``integers(n)``
-    takes 32-bit words -- the high half buffered by the previous 32-bit
-    draw, else the low half of a fresh raw whose high half is then
-    buffered -- through Lemire's rejection.  The generator runs ahead by
-    up to a block meanwhile; :meth:`rewind` puts it exactly where
-    per-draw calls would have left it.  :func:`english_text` inlines the
-    common case of :meth:`raw` and :meth:`integers` on the public slots:
-    a method call per draw made its loop about 30% slower.
+    them: ``random()`` is ``(raw >> 11) * 2**-53``, and ``integers(low,
+    high)`` is ``low`` plus Lemire's rejection over 32-bit words -- the
+    high half buffered by the previous 32-bit draw, else the low half of
+    a fresh raw whose high half is then buffered.  ``random(n)``,
+    ``integers(low, high, size=n)`` and ``choice(a, size, p)`` (NumPy's
+    cdf search over ``random(n)``) decode a slice of the block at once,
+    and what lies past the block straight from the generator; a word
+    Lemire rejects is skipped, as his loop skips it.  Any other call
+    form, or a range wider than ``2**32``, raises instead of drawing
+    differently.
+
+    The generator runs ahead by up to a block meanwhile; :meth:`rewind`
+    puts it exactly where per-draw calls would have left it.
+    :func:`english_text` inlines the common case of :meth:`raw` and
+    :meth:`integers` on the public slots: a method call per draw made
+    its loop about 30% slower.
     """
 
-    # raws[pos:] are the block's unread outputs; has32 and half mirror
-    # PCG64's has_uint32 and uinteger (the buffered high half).
-    __slots__ = ("raws", "pos", "has32", "half", "_bg", "_saved", "_spent")
+    # raws[pos:] are the block's unread outputs (``_block`` holds the
+    # same words as an array); has32 and half mirror PCG64's has_uint32
+    # and uinteger (the buffered high half).  _spent counts the outputs
+    # drawn before the block, and _block_size is the next block's size.
+    __slots__ = ("raws", "pos", "has32", "half", "_block", "_block_size",
+                 "_rng", "_bg", "_saved", "_spent")
 
     def __init__(self, rng):
         bg = rng.bit_generator
         if type(bg) is not np.random.PCG64:
             raise TypeError(
-                "english_text replays a PCG64 stream; got a %s-backed generator"
+                "the corpus replays a PCG64 stream; got a %s-backed generator"
                 % type(bg).__name__
             )
+        self._rng = rng
         self._bg = bg
         self._saved = bg.state
         self.has32 = self._saved["has_uint32"]
         self.half = self._saved["uinteger"]
         self.raws = []
+        self._block = _NO_RAWS
+        self._block_size = 1
         self.pos = 0
         self._spent = 0
 
     def refill(self):
         """Replace the exhausted block with the next one."""
         self._spent += len(self.raws)
-        self.raws = self._bg.random_raw(_REPLAY_BLOCK).tolist()
+        self._block = self._bg.random_raw(self._block_size)
+        self.raws = self._block.tolist()
         self.pos = 0
+        self._block_size = min(2 * self._block_size, _REPLAY_BLOCK)
 
     def raw(self):
         """The next raw 64-bit output; ``random()`` is ``(raw >> 11) * 2**-53``."""
@@ -153,31 +195,132 @@ class _PCG64Replay:
         self.pos += 1
         return self.raws[self.pos - 1]
 
-    def integers(self, n):
-        """``Generator.integers(n)``, for ``1 <= n <= 2**32``."""
+    def random(self, size=None):
+        """``Generator.random()``, or ``random(size)`` as a float64 array."""
+        if size is None:
+            if self.pos == len(self.raws):
+                self.refill()
+            self.pos += 1
+            return (self.raws[self.pos - 1] >> 11) * _TO_UNIT
+        size = _count(size)
+        head = min(size, len(self.raws) - self.pos)
+        if head == size:
+            return (self._raw_array(size) >> 11) * _TO_UNIT
+        # The generator stands at the block's end, so it decodes the
+        # rest itself: random() reads no buffered half.
+        if head:
+            out = np.empty(size)
+            out[:head] = (self._raw_array(head) >> 11) * _TO_UNIT
+            self._rng.random(out=out[head:])
+        else:
+            out = self._rng.random(size)
+        self._pass_block(size - head)
+        return out
+
+    def integers(self, low, high=None, size=None):
+        """``Generator.integers(low, high, size)`` over at most ``2**32`` values."""
+        if high is None:
+            low, high = 0, low
+        n = operator.index(high) - operator.index(low)
+        if not 0 < n <= _TWO32:
+            raise ValueError(
+                "the replay draws integers over 1 to 2**32 values; got %r" % n
+            )
+        if size is not None:
+            size = _count(size)
+            if n == 1:
+                return np.full(size, low, dtype=np.int64)
+            values = self._integers_array(n, size)
+            if low:
+                values += low
+            return values
         if n == 1:
-            return 0
+            return low
         threshold = (_TWO32 - n) % n
         while True:
             if self.has32:
                 self.has32 = 0
                 word = self.half
             else:
-                raw = self.raw()
+                if self.pos == len(self.raws):
+                    self.refill()
+                raw = self.raws[self.pos]
+                self.pos += 1
                 self.has32, self.half = 1, raw >> 32
                 word = raw & _MASK32
             m = word * n
             if m & _MASK32 >= threshold:
-                return m >> 32
+                return low + (m >> 32)
+
+    def choice(self, a, size, p):
+        """``Generator.choice(a, size, p=p)`` over a 1-D ``a``, with replacement."""
+        a = np.asarray(a)
+        if p is None or a.ndim != 1 or len(p) != len(a):
+            raise TypeError("the replay draws choice(a, size, p) over a 1-D a only")
+        # NumPy's weighted draw: the normalized cdf, searched by random().
+        cdf = np.asarray(p, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        return a[cdf.searchsorted(self.random(size), side="right")]
 
     def rewind(self):
         """Leave the generator where per-draw calls would have left it."""
         bg = self._bg
-        bg.state = self._saved
-        bg.advance(self._spent + self.pos)  # advance() clears the buffered half
+        if self.pos < len(self.raws):  # it ran ahead: step it back
+            bg.state = self._saved
+            bg.advance(self._spent + self.pos)
         state = bg.state
         state["has_uint32"], state["uinteger"] = self.has32, self.half
         bg.state = state
+
+    def _raw_array(self, count):
+        """The next ``count`` raw outputs, as a uint64 array."""
+        start, stop = self.pos, self.pos + count
+        if stop <= len(self.raws):
+            self.pos = stop
+            return self._block[start:stop]
+        fresh = stop - len(self.raws)
+        head = self._block[start:]
+        self._pass_block(fresh)
+        if not len(head):
+            return self._bg.random_raw(fresh)
+        return np.concatenate((head, self._bg.random_raw(fresh)))
+
+    def _pass_block(self, fresh):
+        """Count the block spent and ``fresh`` outputs drawn past its end."""
+        self._spent += len(self.raws) + fresh
+        self.raws, self._block, self.pos = [], _NO_RAWS, 0
+        if fresh > _REPLAY_BLOCK:
+            # A long bulk draw: the next scalar draw lists one output,
+            # not a block that the next bulk draw may skip.  Each refill
+            # doubles the block again.
+            self._block_size = 1
+
+    def _integers_array(self, n, size):
+        """``size`` draws of ``integers(n)``, decoded a slice of words at a time."""
+        out = np.empty(size, dtype=np.int64)
+        threshold = (_TWO32 - n) % n
+        filled = 0
+        while filled < size:
+            count = size - filled
+            if self.has32 or count <= _SCALAR_BULK:
+                # The buffered half, or a short tail: one draw at a time.
+                out[filled] = self.integers(n)
+                filled += 1
+                continue
+            raws = self._raw_array((count + 1) // 2)
+            # A raw output is two words, its low half first: its
+            # little-endian 32-bit view.  An odd count leaves the last
+            # high half buffered; NumPy keeps it even once it is drawn.
+            self.has32, self.half = count & 1, int(raws[-1]) >> 32
+            words = raws.astype(_RAW_DTYPE, copy=False).view(_WORD_DTYPE)[:count]
+            if not threshold:  # n is a power of two: (word * n) >> 32 is a shift
+                np.right_shift(words, 33 - n.bit_length(), out=out[filled:])
+                break
+            m = np.multiply(words, n, dtype=np.uint64)
+            m = m[m & _MASK32 >= threshold]  # Lemire rejects these words
+            np.right_shift(m, 32, out=out[filled : filled + len(m)])
+            filled += len(m)
+        return out
 
 
 _BOILERPLATE = (
@@ -197,67 +340,93 @@ def english_text(rng, size):
     sentence verbatim, reproducing the block-level self-similarity the
     paper's locality analysis depends on.
 
-    Draws go through a :class:`_PCG64Replay` of ``rng`` (PCG64 only);
-    bytes and the final state of ``rng`` equal those of calling
+    ``rng`` is a :class:`_PCG64Replay`, which is drawn from and left
+    where the draws end, or a PCG64 ``Generator``, which is replayed and
+    rewound on return; bytes and the final state equal those of calling
     ``rng.random()`` and ``rng.integers(n)`` once per draw.
     """
     names, rows = _markov_rows()
     n_states = len(_markov_model())
-    replay = _PCG64Replay(rng)
-    integers = replay.integers
+    replay = rng if type(rng) is _PCG64Replay else _PCG64Replay(rng)
     out = [_BOILERPLATE]
     produced = len(_BOILERPLATE)
     sentences = []
-    state = integers(n_states)
-    current = [names[state]]
+    start = replay.integers(n_states)
+    current = [names[start]]
     produced += _MARKOV_ORDER
+    state = rows[start]
+    repeat_raw, mask = _REPEAT_RAW, _MASK32
+    # The replay's block, position and buffered half live in locals; a
+    # draw through the replay itself stores them first and reloads them.
+    raws, pos, has32, half = replay.raws, replay.pos, replay.has32, replay.half
+    end = len(raws)
     while produced < size:
-        if sentences:
-            # rng.random() < 0.002, on the raw word.
-            if replay.pos == len(replay.raws):
-                replay.refill()
-            raw = replay.raws[replay.pos]
-            replay.pos += 1
-            if raw < _REPEAT_RAW:
-                repeat = sentences[integers(len(sentences))]
-                out.append("".join(current))
-                current = []
-                out.append(repeat)
-                produced += len(repeat)
-                continue
-        n, chars, successors, threshold = rows[state]
-        if not n:
-            state = integers(n_states)
-            current.append(" ")
-            produced += 1
-            continue
-        if n == 1:
-            k = 0
-        else:
-            # integers(n): its first word inline, any rejection redrawn there.
-            if replay.has32:
-                replay.has32 = 0
-                m = replay.half * n
-            else:
-                if replay.pos == len(replay.raws):
+        # Each pass adds one character; a sentence repeat ends the loop
+        # early, having added i characters.
+        for i in range(size - produced):
+            if sentences:
+                # rng.random() < 0.002, on the raw word.
+                if pos == end:
                     replay.refill()
-                raw = replay.raws[replay.pos]
-                replay.pos += 1
-                replay.has32, replay.half = 1, raw >> 32
-                m = (raw & _MASK32) * n
-            k = m >> 32 if m & _MASK32 >= threshold else integers(n)
-        char = chars[k]
-        current.append(char)
-        produced += 1
-        state = successors[k]
-        if char == "." and len(current) > 40:
-            sentence = "".join(current)
-            if len(sentences) < 32:
-                sentences.append(sentence)
-            out.append(sentence)
-            current = []
+                    raws, pos, end = replay.raws, 0, len(replay.raws)
+                raw = raws[pos]
+                pos += 1
+                if raw < repeat_raw:
+                    replay.pos, replay.has32, replay.half = pos, has32, half
+                    repeat = sentences[replay.integers(len(sentences))]
+                    raws, pos, has32, half = replay.raws, replay.pos, replay.has32, replay.half
+                    end = len(raws)
+                    out.append("".join(current))
+                    current = []
+                    out.append(repeat)
+                    produced += i + len(repeat)
+                    break
+            n, chars, successors, threshold = state
+            if n < 2:
+                if not n:  # a dead end: restart from a random state
+                    replay.pos, replay.has32, replay.half = pos, has32, half
+                    state = rows[replay.integers(n_states)]
+                    raws, pos, has32, half = replay.raws, replay.pos, replay.has32, replay.half
+                    end = len(raws)
+                    current.append(" ")
+                    continue
+                k = 0
+            else:
+                # integers(n): its first word inline, any rejection
+                # redrawn by the replay.
+                if has32:
+                    has32 = 0
+                    m = half * n
+                else:
+                    if pos == end:
+                        replay.refill()
+                        raws, pos, end = replay.raws, 0, len(replay.raws)
+                    raw = raws[pos]
+                    pos += 1
+                    has32, half = 1, raw >> 32
+                    m = (raw & mask) * n
+                if m & mask >= threshold:
+                    k = m >> 32
+                else:
+                    replay.pos, replay.has32, replay.half = pos, has32, half
+                    k = replay.integers(n)
+                    raws, pos, has32, half = replay.raws, replay.pos, replay.has32, replay.half
+                    end = len(raws)
+            char = chars[k]
+            current.append(char)
+            state = successors[k]
+            if char == "." and len(current) > 40:
+                sentence = "".join(current)
+                if len(sentences) < 32:
+                    sentences.append(sentence)
+                out.append(sentence)
+                current = []
+        else:
+            break
     out.append("".join(current))
-    replay.rewind()
+    replay.pos, replay.has32, replay.half = pos, has32, half
+    if replay is not rng:
+        replay.rewind()
     return "".join(out).encode("ascii")[:size]
 
 
@@ -604,4 +773,9 @@ def generate(kind, size, rng):
         )
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    return GENERATORS[kind](rng, int(size))
+    if type(rng.bit_generator) is not np.random.PCG64:
+        return GENERATORS[kind](rng, int(size))
+    replay = _PCG64Replay(rng)
+    data = GENERATORS[kind](replay, int(size))
+    replay.rewind()
+    return data

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.corpus.filesystem import Filesystem, SyntheticFile
-from repro.corpus.generators import GENERATORS
+from repro.corpus.generators import GENERATORS, _PCG64Replay
 
 __all__ = ["PROFILES", "FilesystemProfile", "build_filesystem", "profile_names"]
 
@@ -170,9 +170,10 @@ def build_filesystem(profile, total_bytes, seed=0):
     """
     if isinstance(profile, str):
         profile = PROFILES[profile]
-    rng = np.random.default_rng(
+    # One replay of the profile's PCG64 stream feeds every draw.
+    rng = _PCG64Replay(np.random.default_rng(
         np.random.SeedSequence([seed, _stable_profile_seed(profile.name)])
-    )
+    ))
     kinds = sorted(profile.mix)
     weights = np.array([profile.mix[k] for k in kinds], dtype=np.float64)
     budgets = weights / weights.sum() * total_bytes

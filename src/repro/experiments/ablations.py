@@ -22,10 +22,10 @@
 from __future__ import annotations
 
 from repro.core.experiment import run_splice_experiment
-from repro.corpus.profiles import build_filesystem
 from repro.corpus.transforms import add_constant_to_words
 from repro.experiments.render import TextTable, fmt_count, fmt_pct
 from repro.experiments.report import ExperimentReport
+from repro.experiments.splice_tables import _filesystem
 from repro.protocols.packetizer import PacketizerConfig
 
 __all__ = [
@@ -48,7 +48,7 @@ PATHOLOGICAL_SYSTEMS = (
 )
 
 
-def pathological_families(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED):
+def pathological_families(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, store=None):
     """Section 5.5: per-family miss rates for TCP, F-255 and F-256."""
     base = PacketizerConfig()
     configs = [
@@ -59,7 +59,7 @@ def pathological_families(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED):
     table = TextTable(["family", "TCP miss %", "F-255 miss %", "F-256 miss %"])
     data = {}
     for system in PATHOLOGICAL_SYSTEMS:
-        fs = build_filesystem(system, fs_bytes, seed)
+        fs = _filesystem(system, fs_bytes, seed, store)
         rates = {}
         for label, config in configs:
             c = run_splice_experiment(fs, config).counters
@@ -78,10 +78,10 @@ def pathological_families(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED):
 
 
 def ablation_inverted_checksum(
-    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt"
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt", store=None
 ):
     """Section 6.3: inverted vs non-inverted stored checksum."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     base = PacketizerConfig()
     inverted = run_splice_experiment(fs, base).counters
     plain = run_splice_experiment(fs, base.with_overrides(invert=False)).counters
@@ -102,10 +102,10 @@ def ablation_inverted_checksum(
 
 
 def ablation_unfilled_ip_header(
-    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt"
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt", store=None
 ):
     """Section 6.2: the unfilled-IP-header simulator bug."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     base = PacketizerConfig()
     filled = run_splice_experiment(fs, base).counters
     unfilled = run_splice_experiment(
@@ -134,10 +134,11 @@ def ablation_unfilled_ip_header(
 
 
 def ablation_add_constant(
-    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt", constant=1
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt", constant=1,
+    store=None,
 ):
     """Section 6.1: is zero special?  Shift every word and re-measure."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     shifted = add_constant_to_words(fs, constant)
     config = PacketizerConfig()
     original = run_splice_experiment(fs, config).counters

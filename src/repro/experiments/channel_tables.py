@@ -24,9 +24,9 @@ from __future__ import annotations
 from repro.channel.arq import ArqConfig
 from repro.channel.plan import ChannelPlan, named_channel_plan
 from repro.channel.sweep import run_channel_sweep
-from repro.corpus.profiles import build_filesystem
 from repro.experiments.render import TextTable, fmt_count, fmt_pct
 from repro.experiments.report import ExperimentReport
+from repro.experiments.splice_tables import _filesystem
 
 __all__ = ["channel_arq", "channel_goodput", "channel_regimes"]
 
@@ -70,7 +70,7 @@ def channel_regimes(
     separate: clustered bit errors produce exactly the structured
     differences weak checksums miss.
     """
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     regimes = ("clean", "lossy-link", "bursty-link", "congested-queue")
     algorithms = ("tcp", "fletcher255", "fletcher256")
     table = TextTable(
@@ -122,7 +122,7 @@ def channel_goodput(
     health=None,
 ):
     """Goodput and retransmission overhead vs channel badness."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     table = TextTable(
         ["loss rate", "transmissions", "retx ratio", "goodput",
          "delivered %", "ticks"]
@@ -162,7 +162,7 @@ def channel_arq(
     health=None,
 ):
     """The three ARQ disciplines on the same bursty link."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     plan = named_channel_plan("bursty-link", seed=seed)
     table = TextTable(
         ["ARQ", "transmissions", "timeouts", "out-of-order", "delivered %",

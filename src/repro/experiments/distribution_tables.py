@@ -20,9 +20,9 @@ from repro.analysis.distribution import block_checksum_values, cell_checksum_val
 from repro.analysis.locality import locality_statistics
 from repro.analysis.theory import coloring_correction
 from repro.core.experiment import run_splice_experiment
-from repro.corpus.profiles import build_filesystem
 from repro.experiments.render import TextTable, fmt_pct
 from repro.experiments.report import ExperimentReport
+from repro.experiments.splice_tables import _filesystem
 from repro.protocols.packetizer import PacketizerConfig
 
 __all__ = ["table4_matchprob", "table5_locality", "table6_local_vs_actual"]
@@ -43,9 +43,11 @@ def _measured_match_pct(fs, k):
     return 100.0 * float((pmf * pmf).sum())
 
 
-def table4_matchprob(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1"):
+def table4_matchprob(
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", store=None
+):
     """Table 4: checksum match probability for k-cell substitutions."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     cell_values = cell_checksum_values(fs, "internet")
     table = TextTable(["length (cells)", "uniform", "predicted", "measured"])
     rows = []
@@ -65,9 +67,11 @@ def table4_matchprob(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanf
     )
 
 
-def table5_locality(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1"):
+def table5_locality(
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", store=None
+):
     """Table 5: global vs local congruence, with identical exclusion."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     stats = locality_statistics(fs, ks=_KS)
     table = TextTable(
         ["length (cells)", "globally congruent", "locally congruent",
@@ -89,7 +93,7 @@ def table5_locality(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanfo
 def table6_local_vs_actual(
     fs_bytes=DEFAULT_FS_BYTES,
     seed=DEFAULT_SEED,
-    systems=("stanford-u1", "sics-opt", "sics-src1", "sics-src2"),
+    systems=("stanford-u1", "sics-opt", "sics-src1", "sics-src2"), store=None,
 ):
     """Table 6: sample congruence statistics vs actual splice failures.
 
@@ -102,7 +106,7 @@ def table6_local_vs_actual(
     sections = []
     data = {}
     for system in systems:
-        fs = build_filesystem(system, fs_bytes, seed)
+        fs = _filesystem(system, fs_bytes, seed, store)
         cell_values = cell_checksum_values(fs, "internet")
         stats = locality_statistics(fs, ks=_KS)
         counters = run_splice_experiment(fs, config).counters

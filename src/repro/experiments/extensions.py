@@ -29,9 +29,9 @@ from repro.core.engine import EngineOptions, SpliceEngine
 from repro.core.lossmodel import weighted_splice_rates
 from repro.core.montecarlo import run_monte_carlo
 from repro.core.results import SpliceCounters
-from repro.corpus.profiles import build_filesystem
 from repro.experiments.render import TextTable, fmt_pct
 from repro.experiments.report import ExperimentReport
+from repro.experiments.splice_tables import _filesystem
 from repro.protocols.cellstream import GilbertLoss, IndependentLoss
 from repro.protocols.ftpsim import FileTransferSimulator
 from repro.protocols.packetizer import PacketizerConfig
@@ -51,9 +51,11 @@ DEFAULT_FS_BYTES = 300_000
 DEFAULT_SEED = 3
 
 
-def error_models(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1"):
+def error_models(
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", store=None
+):
     """Detection rates under alternative error models (Section 7)."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     injectors = [
         BitFlips(1),
         BitFlips(3),
@@ -105,7 +107,7 @@ def mss_sweep(
     seed=DEFAULT_SEED,
     system="sics-opt",
     sizes=(128, 256, 536, 1024),
-    sample=20_000,
+    sample=20_000, store=None,
 ):
     """Splice miss rate vs segment size.
 
@@ -114,7 +116,7 @@ def mss_sweep(
     uniform); splice counts explode combinatorially, so pairs beyond
     ``sample`` splices are sampled uniformly.
     """
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     table = TextTable(
         ["MSS", "cells/packet", "splices judged", "TCP miss %"]
     )
@@ -146,9 +148,11 @@ def mss_sweep(
     )
 
 
-def loss_models(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt"):
+def loss_models(
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt", store=None
+):
     """Weighted splice statistics under different loss processes."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     config = PacketizerConfig()
     options = EngineOptions.from_packetizer(config, aux_crcs=())
     simulator = FileTransferSimulator(config)
@@ -198,10 +202,11 @@ def loss_models(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="sics-opt")
 
 
 def monte_carlo_crosscheck(
-    fs_bytes=120_000, seed=DEFAULT_SEED, system="pathological-gmon", trials=40
+    fs_bytes=120_000, seed=DEFAULT_SEED, system="pathological-gmon", trials=40,
+    store=None,
 ):
     """Physical drop-and-reassemble simulation vs exact enumeration."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     config = PacketizerConfig()
     options = EngineOptions.from_packetizer(config, aux_crcs=())
     simulator = FileTransferSimulator(config)
@@ -248,7 +253,9 @@ def monte_carlo_crosscheck(
     )
 
 
-def fragment_splices(fs_bytes=150_000, seed=DEFAULT_SEED, system="sics-opt", mtu=92):
+def fragment_splices(
+    fs_bytes=150_000, seed=DEFAULT_SEED, system="sics-opt", mtu=92, store=None
+):
     """The fragmentation-and-reassembly error model vs the cell model.
 
     Same-offset fragment substitutions do not shift any byte, so
@@ -259,7 +266,7 @@ def fragment_splices(fs_bytes=150_000, seed=DEFAULT_SEED, system="sics-opt", mtu
     from repro.core.fragsplice import run_fragment_splice_experiment
     from repro.core.experiment import run_splice_experiment
 
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     base = PacketizerConfig()
     fragment_results = run_fragment_splice_experiment(fs, base, mtu=mtu)
 
@@ -294,11 +301,13 @@ def fragment_splices(fs_bytes=150_000, seed=DEFAULT_SEED, system="sics-opt", mtu
     )
 
 
-def failure_locality(fs_bytes=600_000, seed=DEFAULT_SEED, system="stanford-u1"):
+def failure_locality(
+    fs_bytes=600_000, seed=DEFAULT_SEED, system="stanford-u1", store=None
+):
     """Section 5.5's locality of failure: misses spike in a few files."""
     from repro.core.experiment import run_per_file_experiment
 
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     per_file = run_per_file_experiment(fs, PacketizerConfig())
     total_missed = sum(c.missed_transport for _, c in per_file)
     total_bytes = sum(f.size for f, _ in per_file)
@@ -372,7 +381,9 @@ def uniformity_checks(samples=150_000, seed=2024, fs_bytes=None):
     )
 
 
-def corpus_stats(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1"):
+def corpus_stats(
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", store=None
+):
     """Per-family corpus statistics: the entropy chain behind the misses.
 
     Byte entropy -> cell-checksum concentration (Renyi-2 "effective
@@ -381,7 +392,7 @@ def corpus_stats(fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-
     """
     from repro.analysis.entropy import corpus_statistics
 
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     table = TextTable(
         ["family", "bytes", "byte entropy", "zero frac",
          "checksum pmax", "effective bits"]

@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.analysis.convolution import predicted_block_distribution
 from repro.analysis.distribution import distribution_over
-from repro.corpus.profiles import build_filesystem
 from repro.experiments.render import TextTable, ascii_series, fmt_pct
 from repro.experiments.report import ExperimentReport
+from repro.experiments.splice_tables import _filesystem
 
 __all__ = ["figure2_distribution", "figure3_fletcher_pdf"]
 
@@ -28,10 +28,11 @@ _TOP = 65  # the most common 0.1% of a 16-bit space, as in the paper
 
 
 def figure2_distribution(
-    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", ks=(1, 2, 4, 5)
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", ks=(1, 2, 4, 5),
+    store=None,
 ):
     """Figure 2: TCP checksum distribution over k-cell blocks."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     series_pdf = []
     series_cdf = []
     data = {"system": system, "ks": list(ks)}
@@ -83,10 +84,11 @@ def figure2_distribution(
 
 
 def figure3_fletcher_pdf(
-    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", top=256
+    fs_bytes=DEFAULT_FS_BYTES, seed=DEFAULT_SEED, system="stanford-u1", top=256,
+    store=None,
 ):
     """Figure 3: single-cell PDFs of TCP, Fletcher-255 and Fletcher-256."""
-    fs = build_filesystem(system, fs_bytes, seed)
+    fs = _filesystem(system, fs_bytes, seed, store)
     series = []
     data = {"system": system, "top": top}
     match = {}

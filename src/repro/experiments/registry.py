@@ -9,8 +9,9 @@ Markdown report generator go through, so it is also where the
   rendered text); a miss runs the experiment and stores it; a corrupt
   entry is evicted and recomputed.
 * ``workers=`` / ``store=`` are forwarded only to experiments whose
-  signatures accept them (the splice tables), and never enter cache
-  keys — neither can change a result.
+  signatures accept them (``store`` to every experiment that builds a
+  corpus, which it then reads from ``corpora/``), and never enter
+  cache keys — neither can change a result.
 
 The registry maps ids to ``"module:function"`` spec strings resolved
 on first use, so importing it (e.g. to build CLI ``choices``) does not

@@ -49,7 +49,10 @@ FLETCHER_SYSTEMS = (
 
 
 def _filesystem(name, fs_bytes, seed, store):
-    """One system's corpus, read from ``store`` when the sweep holds one."""
+    """One system's corpus, read from ``store`` when the run holds one.
+
+    Every experiment that builds a corpus gets it here.
+    """
     if store is not None:
         return store.filesystem(name, fs_bytes, seed)
     from repro.corpus.profiles import build_filesystem

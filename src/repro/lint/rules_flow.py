@@ -50,6 +50,7 @@ class InterproceduralTaintRule(Rule):
 
     def check_project(self, ctx):
         dataflow = ctx.dataflow
+        sinks = {}  # module name -> whether any of its nodes is a json sink
         for record in ctx.callgraph.functions():
             module = record.module
             if not ctx.config.is_deterministic(module.name):
@@ -57,7 +58,10 @@ class InterproceduralTaintRule(Rule):
             if ctx.config.is_serializer_name(record.name.lstrip("_")):
                 yield from self._check_serializer(
                     module, record, dataflow)
-            yield from self._check_json_sinks(module, record, dataflow)
+            if module.name not in sinks:
+                sinks[module.name] = any(map(_json_sink, module.nodes))
+            if sinks[module.name]:
+                yield from self._check_json_sinks(module, record, dataflow)
 
     def _check_serializer(self, module, record, dataflow):
         summary = dataflow.summary(record.qid)
@@ -81,11 +85,8 @@ class InterproceduralTaintRule(Rule):
     def _check_json_sinks(self, module, record, dataflow):
         env = None
         for node in ast.walk(record.node):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = dotted_name(node.func) or ""
-            if chain.split(".")[-1] not in ("dump", "dumps") \
-                    or not chain.startswith("json."):
+            sink = _json_sink(node)
+            if sink is None:
                 continue
             if env is None:
                 env = dataflow.function_env(record)
@@ -101,12 +102,22 @@ class InterproceduralTaintRule(Rule):
                         module, where,
                         "%s in %s() feeds json.%s a value tainted by "
                         "%s (%s%s)" % (
-                            "argument", record.name,
-                            chain.split(".")[-1],
+                            "argument", record.name, sink,
                             _KIND_LABELS.get(kind, kind),
                             origin.description, origin.route(),
                         ),
                     )
+
+
+def _json_sink(node):
+    """``"dump"`` or ``"dumps"`` if ``node`` calls ``json.dump(s)``, else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    chain = dotted_name(node.func) or ""
+    leaf = chain.split(".")[-1]
+    if leaf in ("dump", "dumps") and chain.startswith("json."):
+        return leaf
+    return None
 
 
 @register
@@ -128,13 +139,18 @@ class TransitivePicklabilityRule(Rule):
 
     def check_project(self, ctx):
         callgraph = ctx.callgraph
-        submitters = self._submitting_functions(ctx)
+        submissions = {}
         for module in ctx.project.modules():
             try:
                 nodes = module.nodes
             except SyntaxError:
                 continue
-            for call, target in _submitted_callables(nodes, ctx.config):
+            found = list(_submitted_callables(nodes, ctx.config))
+            if found:
+                submissions[module.name] = (module, found)
+        submitters = self._submitting_functions(ctx, submissions)
+        for module, found in submissions.values():
+            for call, target in found:
                 resolved = callgraph.resolve_callable(module, target)
                 if resolved is not None and resolved.crossed \
                         and resolved.kind in ("lambda", "nested"):
@@ -173,10 +189,16 @@ class TransitivePicklabilityRule(Rule):
                         )
 
     @staticmethod
-    def _submitting_functions(ctx):
-        """qids of functions whose body performs a pool submission."""
+    def _submitting_functions(ctx, submissions):
+        """qids of functions whose body performs a pool submission.
+
+        Only the functions of a module in ``submissions`` (which holds
+        every module whose nodes submit) can submit.
+        """
         submitters = set()
         for record in ctx.callgraph.functions():
+            if record.module.name not in submissions:
+                continue
             for _call, _target in _submitted_callables(
                     ast.walk(record.node), ctx.config):
                 submitters.add(record.qid)

@@ -15,7 +15,10 @@ and writes a schema-versioned ``BENCH_<n>.json`` snapshot:
   over transport algorithm x placement x corpus size, in splices/sec;
 * **telemetry overhead** — measured cost of the *disabled* telemetry
   calls on the splice hot path, asserted <2% by
-  ``benchmarks/test_telemetry_overhead.py``.
+  ``benchmarks/test_telemetry_overhead.py``;
+* **channel** — simulated cells/sec of the channel and ARQ stack;
+* **corpus** — MB/s of corpus synthesis: each generator kind through
+  ``generate``, and ``build_filesystem`` for table 1's four profiles.
 
 Snapshots are append-only (``BENCH_0001.json``, ``BENCH_0002.json``,
 ...); each run renders a delta table against the previous snapshot so
@@ -56,10 +59,13 @@ _ENGINE_KEYS = {
     "splices_per_sec",
 }
 _OVERHEAD_KEYS = {"disabled_pct", "enabled_pct", "batches"}
-#: Optional section (older snapshots predate it) -- validated when
+#: Optional sections (older snapshots predate them) -- validated when
 #: present so drift cannot creep in behind the optionality.
+_OPTIONAL_KEYS = {"channel", "corpus"}
 _CHANNEL_KEYS = {"cells", "seconds", "cells_per_sec", "frames",
                  "retransmissions"}
+_CORPUS_GROUPS = {"kinds", "profiles"}
+_CORPUS_KEYS = {"bytes", "seconds", "mb_per_sec"}
 
 _CELL = 48
 _SEED = 1
@@ -306,6 +312,44 @@ def _channel_section(quick):
     return section
 
 
+_TABLE1_PROFILES = ("nsc05", "nsc11", "nsc23", "nsc25")
+
+
+def _corpus_section(quick):
+    """MB/s of corpus synthesis, per generator kind and per profile.
+
+    Each kind makes ``corpus_bytes`` through ``generate``; each of table
+    1's profiles is built by ``build_filesystem``, which draws all its
+    files from one replay of its stream.
+    """
+    from repro.corpus.generators import GENERATORS, generate
+    from repro.corpus.profiles import build_filesystem
+
+    corpus_bytes = 50_000 if quick else 200_000
+    min_time = 0.02 if quick else 0.1
+
+    def rate(make, size):
+        seconds = _best_seconds(make, min_time)
+        return {
+            "bytes": size,
+            "seconds": round(seconds, 6),
+            "mb_per_sec": round(size / seconds / 1e6, 3),
+        }
+
+    kinds = {
+        kind: rate(lambda kind=kind: generate(kind, corpus_bytes, _SEED),
+                   corpus_bytes)
+        for kind in sorted(GENERATORS)
+    }
+    profiles = {}
+    for name in _TABLE1_PROFILES:
+        size = build_filesystem(name, corpus_bytes, _SEED).total_bytes
+        profiles[name] = rate(
+            lambda name=name: build_filesystem(name, corpus_bytes, _SEED), size
+        )
+    return {"kinds": kinds, "profiles": profiles}
+
+
 # ----------------------------------------------------------------------
 # snapshot assembly, persistence, validation, deltas
 
@@ -315,6 +359,7 @@ def run_bench(quick=False):
     engine, engine_meta = _engine_section(quick)
     overhead = _overhead_section(quick)
     channel = _channel_section(quick)
+    corpus = _corpus_section(quick)
     workload = {"seed": _SEED, "cell_bytes": _CELL}
     workload.update(algo_meta)
     workload.update(engine_meta)
@@ -334,6 +379,7 @@ def run_bench(quick=False):
         "engine": engine,
         "overhead": overhead,
         "channel": channel,
+        "corpus": corpus,
     }
 
 
@@ -346,9 +392,9 @@ def validate_snapshot(payload):
             "bench schema mismatch: expected %r, got %r"
             % (BENCH_SCHEMA, payload.get("schema"))
         )
-    # "channel" joined the layout later: optional for old snapshots,
-    # but never an excuse for unknown keys.
-    drift = (set(payload) - {"channel"}) ^ _TOP_KEYS
+    # "channel" and "corpus" joined the layout later: optional for old
+    # snapshots, but never an excuse for unknown keys.
+    drift = (set(payload) - _OPTIONAL_KEYS) ^ _TOP_KEYS
     if drift:
         raise ValueError(
             "bench snapshot top-level drift: %s" % ", ".join(sorted(drift))
@@ -390,6 +436,24 @@ def validate_snapshot(payload):
             raise ValueError(
                 "channel plan %r has non-positive cells_per_sec" % plan_name
             )
+    corpus = payload.get("corpus")
+    if corpus is not None:
+        drift = set(corpus) ^ _CORPUS_GROUPS
+        if drift:
+            raise ValueError(
+                "corpus section drift: %s" % ", ".join(sorted(drift))
+            )
+        for group, entries in sorted(corpus.items()):
+            for name, entry in entries.items():
+                label = "corpus %s %r" % (group[:-1], name)
+                drift = set(entry) ^ _CORPUS_KEYS
+                if drift:
+                    raise ValueError(
+                        "%s key drift: %s" % (label, ", ".join(sorted(drift)))
+                    )
+                if not isinstance(entry["mb_per_sec"], (int, float)) \
+                        or entry["mb_per_sec"] <= 0:
+                    raise ValueError("%s has non-positive mb_per_sec" % label)
     return payload
 
 
@@ -494,6 +558,20 @@ def delta_table(previous, current_payload):
                 _pct_delta(entry["cells_per_sec"], old),
             )
         )
+    prev_corpus = (previous or {}).get("corpus", {})
+    for group, entries in sorted(current_payload.get("corpus", {}).items()):
+        for name, entry in sorted(entries.items()):
+            old = prev_corpus.get(group, {}).get(name, {}).get("mb_per_sec")
+            lines.append(
+                "| corpus %s %s MB/s | %.2f | %s | %s |"
+                % (
+                    group[:-1],
+                    name,
+                    entry["mb_per_sec"],
+                    "%.2f" % old if old else "-",
+                    _pct_delta(entry["mb_per_sec"], old),
+                )
+            )
     overhead = current_payload["overhead"]
     lines.append(
         "| telemetry disabled overhead | %.3f%% | | |" % overhead["disabled_pct"]

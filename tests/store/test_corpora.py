@@ -170,6 +170,34 @@ class TestSpliceTables:
         assert capsys.readouterr().out == direct
 
 
+class TestOtherExperiments:
+    # None of these is a splice table.  They load 11 corpora: table6
+    # four, figure3 one, pathological five and failure-locality one, 9
+    # of them distinct (figure3 and failure-locality read table6's
+    # stanford-u1).
+    EXPERIMENTS = ("table6", "figure3", "pathological", "failure-locality")
+
+    def run_all(self, root, capsys):
+        outputs = []
+        with collect() as telemetry:
+            for experiment in self.EXPERIMENTS:
+                assert main(["run", experiment, "--bytes", "60000", "--seed",
+                             "3", "--cache", "--cache-dir", root]) == 0
+                outputs.append(capsys.readouterr().out)
+            return outputs, telemetry.snapshot()["counters"]
+
+    def test_a_result_miss_reads_the_stored_corpora(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        first, counters = self.run_all(root, capsys)
+        assert counters["store.corpus_builds"] == 9
+        assert counters["store.corpus_hits"] == 2
+        RunStore(root).results.store.clear()
+        second, counters = self.run_all(root, capsys)
+        assert second == first
+        assert "store.corpus_builds" not in counters
+        assert counters["store.corpus_hits"] == 11
+
+
 class TestCacheCommands:
     def test_stats_audit_and_clear_see_corpora(self, tmp_path, capsys):
         root = str(tmp_path / "store")

@@ -60,6 +60,12 @@ def _channel_entry(cells_per_sec=5e4):
     }
 
 
+def _corpus_section(mb_per_sec=2.5):
+    entry = {"bytes": 50_000, "seconds": 0.02, "mb_per_sec": mb_per_sec}
+    return {"kinds": {"english": dict(entry)},
+            "profiles": {"nsc05": dict(entry)}}
+
+
 class TestValidation:
     def test_valid_payload_passes(self):
         assert validate_snapshot(_payload()) is not None
@@ -119,6 +125,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-positive"):
             validate_snapshot(payload)
 
+    def test_corpus_section_is_optional(self):
+        # Snapshots before the corpus section have none.
+        assert "corpus" not in _payload()
+        assert validate_snapshot(_payload()) is not None
+
+    def test_corpus_section_validated_when_present(self):
+        payload = _payload()
+        payload["corpus"] = _corpus_section()
+        assert validate_snapshot(payload) is not None
+        payload["corpus"]["kinds"]["english"]["surprise"] = 1
+        with pytest.raises(ValueError, match="corpus kind 'english'"):
+            validate_snapshot(payload)
+
+    def test_corpus_groups_are_exact(self):
+        payload = _payload()
+        payload["corpus"] = _corpus_section()
+        del payload["corpus"]["profiles"]
+        with pytest.raises(ValueError, match="corpus section drift"):
+            validate_snapshot(payload)
+
+    def test_corpus_non_positive_rate_rejected(self):
+        payload = _payload()
+        payload["corpus"] = _corpus_section(mb_per_sec=0)
+        with pytest.raises(ValueError, match="non-positive"):
+            validate_snapshot(payload)
+
 
 class TestPersistence:
     def test_snapshots_are_append_only(self, tmp_path):
@@ -173,3 +205,18 @@ class TestDeltaTable:
         current_payload = _payload()
         current_payload["channel"] = {"clean": _channel_entry(1e5)}
         assert "+100.0%" in delta_table(previous, current_payload)
+
+    def test_corpus_rows_render_when_present(self):
+        payload = _payload()
+        payload["corpus"] = _corpus_section()
+        text = delta_table(None, payload)
+        assert "| corpus kind english MB/s | 2.50 | - | n/a |" in text
+        assert "| corpus profile nsc05 MB/s | 2.50 | - | n/a |" in text
+
+    def test_corpus_delta_against_previous(self):
+        previous = _payload()
+        previous["corpus"] = _corpus_section(2.5)
+        current_payload = _payload()
+        current_payload["corpus"] = _corpus_section(5.0)
+        text = delta_table(previous, current_payload)
+        assert "| corpus kind english MB/s | 5.00 | 2.50 | +100.0% |" in text
