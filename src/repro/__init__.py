@@ -92,6 +92,7 @@ _FACADE_EXPORTS = (
     "open_journal",
     "open_store",
     "plan_names",
+    "plan_trajectory",
     "profile_names",
     "profile_summaries",
     "read_channel_trace",

@@ -55,6 +55,7 @@ __all__ = [
     "build_channel_trace",
     "channel_plan_names",
     "named_channel_plan",
+    "plan_trajectory",
     "read_channel_trace",
     "replay_channel_trace",
     "run_channel_sweep",
@@ -95,6 +96,7 @@ _LAZY = {
     "build_channel_trace": ("repro.channel.trace", "build_channel_trace"),
     "channel_plan_names": ("repro.channel.plan", "channel_plan_names"),
     "named_channel_plan": ("repro.channel.plan", "named_channel_plan"),
+    "plan_trajectory": ("repro.channel.link", "plan_trajectory"),
     "read_channel_trace": ("repro.channel.trace", "read_channel_trace"),
     "replay_channel_trace": ("repro.channel.trace", "replay_channel_trace"),
     "run_channel_sweep": ("repro.channel.sweep", "run_channel_sweep"),

@@ -17,9 +17,11 @@ receiver cannot know).
 Robustness contract (the reason this module exists in a reproduction
 about surviving corruption):
 
-* every retransmission backs off exponentially (capped) and is
-  bounded by a per-frame **budget**; exhausting it abandons the frame,
-  records a degradation note, and moves on -- the session never loops;
+* every timeout backs off exponentially (capped) and is charged to
+  the timed-out frame's **budget** of timeouts; the first timeout past
+  it abandons the frame, records a degradation note, and moves on --
+  the session never loops.  The budget bounds timeouts, not sends:
+  go-back-N resends the whole window on each timeout;
 * a hard event-count guard backstops the discrete-event loop, so no
   parameter combination (queue-overflow storms included) can hang it;
 * ACKs and the explicit skip notice travel a reliable, fixed-latency
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.channel.events import EventQueue
 from repro.channel.link import ChannelLink
-from repro.core.engine import EngineOptions
+from repro.core.options import EngineOptions
 from repro.core.reference import frame_acceptable
 from repro.protocols.aal5 import CELL_PAYLOAD
 from repro.protocols.cellstream import AAL5Reassembler
@@ -86,8 +88,10 @@ class ArqConfig:
     backoff: float = 2.0
     #: ceiling on the backed-off timeout.
     max_timeout: float = 1024.0
-    #: retransmission budget per frame; exhausting it abandons the
-    #: frame (graceful degradation, never a loop).
+    #: timeouts charged per frame; the frame's next timeout abandons
+    #: it (graceful degradation, never a loop).  Go-back-N resends the
+    #: rest of the window on each timeout too, uncharged, so the
+    #: budget bounds a frame's timeouts, not its sends.
     budget: int = 8
 
     def __post_init__(self):
@@ -151,7 +155,7 @@ class ChannelReport:
     duplicates_ignored: int = 0
     delivered_clean: int = 0
     delivered_corrupted: int = 0
-    #: frames abandoned after the retransmission budget.
+    #: frames abandoned after their budget of timeouts.
     frames_failed: int = 0
     # -- wire statistics (from ChannelStats) ---------------------------
     cells_sent: int = 0

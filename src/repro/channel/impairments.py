@@ -21,10 +21,10 @@ the same doubles as ``k`` scalar ``random()`` calls, so every decision
 is what per-cell calls would give.
 
 Each process's methods decide one cell at a time.
-:meth:`repro.channel.link.ChannelLink.send_frame` makes the same
-decisions for a whole frame in one loop: it steps the chains inline
-and reads the same ``draws`` streams, so a process's state is the same
-whichever way its cells went through.
+:meth:`repro.channel.link.Trajectory.extend` makes the same decisions
+for a run of cells in one loop: it steps the chains inline and reads
+the same ``draws`` streams, so a process's state is the same whichever
+way its cells went through.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from itertools import chain
 
 import numpy as np
 
+from repro.protocols.aal5 import CELL_PAYLOAD
+
 __all__ = [
     "BoundedQueue",
     "CellLoss",
@@ -41,6 +43,7 @@ __all__ = [
     "DuplicateProcess",
     "GilbertChain",
     "GilbertElliottBitErrors",
+    "apply_mask",
 ]
 
 _UNIFORM_BLOCK = 256
@@ -112,9 +115,13 @@ class GilbertElliottBitErrors:
 
     The chain steps once per cell; the applicable state's bit-error
     rate then flips a binomially-drawn number of distinct bit
-    positions in the payload.  A zero BER skips the payload draws, but
-    the chain itself always advances, keeping its trajectory aligned
-    with the cell stream.
+    positions in the cell's 48-byte payload.  A zero BER skips the
+    payload draws, but the chain itself always advances, keeping its
+    trajectory aligned with the cell stream.
+
+    A flip is drawn once, as a mask over the payload's 384 bits
+    (:meth:`flip_mask`); :meth:`flip` and :meth:`corrupt` XOR that
+    mask into the payload, so every caller makes the same draws.
     """
 
     def __init__(self, plan):
@@ -136,16 +143,43 @@ class GilbertElliottBitErrors:
         return self.flip(payload, ber)
 
     def flip(self, payload, ber):
-        """``(payload', flipped_bits)`` at bit-error rate ``ber`` > 0."""
-        nbits = len(payload) * 8
-        flips = int(self._rng.binomial(nbits, ber))
+        """``(payload', flipped_bits)`` at bit-error rate ``ber`` > 0.
+
+        Raises :class:`ValueError` unless ``payload`` is one cell's 48
+        bytes: the draws are made for that many bits.
+        """
+        if len(payload) != CELL_PAYLOAD:
+            raise ValueError(
+                "bit errors apply to %d-byte cell payloads, got %d bytes"
+                % (CELL_PAYLOAD, len(payload))
+            )
+        mask, flips = self.flip_mask(ber)
         if not flips:
             return payload, 0
-        positions = self._rng.choice(nbits, size=flips, replace=False)
-        mutated = bytearray(payload)
-        for position in positions:
-            mutated[int(position) >> 3] ^= 1 << (int(position) & 7)
-        return bytes(mutated), flips
+        return apply_mask(payload, mask), flips
+
+    def flip_mask(self, ber):
+        """``(mask, flipped_bits)``: the next cell's flips as an int.
+
+        Bit ``p`` of ``mask`` flips bit ``p & 7`` of payload byte
+        ``p >> 3``; a binomial draw picks how many of the 384 bits
+        flip, and a draw without replacement picks which.
+        """
+        nbits = CELL_PAYLOAD * 8
+        flips = int(self._rng.binomial(nbits, ber))
+        if not flips:
+            return 0, 0
+        mask = 0
+        for position in self._rng.choice(nbits, size=flips, replace=False).tolist():
+            mask |= 1 << position
+        return mask, flips
+
+
+def apply_mask(payload, mask):
+    """``payload`` XOR a :meth:`GilbertElliottBitErrors.flip_mask` mask."""
+    return (int.from_bytes(payload, "little") ^ mask).to_bytes(
+        CELL_PAYLOAD, "little"
+    )
 
 
 class BoundedQueue:

@@ -144,6 +144,7 @@ class CRCEngine:
         self._zero_ops = {}
         self._cell_tables: dict = {}
         self._residue = None
+        self._check = None
 
     # -- table construction -------------------------------------------------
 
@@ -259,8 +260,16 @@ class CRCEngine:
         Streams the whole frame and compares the register against
         :meth:`residue_register` -- the check a receiver that cannot
         see the frame boundary performs, and the one the splice engine
-        models.
+        models.  A spec with a stdlib feed compares in that feed's own
+        domain (:func:`_c_check`): for the AAL5 CRC, one ``translate``
+        and one :func:`zlib.crc32` against the reflected residue.
         """
+        check = self._check
+        if check is None:
+            check = self._check = _c_check(self) or self._fold_check
+        return check(data)
+
+    def _fold_check(self, data):
         return self.process(self.register_init, data) == self.residue_register()
 
     def residue_register(self):
@@ -516,6 +525,35 @@ def _c_feed(spec):
     if spec.width == 16 and spec.poly == 0x1021 and not spec.refin:
         return binascii.crc_hqx
     return None
+
+
+def _c_check(engine):
+    """``check(data)``, :meth:`CRCEngine.verify` in C, or None.
+
+    A zlib feed maps the register into zlib's domain, makes one C call
+    and maps the result back.  Mapping the preset and the residue once,
+    here, leaves one C call and one compare per frame.
+    """
+    feed = engine._feed
+    if feed is None:
+        return None
+    init, residue = engine.register_init, engine.residue_register()
+    if feed is binascii.crc_hqx:
+        return lambda data: feed(data, init) == residue
+    crc32 = zlib.crc32
+    if feed is _zlib_feed:
+        start, target = init ^ 0xFFFFFFFF, residue ^ 0xFFFFFFFF
+        return lambda data: crc32(data, start) == target
+    start, target = _rev32(init) ^ 0xFFFFFFFF, _rev32(residue) ^ 0xFFFFFFFF
+
+    def check(data):
+        try:
+            data = data.translate(_REV8_BYTES)
+        except AttributeError:  # a memoryview
+            data = bytes(data).translate(_REV8_BYTES)
+        return crc32(data, start) == target
+
+    return check
 
 
 def _reflect_many(values, width):

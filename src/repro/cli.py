@@ -327,8 +327,10 @@ def _channel_arguments(parser):
     p_crun.add_argument("--timeout", type=float, default=64.0,
                         help="initial retransmission timeout in ticks")
     p_crun.add_argument("--budget", type=int, default=8,
-                        help="retransmission budget per frame; exhausting "
-                             "it abandons the frame (degraded, exit 4)")
+                        help="timeouts charged per frame; the next one "
+                             "abandons the frame (degraded, exit 4). "
+                             "Go-back-N also resends the rest of the "
+                             "window on each timeout, uncharged")
     p_crun.add_argument("--algorithm", default="tcp",
                         choices=["tcp", "fletcher255", "fletcher256"])
     p_crun.add_argument("--no-crc", action="store_true",
@@ -611,10 +613,16 @@ def _cmd_chaos(args):
     # A plan paired with a channel regime also proves the *link* is
     # replayable: two transfers under the same channel plan must agree
     # event-for-event (clean-vs-chaotic store state cannot leak in).
+    # The plan's cached trajectory is dropped in between, so the second
+    # transfer draws every cell fate from the seeded streams again.
     channel_name = named_plan(args.plan, seed=args.fault_seed).channel
     channel_ok = True
     if channel_name:
-        from repro.api import named_channel_plan, run_channel_transfer
+        from repro.api import (
+            named_channel_plan,
+            plan_trajectory,
+            run_channel_transfer,
+        )
 
         channel_plan = named_channel_plan(channel_name, seed=args.fault_seed)
         data = fs.files[0].data
@@ -622,6 +630,7 @@ def _cmd_chaos(args):
         first = run_channel_transfer(
             data, channel_plan, trace_events=first_events
         )
+        plan_trajectory.cache_clear()
         second = run_channel_transfer(
             data, channel_plan, trace_events=second_events
         )

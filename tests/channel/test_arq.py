@@ -1,5 +1,9 @@
 """Tests for the ARQ layer: recovery, budgets, graceful degradation."""
 
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.channel.arq import (
@@ -9,6 +13,7 @@ from repro.channel.arq import (
     NOTE_BUDGET,
     run_channel_transfer,
 )
+from repro.channel.link import plan_trajectory
 from repro.channel.plan import ChannelPlan, named_channel_plan
 from repro.core.supervisor import RunHealth
 from repro.corpus.generators import generate
@@ -172,6 +177,24 @@ class TestGracefulDegradation:
         assert report.cells_overflowed > 0
         assert report.frames_failed + report.delivered_clean >= report.frames
 
+    @pytest.mark.parametrize("budget", [0, 2])
+    @pytest.mark.parametrize("kind", ARQ_KINDS)
+    def test_budget_bounds_the_timeouts_charged_per_frame(self, kind, budget):
+        # A frame's (budget + 1)-th timeout abandons it.  The window
+        # resends of go-back-N are not charged, so the budget bounds
+        # timeouts, not sends.
+        events = []
+        report = run_channel_transfer(
+            DATA, ChannelPlan(seed=9, loss_rate=0.6),
+            arq=ArqConfig(kind=kind, budget=budget, timeout=16.0),
+            trace_events=events,
+        )
+        timeouts = Counter(
+            entry["frame"] for entry in events if entry["event"] == "timeout"
+        )
+        assert report.frames_failed > 0
+        assert max(timeouts.values()) == budget + 1
+
     def test_notes_are_canonical_and_deduped(self):
         plan = ChannelPlan(seed=9, loss_rate=0.9)
         report = run_channel_transfer(
@@ -207,6 +230,8 @@ class TestDeterminism:
         plan = named_channel_plan(name, seed=21)
         first_events, second_events = [], []
         first = run_channel_transfer(DATA, plan, trace_events=first_events)
+        # A cold cache: the second transfer draws every fate again.
+        plan_trajectory.cache_clear()
         second = run_channel_transfer(DATA, plan, trace_events=second_events)
         assert first_events == second_events
         assert first.to_dict() == second.to_dict()
@@ -219,3 +244,15 @@ class TestDeterminism:
         assert {"send", "deliver"} <= kinds
         delivers = [e for e in events if e["event"] == "deliver"]
         assert all("clean" in e for e in delivers)
+
+
+def test_the_channel_modules_leave_the_splice_engine_unloaded():
+    # The receiver needs EngineOptions, not the NumPy splice engine.
+    code = (
+        "import sys, repro.channel.arq, repro.channel.sweep; "
+        "sys.exit('repro.core.engine' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr or "repro.core.engine was imported"

@@ -10,7 +10,7 @@ from repro.channel.impairments import (
     DuplicateProcess,
     GilbertElliottBitErrors,
 )
-from repro.channel.link import ChannelLink, ChannelStats
+from repro.channel.link import ChannelLink, ChannelStats, plan_trajectory
 from repro.channel.plan import (
     ChannelPlan,
     channel_plan_names,
@@ -79,6 +79,8 @@ class TestDeterminism:
                      "congested-queue"):
             plan = named_channel_plan(name, seed=13)
             _, a = drive(plan, cells=800)
+            # A cold cache: the second link draws every fate again.
+            plan_trajectory.cache_clear()
             _, b = drive(plan, cells=800)
             assert a == b, name
 
@@ -174,6 +176,9 @@ class TestFrameCall:
     def test_frames_equal_one_send_per_cell(self, plan):
         frames, starts = frame_schedule()
         framed, framed_stats = per_frame(plan, frames, starts)
+        # A cold cache: the per-cell link draws every fate again, one
+        # cell per extension.
+        plan_trajectory.cache_clear()
         celled, celled_stats = per_cell(plan, frames, starts)
         assert framed == celled
         assert framed_stats == celled_stats
@@ -181,6 +186,17 @@ class TestFrameCall:
     @pytest.mark.parametrize("plan", PLANS, ids=lambda plan: plan.name)
     def test_frames_equal_the_processes_composed(self, plan):
         frames, starts = frame_schedule()
+        plan_trajectory.cache_clear()
+        framed, framed_stats = per_frame(plan, frames, starts)
+        composed, composed_stats = per_process(plan, frames, starts)
+        assert framed == composed
+        assert framed_stats == composed_stats
+
+    @pytest.mark.parametrize("plan", PLANS, ids=lambda plan: plan.name)
+    def test_warm_frames_equal_the_processes_composed(self, plan):
+        frames, starts = frame_schedule()
+        plan_trajectory.cache_clear()
+        per_cell(plan, frames, starts)  # the fates, drawn a cell at a time
         framed, framed_stats = per_frame(plan, frames, starts)
         composed, composed_stats = per_process(plan, frames, starts)
         assert framed == composed
@@ -198,3 +214,128 @@ class TestFrameCall:
         assert all(cell is sent for (_, cell), sent in zip(deliveries, cells))
         assert [arrival for arrival, _ in deliveries] == [13.0, 14.0]
         assert t_end == 7.0
+
+
+# -- one trajectory per plan -------------------------------------------------
+
+BIT_ERROR_PLANS = [plan for plan in PLANS if plan.bit_errors is not None]
+
+
+def other_schedule():
+    """A second sender: other frame sizes, gaps and payloads."""
+    rng = np.random.default_rng(29)
+    frames, starts, t = [], [], 3.0
+    for index in range(260):
+        cells = (4, 1, 9, 2)[index % 4]
+        payloads = rng.integers(0, 256, (cells, 48), dtype=np.uint8)
+        frames.append(tuple(
+            (payloads[c].tobytes(), c == cells - 1) for c in range(cells)
+        ))
+        t += float(rng.choice([0.0] * 5 + [1.5, 25.0]))
+        starts.append(t)
+        t += cells
+    return frames, starts
+
+
+def flip_bytewise(payload, mask):
+    """``payload`` with bit ``p & 7`` of byte ``p >> 3`` flipped for every
+    set bit ``p`` of ``mask``."""
+    flipped = bytearray(payload)
+    for position in range(len(payload) * 8):
+        if mask >> position & 1:
+            flipped[position >> 3] ^= 1 << (position & 7)
+    return bytes(flipped)
+
+
+class TestSharedTrajectory:
+    @pytest.mark.parametrize("plan", PLANS, ids=lambda plan: plan.name)
+    def test_a_grown_trajectory_reads_like_a_cold_one(self, plan):
+        frames, starts = frame_schedule()
+        plan_trajectory.cache_clear()
+        cold = per_frame(plan, frames, starts)
+        plan_trajectory.cache_clear()
+        # Another link grows the fates first, in other steps and
+        # further than the second link will read.
+        per_cell(plan, *other_schedule())
+        grown = len(plan_trajectory(plan).fates)
+        warm = per_frame(plan, frames, starts)
+        assert warm == cold
+        assert len(plan_trajectory(plan).fates) >= grown
+
+    @pytest.mark.parametrize("plan", PLANS, ids=lambda plan: plan.name)
+    def test_alternating_links_each_equal_their_solo_run(self, plan):
+        schedules = [frame_schedule(), other_schedule()]
+        solos = []
+        for frames, starts in schedules:
+            plan_trajectory.cache_clear()
+            solos.append(per_frame(plan, frames, starts))
+        plan_trajectory.cache_clear()
+        links = [ChannelLink(plan), ChannelLink(plan)]
+        outs, ends = [[], []], [0.0, 0.0]
+        for index in range(max(len(frames) for frames, _ in schedules)):
+            for which, (frames, starts) in enumerate(schedules):
+                if index < len(frames):
+                    deliveries, ends[which] = links[which].send_frame(
+                        frames[index], max(starts[index], ends[which])
+                    )
+                    outs[which].extend(
+                        (arrival, *cell) for arrival, cell in deliveries
+                    )
+        assert [(outs[k], links[k].stats) for k in (0, 1)] == solos
+
+    @pytest.mark.parametrize("plan", PLANS, ids=lambda plan: plan.name)
+    def test_a_short_payload_raises_on_a_bit_error_plan(self, plan):
+        link = ChannelLink(plan)
+        cells = ((bytes(48), False), (bytes(47), True))
+        if plan.bit_errors is None:
+            # No draw reads the payload: it passes through as sent.
+            deliveries, _ = link.send_frame(cells, 0.0)
+            assert all(cell in cells for _, cell in deliveries)
+            return
+        with pytest.raises(ValueError, match="48-byte"):
+            link.send_frame(cells, 0.0)
+        with pytest.raises(ValueError, match="48-byte"):
+            link.send(bytes(47), True, 0.0)
+        # Checked before any cell entered: the link is still fresh.
+        assert link.stats == ChannelStats()
+        fresh = ChannelLink(plan)
+        assert link.send_frame(cells[:1], 0.0) == fresh.send_frame(cells[:1], 0.0)
+        with pytest.raises(ValueError, match="48-byte"):
+            GilbertElliottBitErrors(plan).flip(bytes(47), 0.5)
+
+    @pytest.mark.parametrize(
+        "plan", BIT_ERROR_PLANS, ids=lambda plan: plan.name
+    )
+    def test_flip_is_xor_with_the_twin_flip_mask(self, plan):
+        flipper, twin = GilbertElliottBitErrors(plan), GilbertElliottBitErrors(plan)
+        rng = np.random.default_rng(41)
+        flipped_cells = 0
+        for ber in [0.002, 0.01, 0.05] * 100:
+            payload = rng.integers(0, 256, 48, dtype=np.uint8).tobytes()
+            mask, flips = twin.flip_mask(ber)
+            assert flipper.flip(payload, ber) == (
+                flip_bytewise(payload, mask), flips
+            )
+            assert 0 <= mask < 1 << 384 and bin(mask).count("1") == flips
+            flipped_cells += bool(flips)
+        assert flipped_cells > 0
+        for _ in range(300):
+            payload = rng.integers(0, 256, 48, dtype=np.uint8).tobytes()
+            corrupted, flips = flipper.corrupt(payload)
+            ber = twin.ber_bad if twin.chain.step() else twin.ber_good
+            mask, twin_flips = twin.flip_mask(ber) if ber > 0.0 else (0, 0)
+            assert (corrupted, flips) == (flip_bytewise(payload, mask), twin_flips)
+
+    @pytest.mark.parametrize("plan", PLANS, ids=lambda plan: plan.name)
+    def test_an_evicted_plan_rebuilds_identical_fates(self, plan):
+        frames, starts = frame_schedule()
+        plan_trajectory.cache_clear()
+        first = per_frame(plan, frames, starts)
+        trajectory = plan_trajectory(plan)
+        fates = list(trajectory.fates)
+        for seed in range(plan_trajectory.cache_parameters()["maxsize"]):
+            plan_trajectory(ChannelPlan(name="evictor", seed=1000 + seed))
+        assert plan_trajectory(plan) is not trajectory
+        again = per_frame(plan, frames, starts)
+        assert again == first
+        assert plan_trajectory(plan).fates == fates

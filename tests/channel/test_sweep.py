@@ -1,6 +1,7 @@
 """Tests for the channel sweep: workers-invariance, journal, store."""
 
 from repro.channel.arq import ArqConfig, ChannelReport
+from repro.channel.link import plan_trajectory
 from repro.channel.plan import ChannelPlan, named_channel_plan
 from repro.channel.sweep import channel_fingerprint, run_channel_sweep
 from repro.core.supervisor import RunHealth
@@ -26,6 +27,8 @@ class TestWorkersInvariance:
         sequential = run_channel_sweep(
             fs, plan, events_out=sequential_events, workers=1
         )
+        # Forked workers inherit no fates: they draw their own.
+        plan_trajectory.cache_clear()
         pooled = run_channel_sweep(
             fs, plan, events_out=pooled_events, workers=4
         )

@@ -159,6 +159,27 @@ class TestKernelConformance:
 
     @given(
         spec=st.sampled_from(CONFORMANCE_SPECS),
+        message=st.binary(max_size=400),
+        flips=st.lists(st.integers(0, 2**20), max_size=3),
+        data_type=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verify_matches_step_fold(self, spec, message, flips, data_type):
+        engine = _ENGINES[spec]
+        frame = bytearray(message + engine.field(message))
+        for bit in flips:
+            bit %= 8 * len(frame)
+            frame[bit >> 3] ^= 1 << (bit & 7)
+        probe = b"residue probe"
+        residue = step_fold(
+            engine, engine.register_init, probe + engine.field(probe)
+        )
+        expected = step_fold(engine, engine.register_init, frame) == residue
+        assert expected or flips
+        assert engine.verify(data_type(bytes(frame))) == expected
+
+    @given(
+        spec=st.sampled_from(CONFORMANCE_SPECS),
         length=st.sampled_from([0, 1, 4, 44, 48]),
         lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
         strided=st.booleans(),

@@ -42,6 +42,7 @@ class TestFacadeSurface:
             "open_journal",
             "open_store",
             "plan_names",
+            "plan_trajectory",
             "profile_names",
             "profile_summaries",
             "read_channel_trace",

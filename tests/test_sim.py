@@ -11,6 +11,7 @@ from repro.channel.arq import (
     ChannelReport,
     run_channel_transfer,
 )
+from repro.channel.link import plan_trajectory
 from repro.channel.plan import ChannelPlan, named_channel_plan
 from repro.core.supervisor import RunHealth
 from repro.corpus.generators import generate
@@ -51,6 +52,7 @@ class TestLossyTransfer:
         data = generate("gmon", 6_000, 1)
         plan = ChannelPlan(seed=9, loss_rate=0.2)
         a = run_channel_transfer(data, plan)
+        plan_trajectory.cache_clear()  # b draws every cell fate again
         b = run_channel_transfer(data, plan)
         assert a == b
 
